@@ -34,11 +34,10 @@ from treemult.tree import (
 )
 from treemult.verify import (
     IoFailureError,
-    LemmaChecks,
     SweepConfig,
+    Tally,
     chebyshev_completeness_audit,
     default_worker_count,
-    summarize_records,
     sweep,
 )
 
@@ -73,6 +72,11 @@ def _parse_mode(text: str) -> Gamma2Mode:
         return Gamma2Mode(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"mode must be strict or broad, got {text!r}")
+
+
+def _parse_modes(text: str) -> tuple[Gamma2Mode, ...]:
+    """Comma list of modes, e.g. "broad,strict"; empty items are skipped."""
+    return tuple(_parse_mode(chunk.strip()) for chunk in text.split(",") if chunk.strip())
 
 
 def _input_trees(args) -> list[Tree]:
@@ -177,37 +181,39 @@ def _default_out_path(name: str) -> str:
     return os.path.join(os.environ.get(OUT_DIR_ENV, "."), name)
 
 
+def _print_counts(tally: Tally, fmt: str, summary: dict | None = None) -> int:
+    """Print a tally's counts (in JSON, the whole summary when one is given)
+    and return the exit status: 1 when any broad-mode violation was seen."""
+    counts = tally.counts()
+    if fmt == "json":
+        print(json.dumps(summary or counts, indent=2))
+    else:
+        print(f"trees={counts['trees']} specs={counts['specs']} records={counts['records']}")
+        print(f"bound violations: {counts['bound']['violations']}")
+        print(f"m = p-1 equivalence violations: {counts['pendant_minus_one']['violations']}")
+        for mode_value, entry in counts["pendant_minus_two"].items():
+            for label, count in entry.items():
+                print(f"m = p-2 equivalence ({mode_value}): {count} {label}")
+    return 1 if tally.broad_violations else 0
+
+
 def _cmd_verify(args) -> int:
-    modes = []
-    for chunk in args.modes.split(","):
-        chunk = chunk.strip()
-        if chunk:
-            modes.append(_parse_mode(chunk))
     out = args.out or _default_out_path("verify_records.jsonl")
     config = SweepConfig(
         n_min=args.n_min,
         n_max=args.n_max,
         M_max=args.m_max,
-        modes=tuple(modes),
-        lemma_checks=LemmaChecks(),
+        modes=args.modes,
         worker_count=args.workers,
         output_path=out,
         tree_limit=args.limit,
     )
     report = sweep(config)
-    summary = report.summary_dict()
-    if args.format == "json":
-        print(json.dumps(summary, indent=2))
-    else:
-        print(f"trees={summary['trees']} specs={summary['specs']} records={summary['records']}")
-        print(f"bound violations: {summary['bound']['violations']}")
-        print(f"m = p-1 equivalence violations: {summary['pendant_minus_one']['violations']}")
-        for mode_value, entry in summary["pendant_minus_two"].items():
-            for label, count in entry.items():
-                print(f"m = p-2 equivalence ({mode_value}): {count} {label}")
+    status = _print_counts(report, args.format, report.summary_dict())
+    if args.format == "human":
         print(f"records: {report.records_path}")
         print(f"summary: {report.summary_path}")
-    return 1 if report.broad_violations else 0
+    return status
 
 
 def _cmd_audit(args) -> int:
@@ -233,22 +239,7 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    summary = summarize_records(args.path)
-    if args.format == "json":
-        print(json.dumps(summary, indent=2))
-    else:
-        print(f"records: {summary['records']} trees={summary['trees']} specs={summary['specs']}")
-        print(f"bound violations: {summary['bound']['violations']}")
-        print(f"m = p-1 equivalence violations: {summary['pendant_minus_one']['violations']}")
-        for mode_value, entry in summary["pendant_minus_two"].items():
-            for label, count in entry.items():
-                print(f"m = p-2 equivalence ({mode_value}): {count} {label}")
-    broad = (
-        summary["bound"]["violations"]
-        + summary["pendant_minus_one"]["violations"]
-        + summary["pendant_minus_two"].get("broad", {}).get("violations", 0)
-    )
-    return 1 if broad else 0
+    return _print_counts(Tally.read(args.path), args.format)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -297,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-min", type=int, default=1)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--m-max", type=int, required=True, help="largest eigenvalue denominator M")
-    p.add_argument("--modes", default="broad", help="comma list: broad,strict")
+    p.add_argument("--modes", type=_parse_modes, default="broad", help="comma list: broad,strict")
     p.add_argument("--workers", type=int, default=default_worker_count())
     p.add_argument("--out", help=f"records path (default under ${OUT_DIR_ENV} or .)")
     p.add_argument("--limit", type=int, default=DEFAULT_ENUMERATION_LIMIT,

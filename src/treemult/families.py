@@ -30,6 +30,7 @@ from treemult.poly import LambdaSpec
 from treemult.tree import (
     Component,
     Tree,
+    _rooted_code,
     canonical_code,
     delete_vertex,
     is_path,
@@ -126,10 +127,6 @@ def is_gamma2_0(t: Tree, lam: LambdaSpec, mode: Gamma2Mode = BROAD) -> bool:
 # memo: (canonical code, family kind, key fields) -> bool.  Writes are
 # idempotent, so plain dict assignment is safe under concurrent use.
 _member_memo: dict = {}
-
-
-def clear_memo() -> None:
-    _member_memo.clear()
 
 
 def _components(t: Tree, w: int) -> tuple[Component, ...]:
@@ -393,16 +390,11 @@ def replay_witness(t: Tree, result: FamilyResult) -> bool:
 
 
 def _gamma0_sizes(M: int, n_max: int) -> list[int]:
-    return list(range(M - 1, n_max + 1, M))
+    return [n for n in range(1, n_max + 1) if _gamma0_path_size(n, M)]
 
 
 def _gamma2_0_sizes(M: int, n_max: int, mode: Gamma2Mode) -> list[int]:
-    if mode is Gamma2Mode.STRICT:
-        start = (M - 2) % M
-        if start == 0:
-            start = M
-        return list(range(start, n_max + 1, M))
-    return [n for n in range(1, n_max + 1) if (n + 1) % M != 0]
+    return [n for n in range(1, n_max + 1) if _gamma2_0_path_size(n, M, mode)]
 
 
 def _size_multisets(sizes: list[int], count_min: int, total_max: int) -> Iterator[tuple[int, ...]]:
@@ -445,7 +437,7 @@ def _distinct_by_attachment(t: Tree, candidates: list[int]) -> list[int]:
     seen = set()
     out = []
     for v in candidates:
-        key = _attachment_key(t, v)
+        key = _rooted_code(t, v)
         if key not in seen:
             seen.add(key)
             out.append(v)
@@ -458,14 +450,6 @@ def _distinct_pendants(t: Tree) -> list[int]:
 
 def _distinct_degree2(t: Tree) -> list[int]:
     return _distinct_by_attachment(t, [v for v in range(t.n) if t.degree(v) == 2])
-
-
-def _attachment_key(t: Tree, v: int):
-    """Canonical code of t rooted at v; classifies attachment points up to
-    automorphism."""
-    from treemult.tree import _rooted_code
-
-    return _rooted_code(t, v)
 
 
 def generate(

@@ -28,16 +28,7 @@ from treemult.poly import (
     spec_orbits,
     squarefree_decompose,
 )
-from treemult.tree import Tree
-
-
-@dataclass(frozen=True)
-class CharPolyPair:
-    """Characteristic polynomials of a rooted subtree and of that subtree
-    minus its root; the unit of work in the two-term recurrence."""
-
-    p: Polynomial
-    q: Polynomial
+from treemult.tree import Tree, bfs_order
 
 
 def char_poly_rooted(t: Tree, root: int) -> Polynomial:
@@ -52,36 +43,29 @@ def char_poly_rooted(t: Tree, root: int) -> Polynomial:
     The result is root-independent; the recurrence is evaluated iteratively
     so long paths cannot exhaust the recursion limit.
     """
-    parent = [-1] * t.n
-    order = [root]
-    seen = [False] * t.n
-    seen[root] = True
-    for u in order:
-        for w in t.adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = u
-                order.append(w)
-    pairs: list[CharPolyPair | None] = [None] * t.n
+    order, parent = bfs_order(t, root)
+    # per vertex v: (p_v, q_v), the characteristic polynomials of v's rooted
+    # subtree and of that subtree minus v
+    pairs: list[tuple[Polynomial, Polynomial] | None] = [None] * t.n
     for u in reversed(order):
         kids = [pairs[w] for w in t.adj[u] if parent[w] == u]
         if not kids:
-            pairs[u] = CharPolyPair(p=X, q=ONE)
+            pairs[u] = (X, ONE)
             continue
         # prefix/suffix products keep the recurrence division-free
         k = len(kids)
         prefix = [ONE] * (k + 1)
-        for idx, pair in enumerate(kids):
-            prefix[idx + 1] = prefix[idx] * pair.p
+        for idx, (p, _) in enumerate(kids):
+            prefix[idx + 1] = prefix[idx] * p
         suffix = [ONE] * (k + 1)
         for idx in range(k - 1, -1, -1):
-            suffix[idx] = kids[idx].p * suffix[idx + 1]
+            suffix[idx] = kids[idx][0] * suffix[idx + 1]
         total = prefix[k]
         acc = Polynomial(())
-        for idx, pair in enumerate(kids):
-            acc = acc + pair.q * (prefix[idx] * suffix[idx + 1])
-        pairs[u] = CharPolyPair(p=total.shift(1) - acc, q=total)
-    return pairs[root].p
+        for idx, (_, q) in enumerate(kids):
+            acc = acc + q * (prefix[idx] * suffix[idx + 1])
+        pairs[u] = (total.shift(1) - acc, total)
+    return pairs[root][0]
 
 
 @lru_cache(maxsize=65536)
@@ -94,11 +78,8 @@ def char_poly(t: Tree) -> Polynomial:
     return char_poly_rooted(t, 0)
 
 
-def multiplicity(t: Tree, spec: LambdaSpec) -> int:
-    """m(T, lambda): the largest k with minimal_poly(lambda)^k dividing the
-    characteristic polynomial, found by repeated exact division."""
-    mu = minimal_poly(spec)
-    p = char_poly(t)
+def factor_multiplicity(p: Polynomial, mu: Polynomial) -> int:
+    """The largest k with mu^k dividing p, found by repeated exact division."""
     count = 0
     while True:
         try:
@@ -106,6 +87,12 @@ def multiplicity(t: Tree, spec: LambdaSpec) -> int:
         except NonDivisibleError:
             return count
         count += 1
+
+
+def multiplicity(t: Tree, spec: LambdaSpec) -> int:
+    """m(T, lambda): the largest k with minimal_poly(lambda)^k dividing the
+    characteristic polynomial."""
+    return factor_multiplicity(char_poly(t), minimal_poly(spec))
 
 
 # -- rank engine over Z[x]/(mu) ----------------------------------------------

@@ -217,21 +217,30 @@ def delete_vertex(t: Tree, v: int) -> ForestDecomposition:
 # -- canonical form -----------------------------------------------------------
 
 
-def centroids(t: Tree) -> list[int]:
-    """The one or two vertices minimizing the largest component of T - v."""
-    if t.n == 1:
-        return [0]
-    subtree = [1] * t.n
+def bfs_order(t: Tree, root: int) -> tuple[list[int], list[int]]:
+    """Vertices in breadth-first order from root, and each vertex's parent
+    (-1 for the root).  Iterating the order in reverse visits children
+    before parents without recursion, so long paths stay clear of the
+    recursion limit."""
     parent = [-1] * t.n
-    order = [0]
+    order = [root]
     seen = [False] * t.n
-    seen[0] = True
+    seen[root] = True
     for u in order:
         for w in t.adj[u]:
             if not seen[w]:
                 seen[w] = True
                 parent[w] = u
                 order.append(w)
+    return order, parent
+
+
+def centroids(t: Tree) -> list[int]:
+    """The one or two vertices minimizing the largest component of T - v."""
+    if t.n == 1:
+        return [0]
+    subtree = [1] * t.n
+    order, parent = bfs_order(t, 0)
     weight = [0] * t.n
     for u in reversed(order):
         for w in t.adj[u]:
@@ -248,17 +257,7 @@ def centroids(t: Tree) -> list[int]:
 
 def _rooted_code(t: Tree, root: int):
     """Nested (size, children) code of t rooted at root; children descending."""
-    # iterative post-order to stay clear of recursion limits on long paths
-    parent = [-1] * t.n
-    order = [root]
-    seen = [False] * t.n
-    seen[root] = True
-    for u in order:
-        for w in t.adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = u
-                order.append(w)
+    order, parent = bfs_order(t, root)
     code: list = [None] * t.n
     for u in reversed(order):
         kids = sorted((code[w] for w in t.adj[u] if parent[w] == u), reverse=True)
@@ -360,10 +359,6 @@ def enumerate_trees(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> Iterator[
         raise LimitExceededError(f"n = {n} above enumeration limit {limit}")
     for code in free_tree_codes(n):
         yield tree_from_code(code)
-
-
-def count_trees(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> int:
-    return sum(1 for _ in enumerate_trees(n, limit))
 
 
 # -- graph6 -------------------------------------------------------------------

@@ -18,7 +18,6 @@ the path form 2*cos(i*pi/M).
 from __future__ import annotations
 
 import json
-import math
 import os
 import random
 import time
@@ -35,13 +34,12 @@ from treemult.families import (
 )
 from treemult.poly import (
     LambdaSpec,
-    NonDivisibleError,
-    Polynomial,
-    exact_div,
+    all_specs,
+    exact_div,  # unused here; perfbench/tracer.py wraps it on this module
     path_charpoly,
     spec_orbits,
 )
-from treemult.spectrum import char_poly, multiplicity, rank_nullity
+from treemult.spectrum import char_poly, factor_multiplicity, multiplicity, rank_nullity
 from treemult.tree import (
     DEFAULT_ENUMERATION_LIMIT,
     ForestDecomposition,
@@ -49,7 +47,7 @@ from treemult.tree import (
     delete_vertex,
     emit_graph6,
     enumerate_trees,
-    is_path,
+    is_path,  # unused here; perfbench/tracer.py wraps it on this module
     major_count,
     parse_graph6,
     pendant_count,
@@ -66,19 +64,13 @@ class IoFailureError(Exception):
     """Persistence of records or summary failed."""
 
 
+class MalformedRecordError(ValueError):
+    """A record-file line is not a sweep record; the message names path:line."""
+
+
 CONSISTENT = "CONSISTENT"
 VIOLATION = "VIOLATION"
 NOT_APPLICABLE = "NOT_APPLICABLE"
-
-
-@dataclass(frozen=True)
-class LemmaChecks:
-    """Toggles for the four property suites."""
-
-    parter: bool = True
-    branch: bool = True
-    pendant_deletion: bool = True
-    path_simplicity: bool = True
 
 
 @dataclass(frozen=True)
@@ -87,7 +79,6 @@ class SweepConfig:
     n_max: int = 10
     M_max: int = 11
     modes: tuple[Gamma2Mode, ...] = (BROAD,)
-    lemma_checks: LemmaChecks = field(default_factory=LemmaChecks)
     worker_count: int = 1
     output_path: str | None = None
     tree_limit: int = DEFAULT_ENUMERATION_LIMIT
@@ -112,18 +103,67 @@ class SweepConfig:
 
 
 @dataclass
-class SweepReport:
-    config: SweepConfig
-    tree_count: int = 0
-    spec_count: int = 0
+class Tally:
+    """Counts over sweep records: filled by `sweep` as it writes records and
+    by `Tally.read` from a record file, so both report the same numbers."""
+
+    trees: set = field(default_factory=set)
+    specs: set = field(default_factory=set)
     record_count: int = 0
     bound_violations: int = 0
     eq_top_violations: int = 0  # m = p - 1 equivalence
     eq_second: dict = field(default_factory=dict)  # mode -> violation count
     strict_discrepancies: list = field(default_factory=list)
-    records_path: str | None = None
-    summary_path: str | None = None
-    elapsed_seconds: float = 0.0
+
+    def add(self, rec: dict) -> None:
+        self.trees.add(rec["tree"])
+        self.specs.add(tuple(rec["lambda"]))
+        self.record_count += 1
+        if not rec["bound_ok"]:
+            self.bound_violations += 1
+        if rec["thm13_status"] == VIOLATION:
+            self.eq_top_violations += 1
+        for mode_value, status in rec["thm14_status"].items():
+            self.eq_second.setdefault(mode_value, 0)
+            if status == VIOLATION:
+                self.eq_second[mode_value] += 1
+                if mode_value == STRICT.value:
+                    self.strict_discrepancies.append(
+                        {
+                            "tree": rec["tree"],
+                            "lambda": rec["lambda"],
+                            "m": rec["m"],
+                            "p": rec["p"],
+                            "classification": dict(rec["classification"]),
+                        }
+                    )
+
+    @classmethod
+    def read(cls, path: str) -> "Tally":
+        """Tally an existing record file (the `report` CLI path)."""
+        tally = cls()
+        try:
+            with open(path, "r", encoding="utf-8") as f:
+                for lineno, line in enumerate(f, 1):
+                    if not line.strip():
+                        continue
+                    try:
+                        tally.add(json.loads(line))
+                    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                        raise MalformedRecordError(
+                            f"{path}:{lineno}: not a sweep record ({exc!r})"
+                        ) from exc
+        except OSError as exc:
+            raise IoFailureError(f"cannot read {path}: {exc}") from exc
+        return tally
+
+    @property
+    def tree_count(self) -> int:
+        return len(self.trees)
+
+    @property
+    def spec_count(self) -> int:
+        return len(self.specs)
 
     @property
     def broad_violations(self) -> int:
@@ -133,11 +173,33 @@ class SweepReport:
             + self.eq_second.get(BROAD.value, 0)
         )
 
-    def summary_dict(self) -> dict:
+    def counts(self) -> dict:
+        """The counts shared by the summary file and `report`; strict-mode
+        failures are labelled discrepancies, not violations."""
         second = {}
-        for mode in self.config.modes:
-            label = "violations" if mode is BROAD else "discrepancies"
-            second[mode.value] = {label: self.eq_second.get(mode.value, 0)}
+        for mode_value, count in self.eq_second.items():
+            label = "violations" if mode_value == BROAD.value else "discrepancies"
+            second[mode_value] = {label: count}
+        return {
+            "trees": self.tree_count,
+            "specs": self.spec_count,
+            "records": self.record_count,
+            "bound": {"violations": self.bound_violations},
+            "pendant_minus_one": {"violations": self.eq_top_violations},
+            "pendant_minus_two": second,
+        }
+
+
+@dataclass(kw_only=True)
+class SweepReport(Tally):
+    config: SweepConfig
+    records_path: str | None = None
+    summary_path: str | None = None
+    elapsed_seconds: float = 0.0
+
+    def summary_dict(self) -> dict:
+        counts = self.counts()
+        head = {key: counts.pop(key) for key in ("trees", "specs", "records")}
         return {
             "config": {
                 "n_min": self.config.n_min,
@@ -146,27 +208,12 @@ class SweepReport:
                 "modes": [m.value for m in self.config.modes],
                 "workers": self.config.worker_count,
             },
-            "trees": self.tree_count,
-            "specs": self.spec_count,
-            "records": self.record_count,
+            **head,
             "engine_mismatches": 0,  # a mismatch aborts before the summary
-            "bound": {"violations": self.bound_violations},
-            "pendant_minus_one": {"violations": self.eq_top_violations},
-            "pendant_minus_two": second,
+            **counts,
             "strict_discrepancy_examples": self.strict_discrepancies[:20],
             "runtime_seconds": round(self.elapsed_seconds, 3),
         }
-
-
-def _mult_from_charpoly(cp: Polynomial, mu: Polynomial) -> int:
-    count = 0
-    p = cp
-    while True:
-        try:
-            p = exact_div(p, mu)
-        except NonDivisibleError:
-            return count
-        count += 1
 
 
 def _sweep_tree(args) -> dict:
@@ -176,21 +223,16 @@ def _sweep_tree(args) -> dict:
     depends on lambda only through M, so multiplicities are computed once
     per orbit and classifications once per (M, mode).
     """
-    g6, M_max, mode_values = args
+    g6, M_max, modes = args
     t = parse_graph6(g6)
-    modes = [Gamma2Mode(v) for v in mode_values]
     cp = char_poly(t)
     p = pendant_count(t)
     gamma = major_count(t)
-    path = is_path(t)
-    m_by_spec: dict[tuple[int, int], int] = {}
-    # classification depends on lambda only through its conjugacy orbit
-    # (denominator M plus parity of i), never on the individual conjugate
-    tags: dict[tuple[int, int, str], str] = {}
-    is_gamma: dict[tuple[int, int], bool] = {}
-    is_gamma2: dict[tuple[int, int, str], bool] = {}
+    # a conjugacy orbit (one minimal polynomial) is exactly a denominator M
+    # plus a parity of i; classification depends on lambda only through it
+    by_orbit: dict[tuple[int, int], tuple[int, list]] = {}
     for mu, specs in spec_orbits(M_max):
-        m_div = _mult_from_charpoly(cp, mu)
+        m_div = factor_multiplicity(cp, mu)
         m_rank = rank_nullity(t, mu)
         if m_div != m_rank:
             return {
@@ -202,46 +244,36 @@ def _sweep_tree(args) -> dict:
                 }
             }
         rep = specs[0]
-        orbit = (rep.M, rep.i % 2)
-        for s in specs:
-            m_by_spec[(s.i, s.M)] = m_div
-        for mode in modes:
-            res = classify(t, rep, mode)
-            tags[orbit + (mode.value,)] = res.tag
-            is_gamma[orbit] = res.kind is FamilyKind.GAMMA
-            is_gamma2[orbit + (mode.value,)] = res.kind is FamilyKind.GAMMA2
+        results = [classify(t, rep, mode) for mode in modes]
+        by_orbit[(rep.M, rep.i % 2)] = (m_div, results)
     records = []
-    for M in range(2, M_max + 1):
-        for i in range(1, M):
-            if math.gcd(i, M) != 1:
-                continue
-            orbit = (M, i % 2)
-            m = m_by_spec[(i, M)]
-            bound_ok = (path and m <= 1) or (m <= p - 1)
-            eq_top = CONSISTENT if (m == p - 1) == is_gamma[orbit] else VIOLATION
-            second_status = {}
-            classification = {}
-            for mode in modes:
-                classification[mode.value] = tags[orbit + (mode.value,)]
-                if m == 0:
-                    second_status[mode.value] = NOT_APPLICABLE
-                else:
-                    ok = (m == p - 2) == is_gamma2[orbit + (mode.value,)]
-                    second_status[mode.value] = CONSISTENT if ok else VIOLATION
-            records.append(
-                {
-                    "tree": g6,
-                    "lambda": [i, M],
-                    "p": p,
-                    "gamma": gamma,
-                    "m": m,
-                    "bound_ok": bound_ok,
-                    "thm13_status": eq_top,
-                    "thm14_status": second_status,
-                    "classification": classification,
-                    "notes": "",
-                }
-            )
+    for spec in all_specs(M_max):
+        m, results = by_orbit[(spec.M, spec.i % 2)]
+        # GAMMA membership does not depend on the GAMMA2 reading
+        eq_top = CONSISTENT if (m == p - 1) == results[0].is_gamma() else VIOLATION
+        second_status = {}
+        for mode, res in zip(modes, results):
+            if m == 0:
+                second_status[mode.value] = NOT_APPLICABLE
+            else:
+                ok = (m == p - 2) == res.is_gamma2()
+                second_status[mode.value] = CONSISTENT if ok else VIOLATION
+        records.append(
+            {
+                "tree": g6,
+                "lambda": [spec.i, spec.M],
+                "p": p,
+                "gamma": gamma,
+                "m": m,
+                "bound_ok": m <= p - 1,
+                "thm13_status": eq_top,
+                "thm14_status": second_status,
+                "classification": {
+                    mode.value: res.tag for mode, res in zip(modes, results)
+                },
+                "notes": "",
+            }
+        )
     return {"records": records}
 
 
@@ -262,12 +294,10 @@ def sweep(config: SweepConfig) -> SweepReport:
     EngineMismatchError if the two multiplicity engines ever disagree.
     """
     start = time.monotonic()
-    report = SweepReport(config=config)
-    codes = _ordered_tree_codes(config)
-    report.tree_count = len(codes)
-    report.spec_count = sum(1 for _ in _iter_specs(config.M_max))
-    mode_values = tuple(m.value for m in config.modes)
-    payloads = [(g6, config.M_max, mode_values) for g6 in codes]
+    report = SweepReport(
+        config=config, eq_second={mode.value: 0 for mode in config.modes}
+    )
+    payloads = [(g6, config.M_max, config.modes) for g6 in _ordered_tree_codes(config)]
     sink = None
     try:
         if config.output_path:
@@ -299,83 +329,17 @@ def sweep(config: SweepConfig) -> SweepReport:
     return report
 
 
-def _iter_specs(M_max: int):
-    for M in range(2, M_max + 1):
-        for i in range(1, M):
-            if math.gcd(i, M) == 1:
-                yield (i, M)
-
-
 def _aggregate(results, report: SweepReport, sink) -> None:
-    for mode in report.config.modes:
-        report.eq_second.setdefault(mode.value, 0)
     for result in results:
         if "mismatch" in result:
             raise EngineMismatchError(json.dumps(result["mismatch"]))
         for rec in result["records"]:
-            report.record_count += 1
-            if not rec["bound_ok"]:
-                report.bound_violations += 1
-            if rec["thm13_status"] == VIOLATION:
-                report.eq_top_violations += 1
-            for mode_value, status in rec["thm14_status"].items():
-                if status == VIOLATION:
-                    report.eq_second[mode_value] += 1
-                    if mode_value == STRICT.value:
-                        report.strict_discrepancies.append(
-                            {
-                                "tree": rec["tree"],
-                                "lambda": rec["lambda"],
-                                "m": rec["m"],
-                                "p": rec["p"],
-                                "classification": dict(rec["classification"]),
-                            }
-                        )
+            report.add(rec)
             if sink is not None:
                 try:
                     sink.write(json.dumps(rec, sort_keys=False) + "\n")
                 except OSError as exc:
                     raise IoFailureError(str(exc)) from exc
-
-
-def summarize_records(path: str) -> dict:
-    """Re-summarize an existing record file (the `report` CLI path)."""
-    counts = {
-        "records": 0,
-        "bound": {"violations": 0},
-        "pendant_minus_one": {"violations": 0},
-        "pendant_minus_two": {},
-        "trees": 0,
-        "specs": 0,
-    }
-    trees = set()
-    specs = set()
-    second: dict[str, int] = {}
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            for line in f:
-                if not line.strip():
-                    continue
-                rec = json.loads(line)
-                counts["records"] += 1
-                trees.add(rec["tree"])
-                specs.add(tuple(rec["lambda"]))
-                if not rec["bound_ok"]:
-                    counts["bound"]["violations"] += 1
-                if rec["thm13_status"] == VIOLATION:
-                    counts["pendant_minus_one"]["violations"] += 1
-                for mode_value, status in rec["thm14_status"].items():
-                    second.setdefault(mode_value, 0)
-                    if status == VIOLATION:
-                        second[mode_value] += 1
-    except OSError as exc:
-        raise IoFailureError(f"cannot read {path}: {exc}") from exc
-    for mode_value, count in second.items():
-        label = "violations" if mode_value == BROAD.value else "discrepancies"
-        counts["pendant_minus_two"][mode_value] = {label: count}
-    counts["trees"] = len(trees)
-    counts["specs"] = len(specs)
-    return counts
 
 
 # -- property suites -----------------------------------------------------------
@@ -399,18 +363,12 @@ def forest_multiplicity(dec: ForestDecomposition, spec: LambdaSpec) -> int:
 
 
 def lemma_suite(config: SweepConfig) -> LemmaReport:
-    """Run the enabled property suites over the configured ranges."""
+    """Run the four property suites over the configured ranges."""
     report = LemmaReport()
-    checks = config.lemma_checks
-    if checks.path_simplicity:
-        report.add(*_check_path_simplicity(config.path_n_max, config.path_M_max))
-    if checks.parter:
-        name, checked, violations = _check_parter(config)
-        report.add(name, checked, violations)
-    if checks.branch:
-        report.add(*_check_branch(config))
-    if checks.pendant_deletion:
-        report.add(*_check_pendant_deletion(config))
+    report.add(*_check_path_simplicity(config.path_n_max, config.path_M_max))
+    report.add(*_check_parter(config))
+    report.add(*_check_branch(config))
+    report.add(*_check_pendant_deletion(config))
     return report
 
 
@@ -423,7 +381,7 @@ def _check_path_simplicity(n_max: int, M_max: int):
     for n in range(1, n_max + 1):
         cp = path_charpoly(n)
         for mu, specs in orbits:
-            m = _mult_from_charpoly(cp, mu)
+            m = factor_multiplicity(cp, mu)
             expected = 1 if (n + 1) % specs[0].M == 0 else 0
             checked += 1
             if m != expected:
@@ -545,17 +503,14 @@ def _check_pendant_deletion(config: SweepConfig):
         rep = LambdaSpec(1, M)
         for k in range(0, config.family_k_max + 1):
             for t in generate(FamilyKind.GAMMA, k, rep, config.family_n_max):
-                for i in range(1, M):
-                    if math.gcd(i, M) != 1:
-                        continue
-                    spec = LambdaSpec(i, M)
+                for spec in all_specs(M, M):
                     m = multiplicity(t, spec)
                     checked += 1
                     if m < 1:
                         violations.append(
                             {
                                 "tree": emit_graph6(t),
-                                "lambda": [i, M],
+                                "lambda": [spec.i, spec.M],
                                 "part": "i",
                                 "m": m,
                             }
@@ -569,7 +524,7 @@ def _check_pendant_deletion(config: SweepConfig):
                             violations.append(
                                 {
                                     "tree": emit_graph6(t),
-                                    "lambda": [i, M],
+                                    "lambda": [spec.i, spec.M],
                                     "part": "ii",
                                     "vertex": v,
                                 }
@@ -659,10 +614,9 @@ def _agreement_worker(args) -> dict | None:
     n = rng.randint(1, n_max)
     t = Tree.from_edges(n, _random_tree_edges(n, rng))
     M = rng.randint(2, M_max)
-    candidates = [i for i in range(1, M) if math.gcd(i, M) == 1]
-    spec = LambdaSpec(rng.choice(candidates), M)
+    spec = rng.choice(all_specs(M, M))
     mu = spec.minimal_poly
-    m_div = _mult_from_charpoly(char_poly(t), mu)
+    m_div = factor_multiplicity(char_poly(t), mu)
     m_rank = rank_nullity(t, mu)
     if m_div != m_rank:
         return {

@@ -31,12 +31,13 @@ from treemult.tree import (
     star_tree,
 )
 from treemult.verify import (
-    LemmaChecks,
     SweepConfig,
     engine_agreement_check,
     lemma_suite,
     sweep,
 )
+
+pytestmark = pytest.mark.slow
 
 WORKERS = os.cpu_count() or 1
 
@@ -164,7 +165,6 @@ def test_criterion_6_lemma_suites():
         family_k_max=3,
         family_n_max=14,
         family_M_max=6,
-        lemma_checks=LemmaChecks(),
     )
     rep = lemma_suite(config)
     details = {name: len(out["violations"]) for name, out in rep.results.items()}

@@ -167,6 +167,28 @@ class TestVerifyAuditReport:
         code, _, err = run(capsys, "report", str(tmp_path / "nope.jsonl"))
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize(
+        "line", ['{"tree": "B_", "lambda": [1, 2]}', "[1,2,3]", "not json"]
+    )
+    def test_report_malformed_record_exits_2(self, capsys, tmp_path, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n" + line + "\n")
+        code, _, err = run(capsys, "report", str(path))
+        assert code == 2
+        assert err.startswith(f"error: {path}:2: ")
+        assert "Traceback" not in err
+
+    def test_verify_and_report_print_same_counts(self, capsys, tmp_path):
+        out_path = tmp_path / "rec.jsonl"
+        code, out, _ = run(
+            capsys, "verify", "--n-max", "5", "--m-max", "5",
+            "--modes", "broad,strict", "--workers", "1", "--out", str(out_path),
+        )
+        assert code == 0
+        code, out2, _ = run(capsys, "report", str(out_path))
+        assert code == 0
+        assert out.splitlines()[:5] == out2.splitlines()
+
 
 class TestErrors:
     def test_bad_lambda_exits_2(self, capsys):
@@ -183,6 +205,15 @@ class TestErrors:
         code, _, err = run(capsys, "charpoly", "--graph6", "D")
         assert code == 2
         assert "error" in err
+
+    def test_bad_modes_exits_2(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--n-max", "3", "--m-max", "3", "--modes", "broad,foo",
+                  "--out", str(tmp_path / "r.jsonl")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--modes" in err and "'foo'" in err
+        assert not (tmp_path / "r.jsonl").exists()
 
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:

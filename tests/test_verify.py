@@ -1,21 +1,28 @@
 """Sweep harness: records, determinism, property suites, audit."""
 
+import contextlib
+import hashlib
+import io
 import json
 
 import pytest
 
+from treemult.cli import main
 from treemult.families import BROAD, STRICT
 from treemult.tree import emit_graph6, spider_tree, star_tree
 from treemult.verify import (
     AuditReport,
-    LemmaChecks,
     SweepConfig,
+    Tally,
     chebyshev_completeness_audit,
     engine_agreement_check,
     lemma_suite,
-    summarize_records,
     sweep,
 )
+
+# sha256 of `treemult verify --n-max 10 --m-max 11 --modes broad,strict`
+GOLDEN_SHA256 = "6fc907b73c40aee1a931510cf07a1a393a0cfeb83a6d50b8089464c8ee2aa6e1"
+GOLDEN_RECORDS = 8241
 
 
 def small_config(tmp_path=None, workers=1, modes=(BROAD, STRICT), n_max=6, M_max=7):
@@ -120,7 +127,7 @@ class TestSweep:
     def test_summarize_records_roundtrip(self, tmp_path):
         config = small_config(tmp_path, n_max=6, M_max=5)
         report = sweep(config)
-        summary = summarize_records(config.output_path)
+        summary = Tally.read(config.output_path).counts()
         assert summary["records"] == report.record_count
         assert summary["pendant_minus_one"]["violations"] == 0
         assert summary["trees"] == report.tree_count
@@ -136,6 +143,27 @@ class TestSweep:
             SweepConfig(modes=())
         with pytest.raises(ValueError):
             SweepConfig(n_max=25)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_golden_record_hash(self, tmp_path, workers):
+        out = tmp_path / "records.jsonl"
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main([
+                "verify", "--n-max", "10", "--m-max", "11", "--modes", "broad,strict",
+                "--workers", str(workers), "--out", str(out),
+            ])
+        assert code == 0
+        data = out.read_bytes()
+        assert hashlib.sha256(data).hexdigest() == GOLDEN_SHA256
+        assert data.count(b"\n") == GOLDEN_RECORDS
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(["report", str(out), "--format", "json"]) == 0
+        counts = json.loads(buf.getvalue())
+        summary = json.loads((tmp_path / "records.jsonl.summary.json").read_text())
+        keys = ("trees", "specs", "records", "bound", "pendant_minus_one", "pendant_minus_two")
+        assert set(counts) == set(keys)
+        assert {k: counts[k] for k in keys} == {k: summary[k] for k in keys}
 
     def test_engine_mismatch_aborts(self, monkeypatch):
         import treemult.verify as verify_mod
@@ -168,18 +196,6 @@ class TestLemmaSuite:
             assert outcome["violations"] == [], name
             assert outcome["checked"] > 0, name
 
-    def test_toggles(self):
-        config = SweepConfig(
-            n_max=4,
-            M_max=3,
-            lemma_checks=LemmaChecks(
-                parter=False, branch=False, pendant_deletion=False,
-            ),
-            path_n_max=20,
-            path_M_max=5,
-        )
-        report = lemma_suite(config)
-        assert set(report.results) == {"path_simplicity"}
 
 
 class TestAudit:
