@@ -35,7 +35,6 @@ from treemult.spectrum import (
     char_poly,
     eigen_support_audit,
     multiplicity,
-    multiplicity_via_rank,
 )
 from treemult.families import (
     BROAD,

@@ -3,8 +3,8 @@
 Two independent engines compute m(T, lambda):
 
 * char_poly + repeated exact division by the minimal polynomial of lambda;
-* fraction-free Gaussian elimination of A - lambda*I over the field of
-  integer-polynomial residues modulo that minimal polynomial.
+* a one-pass leaf-to-root diagonalization of A - lambda*I over the field
+  of integer-polynomial residues modulo that minimal polynomial.
 
 They share no code path beyond the minimal polynomial itself, so agreement
 between them is a meaningful cross-check, and the verification sweep asserts
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from treemult.poly import (
     ONE,
@@ -95,132 +95,60 @@ def multiplicity(t: Tree, spec: LambdaSpec) -> int:
     return factor_multiplicity(char_poly(t), minimal_poly(spec))
 
 
-# -- rank engine over Z[x]/(mu) ----------------------------------------------
+# -- tree engine over Z[x]/(mu) ----------------------------------------------
 
 
-def _rank_modulo(t: Tree, mu: Polynomial) -> int:
-    """Rank of A(T) - lambda*I over Q[x]/(mu), lambda the residue of x.
-
-    Fraction-free Gaussian elimination: the pivot is the first nonzero entry
-    in column order, rows below are replaced by pivot*row - entry*pivot_row,
-    and each new row is divided by its integer content to bound coefficient
-    growth.  Exact arithmetic needs no stability pivoting.
-    """
-    n = t.n
-    d = mu.degree
-    if d == 1:
-        # mu = x - c: work over the integers directly
-        c = -mu.coeffs[0]
-        rows = [
-            [(-c if u == v else (1 if v in t.adj[u] else 0)) for v in range(n)]
-            for u in range(n)
-        ]
-        return _rank_int_rows(rows, n)
-    red = [-c for c in mu.coeffs[:d]]  # x^d == red[0] + red[1] x + ...
-    zero = (0,) * d
-    neg_x = tuple(-1 if k == 1 else 0 for k in range(d))
-    rows = []
-    for u in range(n):
-        row = []
-        for v in range(n):
-            if u == v:
-                row.append(neg_x)
-            elif v in t.adj[u]:
-                row.append((1,) + (0,) * (d - 1))
-            else:
-                row.append(zero)
-        rows.append(row)
-
-    def fmul(a, b):
-        conv = [0] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        for k in range(2 * d - 2, d - 1, -1):
-            top = conv[k]
-            if top:
-                conv[k] = 0
-                base = k - d
-                for j, rj in enumerate(red):
-                    conv[base + j] += top * rj
-        return tuple(conv[:d])
-
-    rank = 0
-    for col in range(n):
-        pivot_at = -1
-        for r in range(rank, n):
-            if rows[r][col] != zero:
-                pivot_at = r
-                break
-        if pivot_at < 0:
-            continue
-        rows[rank], rows[pivot_at] = rows[pivot_at], rows[rank]
-        pivot_row = rows[rank]
-        p = pivot_row[col]
-        for r in range(rank + 1, n):
-            e = rows[r][col]
-            if e == zero:
-                continue
-            row = rows[r]
-            new = [zero] * col + [
-                _sub(fmul(p, row[j]), fmul(e, pivot_row[j])) for j in range(col, n)
-            ]
-            g = 0
-            for entry in new:
-                for coeff in entry:
-                    g = math.gcd(g, coeff)
-                if g == 1:
-                    break
-            if g > 1:
-                new = [tuple(coeff // g for coeff in entry) for entry in new]
-            rows[r] = new
-        rank += 1
-    return rank
-
-
-def _sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _rank_int_rows(rows: list[list[int]], n: int) -> int:
-    rank = 0
-    for col in range(n):
-        pivot_at = -1
-        for r in range(rank, n):
-            if rows[r][col]:
-                pivot_at = r
-                break
-        if pivot_at < 0:
-            continue
-        rows[rank], rows[pivot_at] = rows[pivot_at], rows[rank]
-        pivot_row = rows[rank]
-        p = pivot_row[col]
-        for r in range(rank + 1, n):
-            e = rows[r][col]
-            if not e:
-                continue
-            row = rows[r]
-            new = [0] * col + [p * row[j] - e * pivot_row[j] for j in range(col, n)]
-            g = reduce(math.gcd, new)
-            if g > 1:
-                new = [x // g for x in new]
-            rows[r] = new
-        rank += 1
-    return rank
-
-
-def multiplicity_via_rank(t: Tree, spec: LambdaSpec) -> int:
-    """m(T, lambda) = n - rank(A - lambda*I), the independent cross-check
-    engine; must agree with `multiplicity` on every input."""
-    return t.n - _rank_modulo(t, minimal_poly(spec))
+def _mulmod(a: list[int], b: list[int], red: list[int]) -> list[int]:
+    """a * b modulo the monic mu of degree d = len(red): x^d == sum red[j] x^j."""
+    d = len(red)
+    conv = [0] * (2 * d - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                conv[i + j] += ai * bj
+    for k in range(2 * d - 2, d - 1, -1):
+        top = conv[k]
+        if top:
+            for j, rj in enumerate(red):
+                conv[k - d + j] += top * rj
+    return conv[:d]
 
 
 def rank_nullity(t: Tree, mu: Polynomial) -> int:
-    """Nullity of A - lambda*I over Q[x]/(mu) for a precomputed minimal
-    polynomial; shared by all eigenvalue specs conjugate under mu."""
-    return t.n - _rank_modulo(t, mu)
+    """Nullity of A(T) - lambda*I over Q[x]/(mu), lambda the residue of x,
+    by the leaf-to-root pass of Jacobs and Trevisan ("Locating the
+    eigenvalues of trees", 2011); shared by all specs conjugate under mu.
+
+    A vertex's value is -lambda minus the sum of 1/value over its live
+    children, kept as residues (P, Q) with value P/Q and their joint integer
+    content divided out.  Zero-child rule: if z >= 1 children are zero, one
+    pivots against the vertex, z - 1 stay zero and add to the nullity, and
+    the vertex is cut from its parent; a zero root adds 1.  P == 0 is an
+    exact zero test because mu is irreducible: Q[x]/(mu) is a field, so each
+    Q, a product of nonzero residues, is nonzero.  No char_poly is formed,
+    so this engine shares no code path with the division engine.
+    """
+    d = mu.degree
+    red = [-c for c in mu.coeffs[:d]]
+    # a leaf's value -x; for linear mu = x + c, x is the integer -c
+    leaf = ([0, -1] + [0] * (d - 2) if d > 1 else [mu.coeffs[0]], [1] + [0] * (d - 1))
+    order, parent = bfs_order(t, 0)
+    values: list[tuple[list[int], list[int]] | None] = [None] * t.n  # None: cut
+    nullity = 0
+    for u in reversed(order):
+        kids = [values[w] for w in t.adj[u] if parent[w] == u and values[w]]
+        zeros = sum(1 for p, _ in kids if not any(p))
+        if zeros:
+            nullity += zeros - 1
+            continue
+        num, den = leaf
+        for p, q in kids:
+            num = [a - b for a, b in zip(_mulmod(num, p, red), _mulmod(den, q, red))]
+            den = _mulmod(den, p, red)
+            g = math.gcd(*num, *den)
+            num, den = [c // g for c in num], [c // g for c in den]
+        values[u] = (num, den)
+    return nullity + int(values[0] is not None and not any(values[0][0]))
 
 
 # -- all-eigenvalue audit ------------------------------------------------------

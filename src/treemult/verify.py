@@ -35,11 +35,18 @@ from treemult.families import (
 from treemult.poly import (
     LambdaSpec,
     all_specs,
+    degree_complete_M_max,
     exact_div,  # unused here; perfbench/tracer.py wraps it on this module
     path_charpoly,
     spec_orbits,
 )
-from treemult.spectrum import char_poly, factor_multiplicity, multiplicity, rank_nullity
+from treemult.spectrum import (
+    char_poly,
+    eigen_support_audit,
+    factor_multiplicity,
+    multiplicity,
+    rank_nullity,
+)
 from treemult.tree import (
     DEFAULT_ENUMERATION_LIMIT,
     ForestDecomposition,
@@ -289,9 +296,9 @@ def _ordered_tree_codes(config: SweepConfig) -> list[str]:
 def sweep(config: SweepConfig) -> SweepReport:
     """Run the exhaustive sweep; see the module docstring.
 
-    Work is partitioned by tree; results are aggregated in enumeration order
-    so the record file is deterministic for any worker count.  Raises
-    EngineMismatchError if the two multiplicity engines ever disagree.
+    Work is partitioned by tree and aggregated in enumeration order, so the
+    record file is deterministic for any worker count; `<out>.tmp` replaces
+    `<out>` only on success.  Raises EngineMismatchError if the engines differ.
     """
     start = time.monotonic()
     report = SweepReport(
@@ -299,12 +306,13 @@ def sweep(config: SweepConfig) -> SweepReport:
     )
     payloads = [(g6, config.M_max, config.modes) for g6 in _ordered_tree_codes(config)]
     sink = None
+    tmp_path = f"{config.output_path}.tmp"
     try:
         if config.output_path:
             try:
-                sink = open(config.output_path, "w", encoding="utf-8")
+                sink = open(tmp_path, "w", encoding="utf-8")
             except OSError as exc:
-                raise IoFailureError(f"cannot open {config.output_path}: {exc}") from exc
+                raise IoFailureError(f"cannot open {tmp_path}: {exc}") from exc
         if config.worker_count == 1:
             results = map(_sweep_tree, payloads)
             _aggregate(results, report, sink)
@@ -312,9 +320,14 @@ def sweep(config: SweepConfig) -> SweepReport:
             with Pool(config.worker_count) as pool:
                 results = pool.imap(_sweep_tree, payloads, chunksize=8)
                 _aggregate(results, report, sink)
+        if sink is not None:
+            sink.close()
+            os.replace(tmp_path, config.output_path)
     finally:
         if sink is not None:
             sink.close()
+            if os.path.exists(tmp_path):  # aborted: drop the partial records
+                os.remove(tmp_path)
     report.records_path = config.output_path
     report.elapsed_seconds = time.monotonic() - start
     if config.output_path:
@@ -558,9 +571,8 @@ def chebyshev_completeness_audit(
     minimal polynomial could divide a degree-n characteristic polynomial),
     so a residue here is non-path-type absolutely, not merely up to a cap.
     """
-    from treemult.poly import degree_complete_M_max
-    from treemult.spectrum import eigen_support_audit
-
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
     report = AuditReport()
     for n in range(1, n_max + 1):
         M_cap = max(degree_complete_M_max(n), n + 1)

@@ -2,8 +2,8 @@
 
 Everything here is deliberately dumb: Prufer-sequence enumeration for tree
 counts, cofactor expansion for characteristic polynomials, greedy leaf
-matching for the nullity of a tree at eigenvalue zero.  Slow, obvious, and
-algorithmically unrelated to the library paths they check.
+matching for the nullity at zero, dense elimination for the nullity at any
+eigenvalue.  Slow, obvious, and algorithmically unrelated to what they check.
 """
 
 from __future__ import annotations
@@ -118,3 +118,37 @@ def multiplicity_by_root_division(t_charpoly: Polynomial, mu: Polynomial) -> int
         except Exception:
             return count
         count += 1
+
+
+def nullity_by_elimination(t: Tree, mu: Polynomial) -> int:
+    """Nullity of A - lambda*I over Q[x]/(mu), lambda the residue of x, by
+    fraction-free Gaussian elimination of the dense matrix with entries kept
+    as residues modulo the monic mu.  No content division: small trees only."""
+    d = mu.degree
+
+    def mod(c):  # ascending coefficients -> residue, a tuple of length d
+        c = list(c) + [0] * d
+        for k in range(len(c) - 1, d - 1, -1):
+            c[k - d : k + 1] = [a - c[k] * m for a, m in zip(c[k - d : k + 1], mu.coeffs)]
+        return tuple(c[:d])
+
+    def mul(a, b):
+        return mod([sum(a[i] * b[k - i] for i in range(d) if 0 <= k - i < d) for k in range(2 * d)])
+
+    n, zero = t.n, mod([])
+    rows = [[mod([0, -1] if u == v else [int(v in t.adj[u])]) for v in range(n)] for u in range(n)]
+    rank = 0
+    for col in range(n):
+        pivot = next((r for r in range(rank, n) if rows[r][col] != zero), None)
+        if pivot is not None:
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            top = rows[rank]
+            for r in range(rank + 1, n):
+                e = rows[r][col]
+                if e != zero:
+                    rows[r] = [
+                        tuple(x - y for x, y in zip(mul(top[col], a), mul(e, b)))
+                        for a, b in zip(rows[r], top)
+                    ]
+            rank += 1
+    return n - rank

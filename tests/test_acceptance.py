@@ -21,7 +21,7 @@ from treemult.poly import (
     minimal_poly,
     path_charpoly,
 )
-from treemult.spectrum import char_poly, multiplicity, multiplicity_via_rank
+from treemult.spectrum import char_poly, multiplicity, rank_nullity
 from treemult.tree import (
     canonical_code,
     emit_graph6,
@@ -103,7 +103,7 @@ def test_criterion_4_strict_mode_fidelity_finding():
     assert char_poly(k13) == Polynomial((0, 0, -3, 0, 1))
     assert char_poly(s331) == Polynomial((0, 0, -8, 0, 14, 0, -7, 0, 1))
     for t, lam in ((k13, lam13), (s331, lam331)):
-        assert multiplicity(t, lam) == 1 == multiplicity_via_rank(t, lam)
+        assert multiplicity(t, lam) == 1 == rank_nullity(t, minimal_poly(lam))
         assert classify(t, lam, STRICT).tag == "NONE"
         assert classify(t, lam, BROAD).tag == "GAMMA2(1)"
 
@@ -140,7 +140,7 @@ def test_strict_discrepancies_reclassify_broad(big_sweep):
 
 
 def test_criterion_5_engine_agreement(big_sweep):
-    # the sweep recomputes every multiplicity with the rank engine and
+    # the sweep recomputes every multiplicity with the tree engine and
     # aborts on any disagreement, so completing is the exhaustive half
     full_coverage = (
         big_sweep.record_count == big_sweep.tree_count * big_sweep.spec_count

@@ -215,6 +215,12 @@ class TestErrors:
         assert "--modes" in err and "'foo'" in err
         assert not (tmp_path / "r.jsonl").exists()
 
+    @pytest.mark.parametrize("n_max", ["0", "-3"])
+    def test_audit_empty_range_exits_2(self, capsys, n_max):
+        code, out, err = run(capsys, "audit", "--n-max", n_max)
+        assert code == 2
+        assert err.startswith("error: ") and out == ""
+
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main([])

@@ -1,18 +1,18 @@
 """Characteristic polynomials, the two multiplicity engines, and the
 all-eigenvalue support audit."""
 
-import random
-
 import pytest
 
-from oracles import charpoly_by_cofactors, nullity_by_matching
-from treemult.poly import LambdaSpec, Polynomial, all_specs, path_charpoly
+import treemult.poly as poly_mod
+import treemult.spectrum as spectrum_mod
+from oracles import charpoly_by_cofactors, nullity_by_elimination, nullity_by_matching
+from treemult.poly import LambdaSpec, Polynomial, all_specs, path_charpoly, spec_orbits
 from treemult.spectrum import (
     char_poly,
     char_poly_rooted,
     eigen_support_audit,
     multiplicity,
-    multiplicity_via_rank,
+    rank_nullity,
 )
 from treemult.tree import (
     Tree,
@@ -112,28 +112,89 @@ class TestMultiplicity:
                         assert abs(m - m_minus) <= 1
 
 
+def relabel_as_root(t: Tree, v: int) -> Tree:
+    """t with vertices 0 and v swapped, so v becomes the engine's root."""
+    swap = {0: v, v: 0}
+    return Tree.from_edges(t.n, [(swap.get(a, a), swap.get(b, b)) for a, b in t.edges])
+
+
 class TestRankEngine:
     def test_p2_at_zero(self):
-        assert multiplicity_via_rank(path_tree(2), LAMBDA_0) == 0
+        assert rank_nullity(path_tree(2), LAMBDA_0.minimal_poly) == 0
 
     def test_star_at_zero(self):
         # rank of the K_{1,3} adjacency matrix is 2
-        assert multiplicity_via_rank(star_tree(3), LAMBDA_0) == 2
+        assert rank_nullity(star_tree(3), LAMBDA_0.minimal_poly) == 2
 
     def test_spider_matches_division_engine(self):
-        assert multiplicity_via_rank(spider_tree(3, 3, 1), LAMBDA_1) == 1
+        assert rank_nullity(spider_tree(3, 3, 1), LAMBDA_1.minimal_poly) == 1
 
     def test_single_vertex(self):
         one = Tree.from_edges(1, [])
-        assert multiplicity_via_rank(one, LAMBDA_0) == 1
-        assert multiplicity_via_rank(one, LAMBDA_1) == 0
+        assert rank_nullity(one, LAMBDA_0.minimal_poly) == 1
+        assert rank_nullity(one, LAMBDA_1.minimal_poly) == 0
 
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n", range(1, 10))
     def test_engines_agree_exhaustive(self, n):
+        # division engine, tree engine and dense elimination at every spec
         specs = all_specs(9)
         for t in enumerate_trees(n):
             for spec in specs:
-                assert multiplicity(t, spec) == multiplicity_via_rank(t, spec)
+                mu = spec.minimal_poly
+                m = multiplicity(t, spec)
+                assert rank_nullity(t, mu) == m, (t.edges, spec)
+                assert nullity_by_elimination(t, mu) == m, (t.edges, spec)
+
+    def test_zero_matches_matching_oracle(self):
+        for n in range(1, 11):
+            for t in enumerate_trees(n):
+                assert rank_nullity(t, LAMBDA_0.minimal_poly) == nullity_by_matching(t)
+
+    def test_root_independence(self):
+        orbits = spec_orbits(8)
+        for n in range(2, 9):
+            for t in enumerate_trees(n):
+                for mu, specs in orbits:
+                    reference = rank_nullity(t, mu)
+                    for v in range(1, t.n):
+                        assert rank_nullity(relabel_as_root(t, v), mu) == reference, (
+                            t.edges, v, specs[0],
+                        )
+
+    def test_long_path_and_wide_star(self):
+        # P_n has 2cos(i*pi/M) as a simple eigenvalue exactly when M | n + 1,
+        # and 301 = 7 * 43
+        p300 = path_tree(300)
+        for spec, expected in (
+            (LambdaSpec(1, 7), 1),
+            (LambdaSpec(3, 43), 1),
+            (LambdaSpec(1, 2), 0),
+            (LambdaSpec(1, 5), 0),
+        ):
+            assert rank_nullity(p300, spec.minimal_poly) == expected, spec
+        assert rank_nullity(relabel_as_root(p300, 150), LambdaSpec(1, 7).minimal_poly) == 1
+        # K_{1,200}: 0 with multiplicity 199, the rest is +-sqrt(200)
+        k1200 = star_tree(200)
+        assert rank_nullity(k1200, LAMBDA_0.minimal_poly) == 199
+        assert rank_nullity(relabel_as_root(k1200, 7), LAMBDA_0.minimal_poly) == 199
+        assert rank_nullity(k1200, LAMBDA_1.minimal_poly) == 0
+
+    def test_independent_of_division_engine(self, monkeypatch):
+        cases = [
+            (t, mu, multiplicity(t, specs[0]))
+            for n in range(1, 8)
+            for t in enumerate_trees(n)
+            for mu, specs in spec_orbits(8)
+        ]
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the tree engine reached the division engine")
+
+        monkeypatch.setattr(spectrum_mod, "char_poly", unreachable)
+        monkeypatch.setattr(spectrum_mod, "exact_div", unreachable)
+        monkeypatch.setattr(poly_mod, "divmod_poly", unreachable)
+        for t, mu, expected in cases:
+            assert rank_nullity(t, mu) == expected, (t.edges, mu)
 
     def test_engines_agree_random_larger(self):
         from treemult.verify import engine_agreement_check

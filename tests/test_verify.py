@@ -173,6 +173,29 @@ class TestSweep:
         with pytest.raises(EngineMismatchError):
             sweep(small_config(n_max=4, M_max=3))
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_aborted_sweep_leaves_no_partial_records(self, tmp_path, monkeypatch, workers):
+        import treemult.verify as verify_mod
+        from treemult.verify import EngineMismatchError
+
+        out = tmp_path / "records.jsonl"
+        tmp = tmp_path / "records.jsonl.tmp"
+        rank = verify_mod.rank_nullity
+
+        def abort_at_six():
+            # disagree from n = 6 on, after the records of smaller trees are out
+            with monkeypatch.context() as m:
+                m.setattr(verify_mod, "rank_nullity", lambda t, mu: rank(t, mu) + (t.n >= 6))
+                with pytest.raises(EngineMismatchError):
+                    sweep(small_config(tmp_path, workers=workers, n_max=7, M_max=4))
+
+        abort_at_six()
+        assert not out.exists() and not tmp.exists()
+        sweep(small_config(tmp_path, workers=workers, n_max=5, M_max=4))
+        complete = out.read_bytes()
+        abort_at_six()
+        assert out.read_bytes() == complete and not tmp.exists()
+
 
 class TestLemmaSuite:
     def test_all_checks_clean_small(self):
