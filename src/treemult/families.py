@@ -16,8 +16,9 @@ vertex, with side conditions on whether the join lands on a pendant vertex
 of each component, plus an eigenvalue-carrying condition on the recursive
 GAMMA2 component.  Membership therefore depends on lambda only through its
 conjugacy orbit (denominator M and the parity of i), and only on the
-isomorphism class of the tree; the classifier memoizes on canonical codes,
-so sweeps revisit shared subtrees for free.
+isomorphism class of the tree.  The classifier works in the classified
+tree's own vertex ids: each component is a tuple of those ids, and the
+recursion that decides membership also returns the witness.
 """
 
 from __future__ import annotations
@@ -26,19 +27,19 @@ import enum
 from dataclasses import dataclass
 from typing import Iterator
 
+from treemult import spectrum
 from treemult.poly import LambdaSpec
 from treemult.tree import (
-    Component,
     Tree,
     _rooted_code,
     canonical_code,
-    delete_vertex,
+    induced,
     is_path,
-    is_pendant_in,
     major_count,
     major_vertices,
     path_tree,
     pendant_vertices,
+    split,
 )
 
 
@@ -124,80 +125,75 @@ def is_gamma2_0(t: Tree, lam: LambdaSpec, mode: Gamma2Mode = BROAD) -> bool:
 
 # -- recursive membership ------------------------------------------------------
 
-# memo: (canonical code, family kind, key fields) -> bool.  Writes are
-# idempotent, so plain dict assignment is safe under concurrent use.
+# A piece is a connected tuple of vertex ids of the tree being classified;
+# split(t, piece, w) gives the components of piece - w as pieces, attach
+# vertex first.  memo: (piece, M, k) for GAMMA and (piece, M, parity of i,
+# k, mode) for GAMMA2 -> witness chain or None.  classify clears it when it
+# gets a different tree, so it holds one tree's entries; it is per process
+# state, not for concurrent classification from several threads.
 _member_memo: dict = {}
-
-
-def _components(t: Tree, w: int) -> tuple[Component, ...]:
-    return delete_vertex(t, w).components
-
-
-def _attach_is_pendant(comp: Component) -> bool:
-    return is_pendant_in(comp.tree, comp.attach)
+_memo_tree: Tree | None = None
 
 
 def _carries(t: Tree, lam: LambdaSpec) -> bool:
     """Whether lambda is an eigenvalue of t at all."""
-    from treemult.spectrum import multiplicity
-
-    return multiplicity(t, lam) >= 1
+    return spectrum.multiplicity(t, lam) >= 1
 
 
-def _in_gamma(t: Tree, M: int, k: int) -> bool:
-    if major_count(t) != k:
-        return False
+def _degrees(t: Tree, piece: tuple[int, ...]) -> dict[int, int]:
+    inside = set(piece)
+    return {v: len(inside.intersection(t.adj[v])) for v in piece}
+
+
+def _shape(deg: dict[int, int], c: tuple[int, ...]) -> tuple[bool, bool]:
+    """(is a path, attaches at a pendant vertex) for a component c of
+    piece - w, given the degrees in the piece: of c's vertices only the
+    attach vertex c[0] loses an edge, the one to w."""
+    attach = deg[c[0]] - 1
+    return attach <= 2 and all(deg[v] <= 2 for v in c[1:]), len(c) == 1 or attach == 1
+
+
+def _step(w: int, clause: str, comps, labels, sub: tuple) -> tuple[WitnessStep, ...]:
+    return (WitnessStep(w, clause, tuple(zip(comps, labels))),) + sub
+
+
+def _gamma(t: Tree, piece: tuple[int, ...], M: int, k: int):
+    """Witness chain certifying the piece in GAMMA(k), outer step first, or
+    None.  At some major vertex w, all attach vertices of piece - w must be
+    pendant in their components; at level 1 every component is a base path,
+    above that exactly one component is a GAMMA(k-1) member and the rest are
+    base paths."""
+    key = (piece, M, k)
+    if key in _member_memo:
+        return _member_memo[key]
+    deg = _degrees(t, piece)
+    majors = [v for v in piece if deg[v] >= 3]
+    if len(majors) != k:
+        return None
     if k == 0:
-        return is_path(t) and _gamma0_path_size(t.n, M)
-    key = (canonical_code(t), M, k, "G")
-    cached = _member_memo.get(key)
-    if cached is not None:
-        return cached
-    result = any(_gamma_step_at(t, w, M, k) is not None for w in major_vertices(t))
-    _member_memo[key] = result
-    return result
+        return () if _gamma0_path_size(len(piece), M) else None
+    chain = None
+    for w in majors:
+        comps = split(t, piece, w)
+        shapes = [_shape(deg, c) for c in comps]
+        if not all(pendant for _, pendant in shapes):
+            continue
+        base = [path and _gamma0_path_size(len(c), M) for c, (path, _) in zip(comps, shapes)]
+        deep = [c for c, b in zip(comps, base) if not b]
+        if len(deep) != (1 if k > 1 else 0):
+            continue
+        sub = _gamma(t, deep[0], M, k - 1) if deep else ()
+        if sub is not None:
+            labels = ["gamma0" if b else f"gamma({k - 1})" for b in base]
+            chain = _step(w, "gamma", comps, labels, sub)
+            break
+    _member_memo[key] = chain
+    return chain
 
 
-def _gamma_step_at(t: Tree, w: int, M: int, k: int):
-    """Component disposition certifying t in GAMMA(k) via major vertex w,
-    or None.  All attach vertices must be pendant in their components; at
-    level 1 every component is a base path, above that exactly one component
-    is a GAMMA(k-1) member and the rest are base paths."""
-    comps = _components(t, w)
-    if any(not _attach_is_pendant(c) for c in comps):
-        return None
-    if k == 1:
-        if all(is_path(c.tree) and _gamma0_path_size(c.tree.n, M) for c in comps):
-            return [(c, "gamma0") for c in comps]
-        return None
-    deep = [c for c in comps if not (is_path(c.tree) and _gamma0_path_size(c.tree.n, M))]
-    if len(deep) != 1 or not _in_gamma(deep[0].tree, M, k - 1):
-        return None
-    return [
-        (c, f"gamma({k - 1})" if c is deep[0] else "gamma0") for c in comps
-    ]
-
-
-def _in_gamma2(t: Tree, lam: LambdaSpec, k: int, mode: Gamma2Mode) -> bool:
-    if major_count(t) != k:
-        return False
-    if k == 0:
-        return is_path(t) and _gamma2_0_path_size(t.n, lam.M, mode)
-    # the eigenvalue-carrying side condition distinguishes conjugacy orbits
-    # of the same denominator, so the orbit (M, parity of i) keys the memo
-    key = (canonical_code(t), lam.M, lam.i % 2, k, "G2", mode.value)
-    cached = _member_memo.get(key)
-    if cached is not None:
-        return cached
-    result = any(
-        _gamma2_step_at(t, w, lam, k, mode) is not None for w in major_vertices(t)
-    )
-    _member_memo[key] = result
-    return result
-
-
-def _gamma2_step_at(t: Tree, w: int, lam: LambdaSpec, k: int, mode: Gamma2Mode):
-    """Component disposition certifying t in GAMMA2(k) via w, or None.
+def _gamma2(t: Tree, piece: tuple[int, ...], lam: LambdaSpec, k: int, mode: Gamma2Mode):
+    """Witness chain certifying the piece in GAMMA2(k), outer step first, or
+    None.  Major vertices w are tried in piece order.
 
     Level 1 clauses: (a) exactly three components, all base GAMMA2 paths; or
     (b) exactly one base GAMMA2 path and the rest GAMMA(0) paths; pendant
@@ -217,72 +213,74 @@ def _gamma2_step_at(t: Tree, w: int, lam: LambdaSpec, k: int, mode: Gamma2Mode):
     count minus two even though lambda is an eigenvalue of the whole tree.
     """
     M = lam.M
-    comps = _components(t, w)
-    if k == 1:
-        if any(not _attach_is_pendant(c) for c in comps):
-            return None
-        g0 = [c for c in comps if _gamma0_path_size(c.tree.n, M)]
-        g20 = [c for c in comps if _gamma2_0_path_size(c.tree.n, M, mode)]
-        # components of a gamma(t)=1 tree are paths, and the two base sets
-        # are disjoint, so the split is a partition
-        if len(comps) == 3 and len(g20) == 3:
-            return [(c, "gamma2_0") for c in comps]
-        if len(g20) == 1 and len(g0) == len(comps) - 1:
-            return [(c, "gamma2_0" if c in g20 else "gamma0") for c in comps]
+    # the eigenvalue-carrying side condition distinguishes conjugacy orbits
+    # of the same denominator, so the orbit (M, parity of i) keys the memo
+    key = (piece, M, lam.i % 2, k, mode)
+    if key in _member_memo:
+        return _member_memo[key]
+    deg = _degrees(t, piece)
+    majors = [v for v in piece if deg[v] >= 3]
+    if len(majors) != k:
         return None
-
-    non_pendant = [c for c in comps if not _attach_is_pendant(c)]
-    if len(non_pendant) == 1:
-        # clause (2): the distinguished component carries the non-pendant
-        # join.  Its own major count is one less than k when the attach
-        # vertex is already major there, two less when the attach vertex has
-        # degree 2 and is promoted to major only by the join (the member
-        # count gamma(t) = k, checked at entry, forces exactly these two
-        # shapes); either way the component is a GAMMA member of its own
-        # level, which is all the multiplicity accounting uses.
-        t1 = non_pendant[0]
-        others = [c for c in comps if c is not t1]
-        level = k - 1 if t1.tree.degree(t1.attach) >= 3 else k - 2
-        if (
-            level >= 0
-            and all(is_path(c.tree) and _gamma0_path_size(c.tree.n, M) for c in others)
-            and _in_gamma(t1.tree, M, level)
-        ):
-            return [
-                (c, f"gamma({level})|non-pendant" if c is t1 else "gamma0")
-                for c in comps
-            ]
-    if non_pendant:
-        return None
-
-    paths = [c for c in comps if is_path(c.tree)]
-    deep = [c for c in comps if not is_path(c.tree)]
-    g0 = [c for c in paths if _gamma0_path_size(c.tree.n, M)]
-    g20 = [c for c in paths if _gamma2_0_path_size(c.tree.n, M, mode)]
-    if len(paths) != len(g0) + len(g20):
-        return None
-    if (
-        len(deep) == 1
-        and not g20
-        and _in_gamma2(deep[0].tree, lam, k - 1, mode)
-        and _carries(deep[0].tree, lam)
-    ):
-        # clause (1)
-        return [
-            (c, f"gamma2({k - 1})" if c is deep[0] else "gamma0") for c in comps
+    if k == 0:
+        return () if _gamma2_0_path_size(len(piece), M, mode) else None
+    chain = None
+    for w in majors:
+        comps = split(t, piece, w)
+        shapes = [_shape(deg, c) for c in comps]
+        g0 = [path and _gamma0_path_size(len(c), M) for c, (path, _) in zip(comps, shapes)]
+        g20 = [
+            path and _gamma2_0_path_size(len(c), M, mode) for c, (path, _) in zip(comps, shapes)
         ]
-    if len(deep) == 1 and len(g20) == 1 and _in_gamma(deep[0].tree, M, k - 1):
-        # clause (3)
-        out = []
-        for c in comps:
-            if c is deep[0]:
-                out.append((c, f"gamma({k - 1})"))
-            elif c in g20:
-                out.append((c, "gamma2_0"))
-            else:
-                out.append((c, "gamma0"))
-        return out
-    return None
+        labels = ["gamma2_0" if b else "gamma0" for b in g20]
+        non_pendant = [idx for idx, (_, pendant) in enumerate(shapes) if not pendant]
+        if k == 1:
+            # components of a gamma(t)=1 tree are paths, and the two base
+            # sets are disjoint, so the split is a partition
+            if not non_pendant and (
+                (len(comps) == 3 and all(g20)) or (sum(g20) == 1 and sum(g0) == len(comps) - 1)
+            ):
+                chain = _step(w, "gamma2", comps, labels, ())
+                break
+            continue
+        if len(non_pendant) == 1:
+            # clause (2): the distinguished component carries the non-pendant
+            # join.  Its own major count is one less than k when the attach
+            # vertex is already major there, two less when the attach vertex
+            # has degree 2 and is promoted to major only by the join (the
+            # member count gamma(t) = k, checked at entry, forces exactly
+            # these two shapes); either way the component is a GAMMA member
+            # of its own level, which is all the multiplicity accounting uses.
+            one = non_pendant[0]
+            level = k - 1 if deg[comps[one][0]] - 1 >= 3 else k - 2
+            if all(b for idx, b in enumerate(g0) if idx != one):
+                sub = _gamma(t, comps[one], M, level)
+                if sub is not None:
+                    labels[one] = f"gamma({level})|non-pendant"
+                    chain = _step(w, "gamma2", comps, labels, sub)
+                    break
+        if non_pendant:
+            continue
+        deep = [idx for idx, (path, _) in enumerate(shapes) if not path]
+        if len(deep) != 1 or sum(g0) + sum(g20) != len(comps) - 1:
+            continue
+        one = deep[0]
+        if not any(g20):
+            # clause (1)
+            sub = _gamma2(t, comps[one], lam, k - 1, mode)
+            if sub is not None and _carries(induced(t, comps[one]), lam):
+                labels[one] = f"gamma2({k - 1})"
+                chain = _step(w, "gamma2", comps, labels, sub)
+                break
+        elif sum(g20) == 1:
+            # clause (3)
+            sub = _gamma(t, comps[one], M, k - 1)
+            if sub is not None:
+                labels[one] = f"gamma({k - 1})"
+                chain = _step(w, "gamma2", comps, labels, sub)
+                break
+    _member_memo[key] = chain
+    return chain
 
 
 # -- public classifier ----------------------------------------------------------
@@ -296,65 +294,21 @@ def classify(t: Tree, lam: LambdaSpec, mode: Gamma2Mode = BROAD) -> FamilyResult
     the number of major vertices.  The result carries a replayable witness
     chain naming vertices of t itself.
     """
-    k = major_count(t)
-    if k == 0:
-        if is_gamma0(t, lam):
-            return FamilyResult(FamilyKind.GAMMA, 0)
-        if is_gamma2_0(t, lam, mode):
-            return FamilyResult(FamilyKind.GAMMA2, 0)
-        return NON_MEMBER
-    if _in_gamma(t, lam.M, k):
-        return FamilyResult(FamilyKind.GAMMA, k, _witness(t, lam, k, mode, gamma2=False))
-    if _in_gamma2(t, lam, k, mode):
-        return FamilyResult(FamilyKind.GAMMA2, k, _witness(t, lam, k, mode, gamma2=True))
+    global _memo_tree
+    if t != _memo_tree:
+        _member_memo.clear()
+        _memo_tree = t
+    piece, k = tuple(range(t.n)), major_count(t)
+    chain = _gamma(t, piece, lam.M, k)
+    if chain is not None:
+        return FamilyResult(FamilyKind.GAMMA, k, chain)
+    chain = _gamma2(t, piece, lam, k, mode)
+    if chain is not None:
+        return FamilyResult(FamilyKind.GAMMA2, k, chain)
     return NON_MEMBER
 
 
 _BASE_LABELS = ("gamma0", "gamma2_0")
-
-
-def _witness(t: Tree, lam: LambdaSpec, k: int, mode: Gamma2Mode, gamma2: bool) -> tuple[WitnessStep, ...]:
-    """Reconstruct the first successful decomposition chain, outer to inner,
-    mapping component-local vertex ids back to the coordinates of t."""
-    steps: list[WitnessStep] = []
-    mapping = tuple(range(t.n))  # current-tree local id -> original id
-    level, in_gamma2 = k, gamma2
-    current = t
-    while level >= 1:
-        found = None
-        for w in major_vertices(current):
-            disp = (
-                _gamma2_step_at(current, w, lam, level, mode)
-                if in_gamma2
-                else _gamma_step_at(current, w, lam.M, level)
-            )
-            if disp is not None:
-                found = (w, disp)
-                break
-        if found is None:  # membership was certified, so this cannot happen
-            break
-        w, disp = found
-        steps.append(
-            WitnessStep(
-                vertex=mapping[w],
-                clause="gamma2" if in_gamma2 else "gamma",
-                components=tuple(
-                    (tuple(mapping[v] for v in comp.parent_ids), label)
-                    for comp, label in disp
-                ),
-            )
-        )
-        recursive = [(c, label) for c, label in disp if label not in _BASE_LABELS]
-        if not recursive:
-            break
-        comp, label = recursive[0]
-        in_gamma2 = label.startswith("gamma2(")
-        mapping = tuple(mapping[v] for v in comp.parent_ids)
-        current = comp.tree
-        # recursive components are members at their own major count, which
-        # is k-2 rather than k-1 for the promoted-attach shape of clause (2)
-        level = major_count(current)
-    return tuple(steps)
 
 
 def replay_witness(t: Tree, result: FamilyResult) -> bool:
@@ -362,27 +316,19 @@ def replay_witness(t: Tree, result: FamilyResult) -> bool:
     reproduce the recorded component vertex sets."""
     if result.kind is FamilyKind.NONE:
         return not result.witness
-    current = t
-    mapping = tuple(range(t.n))
+    piece = tuple(range(t.n))
     for step in result.witness:
-        local = {orig: loc for loc, orig in enumerate(mapping)}
-        if step.vertex not in local:
+        if step.vertex not in piece:
             return False
-        comps = _components(current, local[step.vertex])
-        got = sorted(tuple(sorted(mapping[v] for v in c.parent_ids)) for c in comps)
-        want = sorted(tuple(sorted(vs)) for vs, _ in step.components)
-        if got != want:
+        got = sorted(sorted(c) for c in split(t, piece, step.vertex))
+        if got != sorted(sorted(vs) for vs, _ in step.components):
             return False
-        nxt = next(
-            (vs for vs, label in step.components if label not in _BASE_LABELS),
+        piece = next(
+            (tuple(vs) for vs, label in step.components if label not in _BASE_LABELS),
             None,
         )
-        if nxt is None:
+        if piece is None:
             return True
-        target = set(nxt)
-        comp = next(c for c in comps if {mapping[v] for v in c.parent_ids} == target)
-        mapping = tuple(mapping[v] for v in comp.parent_ids)
-        current = comp.tree
     return True
 
 

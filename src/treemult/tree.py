@@ -86,10 +86,13 @@ class Tree:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Tree":
         try:
-            n = int(data["n"])
-            edges = [(int(u), int(v)) for u, v in data["edges"]]
+            n = data["n"]
+            edges = [(u, v) for u, v in data["edges"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise NotATreeError(f"bad edge-list object: {exc}") from exc
+        # bool is an int subclass; floats and strings are not coerced
+        if any(type(x) is not int for x in (n, *(x for e in edges for x in e))):
+            raise NotATreeError("n and every vertex id must be JSON integers")
         return cls.from_edges(n, edges)
 
 
@@ -150,18 +153,13 @@ def pendant_vertices(t: Tree) -> list[int]:
     return [v for v in range(t.n) if len(t.adj[v]) == 1]
 
 
-def is_pendant_in(t: Tree, v: int) -> bool:
-    """Pendant test honoring the single-vertex convention."""
-    return t.n == 1 or len(t.adj[v]) == 1
-
-
 @dataclass(frozen=True)
 class Component:
     """One component of T - v, re-indexed 0..size-1.
 
     attach is the component-local id of the vertex that was adjacent to the
     removed vertex; parent_ids maps component-local ids back to the ids of
-    the original tree so classification witnesses can name original vertices.
+    the original tree.
     """
 
     tree: Tree
@@ -177,6 +175,42 @@ class ForestDecomposition:
     components: tuple[Component, ...]
 
 
+def split(t: Tree, piece: Sequence[int], v: int) -> list[tuple[int, ...]]:
+    """Components of piece - v, where piece is a connected vertex tuple of t.
+
+    One tuple of t's vertex ids per neighbor of v, in piece order.  Each
+    lists its attach vertex (the neighbor of v) first, then the rest in
+    depth-first discovery order with neighbors visited in piece order: the
+    parent_ids order delete_vertex would give it in induced(t, piece).
+    """
+    pos = {u: k for k, u in enumerate(piece)}
+    unseen = set(pos)
+    unseen.discard(v)
+    comps = []
+    for start in sorted(unseen.intersection(t.adj[v]), key=pos.__getitem__):
+        unseen.discard(start)
+        order = [start]
+        stack = [start]
+        while stack:
+            fresh = [w for w in t.adj[stack.pop()] if w in unseen]
+            fresh.sort(key=pos.__getitem__)
+            unseen.difference_update(fresh)
+            order += fresh
+            stack += fresh
+        comps.append(tuple(order))
+    return comps
+
+
+def induced(t: Tree, piece: Sequence[int]) -> Tree:
+    """The subtree of t on a connected vertex tuple; local ids are positions
+    in the tuple."""
+    pos = {u: k for k, u in enumerate(piece)}
+    edges = [
+        (pos[u], pos[w]) for u in piece for w in t.adj[u] if w in pos and pos[u] < pos[w]
+    ]
+    return Tree.from_edges(len(piece), edges)
+
+
 def delete_vertex(t: Tree, v: int) -> ForestDecomposition:
     """Decompose T - v into its connected components.
 
@@ -185,33 +219,10 @@ def delete_vertex(t: Tree, v: int) -> ForestDecomposition:
     """
     if not (0 <= v < t.n):
         raise ValueError(f"vertex {v} out of range")
-    comps = []
-    for start in t.adj[v]:
-        order = [start]
-        seen = {start, v}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in t.adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    order.append(w)
-                    stack.append(w)
-        local = {orig: k for k, orig in enumerate(order)}
-        edges = [
-            (local[u], local[w])
-            for u in order
-            for w in t.adj[u]
-            if w != v and u < w
-        ]
-        comps.append(
-            Component(
-                tree=Tree.from_edges(len(order), edges),
-                attach=local[start],
-                parent_ids=tuple(order),
-            )
-        )
-    return ForestDecomposition(removed_vertex=v, components=tuple(comps))
+    return ForestDecomposition(
+        removed_vertex=v,
+        components=tuple(Component(induced(t, c), 0, c) for c in split(t, range(t.n), v)),
+    )
 
 
 # -- canonical form -----------------------------------------------------------

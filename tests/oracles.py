@@ -8,9 +8,10 @@ eigenvalue.  Slow, obvious, and algorithmically unrelated to what they check.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 
-from treemult.poly import Polynomial, exact_div
+from treemult.poly import Polynomial
 from treemult.tree import Tree, canonical_code
 
 
@@ -44,6 +45,7 @@ def all_labeled_trees(n: int):
         yield Tree.from_edges(n, prufer_to_edges(seq, n))
 
 
+@lru_cache(maxsize=None)
 def count_free_trees_bruteforce(n: int) -> int:
     """Number of isomorphism classes of trees on n vertices, by generating
     all labeled trees and deduplicating on canonical codes."""
@@ -105,19 +107,6 @@ def max_matching_tree(t: Tree) -> int:
 def nullity_by_matching(t: Tree) -> int:
     """m(T, 0) = n - 2 * (maximum matching size) for trees."""
     return t.n - 2 * max_matching_tree(t)
-
-
-def multiplicity_by_root_division(t_charpoly: Polynomial, mu: Polynomial) -> int:
-    """Multiplicity by repeated exact division; mirror of the library rule,
-    kept here for cross-checks against hand-expanded polynomials."""
-    count = 0
-    p = t_charpoly
-    while True:
-        try:
-            p = exact_div(p, mu)
-        except Exception:
-            return count
-        count += 1
 
 
 def nullity_by_elimination(t: Tree, mu: Polynomial) -> int:

@@ -1,11 +1,13 @@
 """Command-line interface: subcommands, formats, exit codes, stdin."""
 
+import hashlib
 import io
 import json
 
 import pytest
 
 from treemult.cli import main
+from treemult.poly import all_specs
 from treemult.tree import emit_graph6, enumerate_trees, path_tree, star_tree
 
 
@@ -81,6 +83,29 @@ class TestClassify:
         assert data["result"] == "GAMMA(1)"
         assert data["witness"][0]["vertex"] == 0
         assert len(data["witness"][0]["components"]) == 4
+
+    def test_golden_output_hash(self, capsys, monkeypatch):
+        # tags and witnesses of every tree with n <= 10 at every M <= 8 in
+        # both modes, pinned byte for byte
+        stdin = "".join(
+            emit_graph6(t) + "\n" for n in range(1, 11) for t in enumerate_trees(n)
+        )
+        digest = hashlib.sha256()
+        lines = 0
+        for spec in all_specs(8):
+            for mode in ("broad", "strict"):
+                monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+                code, out, _ = run(
+                    capsys, "classify", "--lambda", str(spec), "--mode", mode,
+                    "--format", "json",
+                )
+                assert code == 0
+                digest.update(out.encode())
+                lines += out.count("\n")
+        assert lines == 8442
+        assert digest.hexdigest() == (
+            "68df7f689bb5f7e31f1cd3febf7973b7d46168a8c45d8cb05caba55a5f77fdc1"
+        )
 
 
 class TestStreams:
@@ -200,6 +225,23 @@ class TestErrors:
         code, _, err = run(capsys, "mult", "--edges", "0-1,1-2,2-0", "--lambda", "1/2")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": Infinity, "edges": []}',
+            '{"n": 3, "edges": [[0, 1], [1, 2.7]]}',
+            '{"n": 2.0, "edges": [[0, 1]]}',
+            '{"n": "2", "edges": [[0, 1]]}',
+            '{"n": 2, "edges": [[false, true]]}',
+        ],
+    )
+    def test_non_integer_json_tree_exits_2(self, capsys, tmp_path, text):
+        path = tmp_path / "tree.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "mult", "--json", str(path), "--lambda", "1/2")
+        assert code == 2
+        assert err.startswith("error: ") and out == ""
 
     def test_malformed_graph6_exits_2(self, capsys):
         code, _, err = run(capsys, "charpoly", "--graph6", "D")

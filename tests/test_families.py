@@ -1,7 +1,10 @@
 """Family classifiers, generators, and their closure against enumeration."""
 
+import random
+
 import pytest
 
+from treemult import families
 from treemult.families import (
     BROAD,
     STRICT,
@@ -13,7 +16,7 @@ from treemult.families import (
     is_gamma2_0,
     replay_witness,
 )
-from treemult.poly import LambdaSpec
+from treemult.poly import LambdaSpec, all_specs
 from treemult.spectrum import multiplicity
 from treemult.tree import (
     Tree,
@@ -135,6 +138,30 @@ class TestClassify:
                 for M in (2, 3):
                     res = classify(t, LambdaSpec(1, M))
                     assert replay_witness(t, res)
+
+    def test_memo_holds_one_tree(self):
+        peak = 0
+        for n in range(1, 11):
+            for t in enumerate_trees(n):
+                for spec in all_specs(8):
+                    for mode in (BROAD, STRICT):
+                        classify(t, spec, mode)
+                        peak = max(peak, len(families._member_memo))
+        assert 0 < peak <= 100
+
+    def test_relabelling_keeps_tag_and_witness(self):
+        rng = random.Random(20240)
+        for n in range(1, 10):
+            for t in enumerate_trees(n):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                relabelled = Tree.from_edges(n, [(perm[u], perm[v]) for u, v in t.edges])
+                for spec in all_specs(6):
+                    for mode in (BROAD, STRICT):
+                        want = classify(t, spec, mode)
+                        got = classify(relabelled, spec, mode)
+                        assert got.tag == want.tag
+                        assert replay_witness(relabelled, got)
 
 
 class TestGenerate:

@@ -14,6 +14,7 @@ from treemult.tree import (
     delete_vertex,
     emit_graph6,
     enumerate_trees,
+    induced,
     is_path,
     load_edge_json,
     major_count,
@@ -23,6 +24,7 @@ from treemult.tree import (
     pendant_count,
     pendant_vertices,
     spider_tree,
+    split,
     star_tree,
 )
 
@@ -120,6 +122,22 @@ class TestDeleteVertex:
                     assert sorted(ids + [v]) == list(range(t.n))
                     for c in dec.components:
                         assert c.parent_ids[c.attach] in t.adj[v]
+
+    def test_split_of_piece_matches_reindexed_component(self):
+        # splitting a component in place names the same vertices, in the
+        # same order, as splitting its re-indexed copy and mapping back
+        for n in range(2, 9):
+            for t in enumerate_trees(n):
+                for v in range(t.n):
+                    for piece in split(t, range(t.n), v):
+                        sub = induced(t, piece)
+                        assert sub.n == len(piece)
+                        for k, u in enumerate(piece):
+                            back = [
+                                tuple(piece[i] for i in c.parent_ids)
+                                for c in delete_vertex(sub, k).components
+                            ]
+                            assert split(t, piece, u) == back
 
 
 class TestEnumeration:
