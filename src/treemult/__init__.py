@@ -24,7 +24,6 @@ from treemult.tree import (
     MalformedGraph6Error,
     NotATreeError,
     Tree,
-    delete_vertex,
     emit_graph6,
     enumerate_trees,
     major_count,

@@ -22,6 +22,7 @@ from treemult.poly import InvalidSpecError, LambdaSpec
 from treemult.spectrum import char_poly, multiplicity
 from treemult.tree import (
     DEFAULT_ENUMERATION_LIMIT,
+    GRAPH6_N_MAX,
     Tree,
     TreeError,
     emit_graph6,
@@ -98,8 +99,10 @@ def _input_trees(args) -> list[Tree]:
     return trees
 
 
-def _emit(record: dict, human: str, fmt: str) -> None:
-    print(json.dumps(record) if fmt == "json" else human)
+def _emit(fmt: str, human: str, record) -> None:
+    """Print the human line(s), or for JSON output the record that the
+    zero-argument callable builds (only then is graph6 text computed)."""
+    print(json.dumps(record()) if fmt == "json" else human)
 
 
 def _cmd_mult(args) -> int:
@@ -109,9 +112,9 @@ def _cmd_mult(args) -> int:
         p = pendant_count(t)
         gamma = major_count(t)
         _emit(
-            {"tree": emit_graph6(t), "lambda": str(lam), "m": m, "p": p, "gamma": gamma},
-            f"m={m} p={p} gamma={gamma}",
             args.format,
+            f"m={m} p={p} gamma={gamma}",
+            lambda: {"tree": emit_graph6(t), "lambda": str(lam), "m": m, "p": p, "gamma": gamma},
         )
     return 0
 
@@ -120,9 +123,9 @@ def _cmd_charpoly(args) -> int:
     for t in _input_trees(args):
         coeffs = list(char_poly(t).coeffs)
         _emit(
-            {"tree": emit_graph6(t), "coeffs": coeffs},
-            " ".join(str(c) for c in coeffs),
             args.format,
+            " ".join(str(c) for c in coeffs),
+            lambda: {"tree": emit_graph6(t), "coeffs": coeffs},
         )
     return 0
 
@@ -149,31 +152,34 @@ def _cmd_classify(args) -> int:
             )
             human_lines.append(f"  remove {step.vertex}: {comps}")
         _emit(
-            {
+            args.format,
+            "\n".join(human_lines),
+            lambda: {
                 "tree": emit_graph6(t),
                 "lambda": str(lam),
                 "mode": args.mode.value,
                 "result": result.tag,
                 "witness": witness,
             },
-            "\n".join(human_lines),
-            args.format,
         )
     return 0
 
 
 def _cmd_generate(args) -> int:
     family = FamilyKind.GAMMA if args.family == "gamma" else FamilyKind.GAMMA2
+    if args.n_max > GRAPH6_N_MAX:
+        # refuse before any output: every member is printed as graph6
+        raise ValueError(f"--n-max {args.n_max} above {GRAPH6_N_MAX}, the graph6 short form")
     for t in generate(family, args.k, args.lam, args.n_max, args.mode):
         g6 = emit_graph6(t)
-        _emit({"graph6": g6, "n": t.n}, g6, args.format)
+        _emit(args.format, g6, lambda: {"graph6": g6, "n": t.n})
     return 0
 
 
 def _cmd_enumerate(args) -> int:
     for t in enumerate_trees(args.n, args.limit):
         g6 = emit_graph6(t)
-        _emit({"graph6": g6, "n": t.n}, g6, args.format)
+        _emit(args.format, g6, lambda: {"graph6": g6, "n": t.n})
     return 0
 
 

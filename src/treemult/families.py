@@ -17,8 +17,12 @@ of each component, plus an eigenvalue-carrying condition on the recursive
 GAMMA2 component.  Membership therefore depends on lambda only through its
 conjugacy orbit (denominator M and the parity of i), and only on the
 isomorphism class of the tree.  The classifier works in the classified
-tree's own vertex ids: each component is a tuple of those ids, and the
-recursion that decides membership also returns the witness.
+tree's own vertex ids: each component, a piece, is a tuple of those ids, and
+the recursion that decides membership also returns the witness.  How a piece
+splits at its major vertices depends on the tree alone, so each piece is
+split once per tree and every eigenvalue and mode classified on that tree
+reuses the result; the cache is emptied when another tree comes in, so it
+never holds more than one tree's pieces.
 """
 
 from __future__ import annotations
@@ -125,12 +129,12 @@ def is_gamma2_0(t: Tree, lam: LambdaSpec, mode: Gamma2Mode = BROAD) -> bool:
 
 # -- recursive membership ------------------------------------------------------
 
-# A piece is a connected tuple of vertex ids of the tree being classified;
-# split(t, piece, w) gives the components of piece - w as pieces, attach
-# vertex first.  memo: (piece, M, k) for GAMMA and (piece, M, parity of i,
-# k, mode) for GAMMA2 -> witness chain or None.  classify clears it when it
-# gets a different tree, so it holds one tree's entries; it is per process
-# state, not for concurrent classification from several threads.
+# A piece is a connected tuple of vertex ids of the tree being classified.
+# memo: piece -> its cuts (see _cuts).  The decomposition of a piece at its
+# major vertices depends on neither lambda nor the mode, so every orbit and
+# mode classified on one tree reads the same entries; classify clears the
+# memo when it gets a different tree, so it holds one tree's pieces.  It is
+# per process state, not for concurrent classification from several threads.
 _member_memo: dict = {}
 _memo_tree: Tree | None = None
 
@@ -140,58 +144,68 @@ def _carries(t: Tree, lam: LambdaSpec) -> bool:
     return spectrum.multiplicity(t, lam) >= 1
 
 
-def _degrees(t: Tree, piece: tuple[int, ...]) -> dict[int, int]:
-    inside = set(piece)
-    return {v: len(inside.intersection(t.adj[v])) for v in piece}
-
-
-def _shape(deg: dict[int, int], c: tuple[int, ...]) -> tuple[bool, bool]:
-    """(is a path, attaches at a pendant vertex) for a component c of
-    piece - w, given the degrees in the piece: of c's vertices only the
-    attach vertex c[0] loses an edge, the one to w."""
-    attach = deg[c[0]] - 1
-    return attach <= 2 and all(deg[v] <= 2 for v in c[1:]), len(c) == 1 or attach == 1
+def _cuts(t: Tree, piece: tuple[int, ...]):
+    """One (w, components, shapes) per major vertex w of the piece, in piece
+    order: the components of piece - w from split (attach vertex first),
+    and per component (is a path, degree of the attach vertex in it).  Of a
+    component's vertices only the attach vertex loses an edge, the one to w;
+    the join lands on a pendant vertex exactly when that degree is <= 1
+    (0 for a one-vertex component)."""
+    cuts = _member_memo.get(piece)
+    if cuts is None:
+        inside = set(piece)
+        deg = {v: len(inside.intersection(t.adj[v])) for v in piece}
+        cuts = []
+        for w in piece:
+            if deg[w] >= 3:
+                comps = split(t, piece, w)
+                shapes = []
+                for c in comps:
+                    attach = deg[c[0]] - 1
+                    shapes.append((attach <= 2 and all(deg[v] <= 2 for v in c[1:]), attach))
+                cuts.append((w, comps, shapes))
+        _member_memo[piece] = cuts
+    return cuts
 
 
 def _step(w: int, clause: str, comps, labels, sub: tuple) -> tuple[WitnessStep, ...]:
     return (WitnessStep(w, clause, tuple(zip(comps, labels))),) + sub
 
 
-def _gamma(t: Tree, piece: tuple[int, ...], M: int, k: int):
+def _gamma(t: Tree, piece: tuple[int, ...], M: int, k: int, verdicts: dict):
     """Witness chain certifying the piece in GAMMA(k), outer step first, or
     None.  At some major vertex w, all attach vertices of piece - w must be
     pendant in their components; at level 1 every component is a base path,
     above that exactly one component is a GAMMA(k-1) member and the rest are
     base paths."""
-    key = (piece, M, k)
-    if key in _member_memo:
-        return _member_memo[key]
-    deg = _degrees(t, piece)
-    majors = [v for v in piece if deg[v] >= 3]
-    if len(majors) != k:
+    cuts = _cuts(t, piece)
+    if len(cuts) != k:
         return None
     if k == 0:
         return () if _gamma0_path_size(len(piece), M) else None
+    key = (piece, FamilyKind.GAMMA)
+    if key in verdicts:
+        return verdicts[key]
     chain = None
-    for w in majors:
-        comps = split(t, piece, w)
-        shapes = [_shape(deg, c) for c in comps]
-        if not all(pendant for _, pendant in shapes):
+    for w, comps, shapes in cuts:
+        if any(attach > 1 for _, attach in shapes):
             continue
         base = [path and _gamma0_path_size(len(c), M) for c, (path, _) in zip(comps, shapes)]
         deep = [c for c, b in zip(comps, base) if not b]
         if len(deep) != (1 if k > 1 else 0):
             continue
-        sub = _gamma(t, deep[0], M, k - 1) if deep else ()
+        sub = _gamma(t, deep[0], M, k - 1, verdicts) if deep else ()
         if sub is not None:
             labels = ["gamma0" if b else f"gamma({k - 1})" for b in base]
             chain = _step(w, "gamma", comps, labels, sub)
             break
-    _member_memo[key] = chain
+    verdicts[key] = chain
     return chain
 
 
-def _gamma2(t: Tree, piece: tuple[int, ...], lam: LambdaSpec, k: int, mode: Gamma2Mode):
+def _gamma2(
+    t: Tree, piece: tuple[int, ...], lam: LambdaSpec, k: int, mode: Gamma2Mode, verdicts: dict
+):
     """Witness chain certifying the piece in GAMMA2(k), outer step first, or
     None.  Major vertices w are tried in piece order.
 
@@ -213,27 +227,22 @@ def _gamma2(t: Tree, piece: tuple[int, ...], lam: LambdaSpec, k: int, mode: Gamm
     count minus two even though lambda is an eigenvalue of the whole tree.
     """
     M = lam.M
-    # the eigenvalue-carrying side condition distinguishes conjugacy orbits
-    # of the same denominator, so the orbit (M, parity of i) keys the memo
-    key = (piece, M, lam.i % 2, k, mode)
-    if key in _member_memo:
-        return _member_memo[key]
-    deg = _degrees(t, piece)
-    majors = [v for v in piece if deg[v] >= 3]
-    if len(majors) != k:
+    cuts = _cuts(t, piece)
+    if len(cuts) != k:
         return None
     if k == 0:
         return () if _gamma2_0_path_size(len(piece), M, mode) else None
+    key = (piece, FamilyKind.GAMMA2)
+    if key in verdicts:
+        return verdicts[key]
     chain = None
-    for w in majors:
-        comps = split(t, piece, w)
-        shapes = [_shape(deg, c) for c in comps]
+    for w, comps, shapes in cuts:
         g0 = [path and _gamma0_path_size(len(c), M) for c, (path, _) in zip(comps, shapes)]
         g20 = [
             path and _gamma2_0_path_size(len(c), M, mode) for c, (path, _) in zip(comps, shapes)
         ]
         labels = ["gamma2_0" if b else "gamma0" for b in g20]
-        non_pendant = [idx for idx, (_, pendant) in enumerate(shapes) if not pendant]
+        non_pendant = [idx for idx, (_, attach) in enumerate(shapes) if attach > 1]
         if k == 1:
             # components of a gamma(t)=1 tree are paths, and the two base
             # sets are disjoint, so the split is a partition
@@ -252,9 +261,9 @@ def _gamma2(t: Tree, piece: tuple[int, ...], lam: LambdaSpec, k: int, mode: Gamm
             # these two shapes); either way the component is a GAMMA member
             # of its own level, which is all the multiplicity accounting uses.
             one = non_pendant[0]
-            level = k - 1 if deg[comps[one][0]] - 1 >= 3 else k - 2
+            level = k - 1 if shapes[one][1] >= 3 else k - 2
             if all(b for idx, b in enumerate(g0) if idx != one):
-                sub = _gamma(t, comps[one], M, level)
+                sub = _gamma(t, comps[one], M, level, verdicts)
                 if sub is not None:
                     labels[one] = f"gamma({level})|non-pendant"
                     chain = _step(w, "gamma2", comps, labels, sub)
@@ -267,19 +276,19 @@ def _gamma2(t: Tree, piece: tuple[int, ...], lam: LambdaSpec, k: int, mode: Gamm
         one = deep[0]
         if not any(g20):
             # clause (1)
-            sub = _gamma2(t, comps[one], lam, k - 1, mode)
+            sub = _gamma2(t, comps[one], lam, k - 1, mode, verdicts)
             if sub is not None and _carries(induced(t, comps[one]), lam):
                 labels[one] = f"gamma2({k - 1})"
                 chain = _step(w, "gamma2", comps, labels, sub)
                 break
         elif sum(g20) == 1:
             # clause (3)
-            sub = _gamma(t, comps[one], M, k - 1)
+            sub = _gamma(t, comps[one], M, k - 1, verdicts)
             if sub is not None:
                 labels[one] = f"gamma({k - 1})"
                 chain = _step(w, "gamma2", comps, labels, sub)
                 break
-    _member_memo[key] = chain
+    verdicts[key] = chain
     return chain
 
 
@@ -298,11 +307,17 @@ def classify(t: Tree, lam: LambdaSpec, mode: Gamma2Mode = BROAD) -> FamilyResult
     if t != _memo_tree:
         _member_memo.clear()
         _memo_tree = t
+    # (piece, family) -> witness chain or None.  Lambda and the mode are
+    # fixed within one call and a piece's level is its major count, so the
+    # key needs nothing else; without it a non-member with many major
+    # vertices is searched once per order of deleting them, which grows
+    # exponentially with the major count.
+    verdicts: dict = {}
     piece, k = tuple(range(t.n)), major_count(t)
-    chain = _gamma(t, piece, lam.M, k)
+    chain = _gamma(t, piece, lam.M, k, verdicts)
     if chain is not None:
         return FamilyResult(FamilyKind.GAMMA, k, chain)
-    chain = _gamma2(t, piece, lam, k, mode)
+    chain = _gamma2(t, piece, lam, k, mode, verdicts)
     if chain is not None:
         return FamilyResult(FamilyKind.GAMMA2, k, chain)
     return NON_MEMBER

@@ -17,6 +17,7 @@ from typing import Iterator, Sequence
 
 
 DEFAULT_ENUMERATION_LIMIT = 20
+GRAPH6_N_MAX = 62  # the graph6 short form, the only one emitted or parsed
 
 
 class TreeError(Exception):
@@ -153,35 +154,14 @@ def pendant_vertices(t: Tree) -> list[int]:
     return [v for v in range(t.n) if len(t.adj[v]) == 1]
 
 
-@dataclass(frozen=True)
-class Component:
-    """One component of T - v, re-indexed 0..size-1.
-
-    attach is the component-local id of the vertex that was adjacent to the
-    removed vertex; parent_ids maps component-local ids back to the ids of
-    the original tree.
-    """
-
-    tree: Tree
-    attach: int
-    parent_ids: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class ForestDecomposition:
-    """Components of T - removed_vertex, one per neighbor."""
-
-    removed_vertex: int
-    components: tuple[Component, ...]
-
-
 def split(t: Tree, piece: Sequence[int], v: int) -> list[tuple[int, ...]]:
     """Components of piece - v, where piece is a connected vertex tuple of t.
 
     One tuple of t's vertex ids per neighbor of v, in piece order.  Each
     lists its attach vertex (the neighbor of v) first, then the rest in
-    depth-first discovery order with neighbors visited in piece order: the
-    parent_ids order delete_vertex would give it in induced(t, piece).
+    depth-first discovery order with neighbors visited in piece order, so
+    splitting a piece in place names the same vertices, in the same order,
+    as splitting its induced copy and mapping the local ids back.
     """
     pos = {u: k for k, u in enumerate(piece)}
     unseen = set(pos)
@@ -209,20 +189,6 @@ def induced(t: Tree, piece: Sequence[int]) -> Tree:
         (pos[u], pos[w]) for u in piece for w in t.adj[u] if w in pos and pos[u] < pos[w]
     ]
     return Tree.from_edges(len(piece), edges)
-
-
-def delete_vertex(t: Tree, v: int) -> ForestDecomposition:
-    """Decompose T - v into its connected components.
-
-    Each component is re-indexed with a retained mapping back to the parent
-    tree; the number of components equals the degree of v.
-    """
-    if not (0 <= v < t.n):
-        raise ValueError(f"vertex {v} out of range")
-    return ForestDecomposition(
-        removed_vertex=v,
-        components=tuple(Component(induced(t, c), 0, c) for c in split(t, range(t.n), v)),
-    )
 
 
 # -- canonical form -----------------------------------------------------------
@@ -379,11 +345,12 @@ def emit_graph6(t: Tree) -> str:
     """graph6 text of the canonically labeled form of t.
 
     Canonical labeling first means equal outputs exactly for isomorphic
-    trees.  Only the short form (n <= 62) is emitted.
+    trees.  Only the short form (n <= 62) is emitted; larger trees are
+    refused before canonical labeling, whose recursion depth grows with n.
     """
+    if t.n > GRAPH6_N_MAX:
+        raise MalformedGraph6Error(f"graph6 short form only covers n <= {GRAPH6_N_MAX}")
     ct = canonical_tree(t)
-    if ct.n > 62:
-        raise MalformedGraph6Error("graph6 short form only covers n <= 62")
     present = {(u, v) for u, v in ct.edges}
     bits = []
     for v in range(1, ct.n):

@@ -49,16 +49,16 @@ from treemult.spectrum import (
 )
 from treemult.tree import (
     DEFAULT_ENUMERATION_LIMIT,
-    ForestDecomposition,
     Tree,
-    delete_vertex,
     emit_graph6,
     enumerate_trees,
+    induced,
     is_path,  # unused here; perfbench/tracer.py wraps it on this module
     major_count,
     parse_graph6,
     pendant_count,
     pendant_vertices,
+    split,
 )
 
 
@@ -370,17 +370,13 @@ class LemmaReport:
         return sum(len(r["violations"]) for r in self.results.values())
 
 
-def forest_multiplicity(dec: ForestDecomposition, spec: LambdaSpec) -> int:
-    """Multiplicity of lambda in T - v: the sum over components."""
-    return sum(multiplicity(c.tree, spec) for c in dec.components)
-
-
 def lemma_suite(config: SweepConfig) -> LemmaReport:
     """Run the four property suites over the configured ranges."""
     report = LemmaReport()
     report.add(*_check_path_simplicity(config.path_n_max, config.path_M_max))
-    report.add(*_check_parter(config))
-    report.add(*_check_branch(config))
+    parter, branch = _check_vertex_deletion(config)
+    report.add(*parter)
+    report.add(*branch)
     report.add(*_check_pendant_deletion(config))
     return report
 
@@ -402,109 +398,87 @@ def _check_path_simplicity(n_max: int, M_max: int):
     return "path_simplicity", checked, violations
 
 
-def _check_parter(config: SweepConfig):
-    """Parter vertex existence.
+def _parter_violation(t: Tree, spec: LambdaSpec, part: str) -> dict:
+    return {"tree": emit_graph6(t), "lambda": [spec.i, spec.M], "part": part}
 
-    (i) If lambda is an eigenvalue of T and survives some single-vertex
-    deletion at full multiplicity, some vertex w has
-    m(T - w) = m(T) + 1.
-    (ii) If m(T) >= 2, such a w exists with degree >= 3 and at least three
-    components of T - w carrying lambda.
+
+def _check_vertex_deletion(config: SweepConfig):
+    """Two suites over every tree and vertex deletion, sharing the
+    multiplicities of the components of T - v per (tree, v, orbit).
+
+    Parter vertex existence: (i) if lambda is an eigenvalue of T and
+    survives some single-vertex deletion at full multiplicity, some vertex
+    w has m(T - w) = m(T) + 1; (ii) if m(T) >= 2, such a w exists with
+    degree >= 3 and at least three components of T - w carrying lambda.
+
+    Branch equivalence: when lambda is an eigenvalue of T - w,
+    m(T - w) = m(T) + 1 holds exactly when some component H of T - w loses
+    multiplicity on deleting its attach vertex.
     """
-    violations = []
-    checked = 0
-    orbits = spec_orbits(config.M_max)
+    parter, branch = [], []
+    parter_checked = branch_checked = 0
+    specs = [orbit[0] for _, orbit in spec_orbits(config.M_max)]
     for n in range(max(2, config.n_min), config.n_max + 1):
         for t in enumerate_trees(n, config.tree_limit):
-            decs = [delete_vertex(t, v) for v in range(t.n)]
-            for mu, specs in orbits:
-                spec = specs[0]
-                m = multiplicity(t, spec)
-                if m < 1:
+            whole = range(t.n)
+            # per v: each component H of T - v as a tree, with the trees of
+            # H minus its attach vertex (the first vertex of its piece)
+            parts = [
+                [
+                    (induced(t, c), [induced(t, d) for d in split(t, c, c[0])])
+                    for c in split(t, whole, v)
+                ]
+                for v in whole
+            ]
+            m = [multiplicity(t, spec) for spec in specs]
+            # comp_m[v][o]: multiplicity of specs[o] in each component of T - v
+            comp_m = [
+                [[multiplicity(h, spec) for h, _ in part] for spec in specs] for part in parts
+            ]
+            for o, spec in enumerate(specs):
+                if m[o] < 1:
                     continue
-                drops = [forest_multiplicity(dec, spec) for dec in decs]
-                if max(drops) < m:
-                    if m >= 2:
+                drops = [sum(comp_m[v][o]) for v in whole]
+                if max(drops) < m[o]:
+                    if m[o] >= 2:
                         # cannot happen: for m >= 2 a Parter vertex exists,
                         # so its deletion already satisfies the hypothesis
-                        violations.append(
-                            {
-                                "tree": emit_graph6(t),
-                                "lambda": [spec.i, spec.M],
-                                "part": "hypothesis",
-                            }
-                        )
+                        parter.append(_parter_violation(t, spec, "hypothesis"))
                     continue
-                checked += 1
-                parters = [v for v in range(t.n) if drops[v] == m + 1]
+                parter_checked += 1
+                parters = [v for v in whole if drops[v] == m[o] + 1]
                 if not parters:
-                    violations.append(
-                        {"tree": emit_graph6(t), "lambda": [spec.i, spec.M], "part": "i"}
-                    )
-                    continue
-                if m >= 2:
-                    good = False
-                    for v in parters:
-                        if t.degree(v) < 3:
-                            continue
-                        carrying = sum(
-                            1
-                            for c in decs[v].components
-                            if multiplicity(c.tree, spec) >= 1
-                        )
-                        if carrying >= 3:
-                            good = True
-                            break
-                    if not good:
-                        violations.append(
-                            {
-                                "tree": emit_graph6(t),
-                                "lambda": [spec.i, spec.M],
-                                "part": "ii",
-                            }
-                        )
-    return "parter_vertex", checked, violations
-
-
-def _check_branch(config: SweepConfig):
-    """Branch equivalence: when lambda is an eigenvalue of T - w,
-    m(T - w) = m(T) + 1 holds exactly when some component H of T - w loses
-    multiplicity on deleting its attach vertex."""
-    violations = []
-    checked = 0
-    orbits = spec_orbits(config.M_max)
-    for n in range(max(2, config.n_min), config.n_max + 1):
-        for t in enumerate_trees(n, config.tree_limit):
-            m_cache: dict[tuple[int, int], int] = {}
-            for w in range(t.n):
-                dec = delete_vertex(t, w)
-                for mu, specs in orbits:
-                    spec = specs[0]
-                    m_minus = forest_multiplicity(dec, spec)
+                    parter.append(_parter_violation(t, spec, "i"))
+                elif m[o] >= 2 and not any(
+                    t.degree(v) >= 3 and sum(x >= 1 for x in comp_m[v][o]) >= 3
+                    for v in parters
+                ):
+                    parter.append(_parter_violation(t, spec, "ii"))
+            for w in whole:
+                for o, spec in enumerate(specs):
+                    m_minus = sum(comp_m[w][o])
                     if m_minus < 1:
                         continue
-                    checked += 1
-                    key = (spec.i, spec.M)
-                    if key not in m_cache:
-                        m_cache[key] = multiplicity(t, spec)
-                    lhs = m_minus == m_cache[key] + 1
+                    branch_checked += 1
+                    lhs = m_minus == m[o] + 1
                     rhs = any(
-                        multiplicity(c.tree, spec)
-                        - forest_multiplicity(delete_vertex(c.tree, c.attach), spec)
-                        == 1
-                        for c in dec.components
+                        m_h - sum(multiplicity(d, spec) for d in rest) == 1
+                        for m_h, (_, rest) in zip(comp_m[w][o], parts[w])
                     )
                     if lhs != rhs:
-                        violations.append(
+                        branch.append(
                             {
                                 "tree": emit_graph6(t),
                                 "vertex": w,
                                 "lambda": [spec.i, spec.M],
-                                "m": m_cache[key],
+                                "m": m[o],
                                 "m_minus": m_minus,
                             }
                         )
-    return "branch_equivalence", checked, violations
+    return (
+        ("parter_vertex", parter_checked, parter),
+        ("branch_equivalence", branch_checked, branch),
+    )
 
 
 def _check_pendant_deletion(config: SweepConfig):
@@ -532,7 +506,9 @@ def _check_pendant_deletion(config: SweepConfig):
                     for v in pendant_vertices(t):
                         if t.n == 1:
                             continue
-                        m_minus = forest_multiplicity(delete_vertex(t, v), spec)
+                        m_minus = sum(
+                            multiplicity(induced(t, c), spec) for c in split(t, range(t.n), v)
+                        )
                         if m_minus != m - 1:
                             violations.append(
                                 {

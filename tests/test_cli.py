@@ -17,6 +17,10 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def path_edges(n):
+    return ",".join(f"{k}-{k + 1}" for k in range(n - 1))
+
+
 class TestMult:
     def test_star_at_zero(self, capsys):
         code, out, _ = run(capsys, "mult", "--edges", "0-1,0-2,0-3", "--lambda", "1/2")
@@ -51,6 +55,12 @@ class TestMult:
         code, out, _ = run(capsys, "mult", "--json", str(path), "--lambda", "1/2")
         assert code == 0
         assert out.strip() == "m=3 p=4 gamma=1"
+
+
+    def test_long_path_human_needs_no_graph6(self, capsys):
+        # P100 is beyond the graph6 short form, which only JSON output uses
+        code, out, err = run(capsys, "mult", "--edges", path_edges(100), "--lambda", "1/2")
+        assert (code, out.strip(), err) == (0, "m=0 p=2 gamma=0", "")
 
 
 class TestCharpoly:
@@ -260,6 +270,24 @@ class TestErrors:
     @pytest.mark.parametrize("n_max", ["0", "-3"])
     def test_audit_empty_range_exits_2(self, capsys, n_max):
         code, out, err = run(capsys, "audit", "--n-max", n_max)
+        assert code == 2
+        assert err.startswith("error: ") and out == ""
+
+    def test_json_output_above_graph6_range_exits_2(self, capsys):
+        # refused before canonical labeling, which would exceed the
+        # recursion limit on P3000
+        code, out, err = run(
+            capsys, "mult", "--edges", path_edges(3000), "--lambda", "1/2", "--format", "json"
+        )
+        assert code == 2
+        assert err.startswith("error: ") and out == ""
+
+    @pytest.mark.parametrize("n_max", ["63", "200", "1000"])
+    def test_generate_above_graph6_range_exits_2(self, capsys, n_max):
+        code, out, err = run(
+            capsys, "generate", "--family", "gamma", "--k", "0", "--lambda", "1/2",
+            "--n-max", n_max,
+        )
         assert code == 2
         assert err.startswith("error: ") and out == ""
 

@@ -16,7 +16,7 @@ from treemult.families import (
     is_gamma2_0,
     replay_witness,
 )
-from treemult.poly import LambdaSpec, all_specs
+from treemult.poly import LambdaSpec, all_specs, spec_orbits
 from treemult.spectrum import multiplicity
 from treemult.tree import (
     Tree,
@@ -148,6 +148,61 @@ class TestClassify:
                         classify(t, spec, mode)
                         peak = max(peak, len(families._member_memo))
         assert 0 < peak <= 100
+
+    def test_shared_cache_is_invisible(self):
+        # warm: one tree's orbits and modes in sequence over one cache, which
+        # holds the previous tree's entries when it starts; cold: every
+        # classify call starts from empty caches
+        def reset():
+            families._member_memo.clear()
+            families._memo_tree = None
+
+        reps = [specs[0] for _, specs in spec_orbits(8)]
+        for n in range(1, 10):
+            for t in enumerate_trees(n):
+                warm = [classify(t, spec, mode) for spec in reps for mode in (BROAD, STRICT)]
+                cold = []
+                for spec in reps:
+                    for mode in (BROAD, STRICT):
+                        reset()
+                        cold.append(classify(t, spec, mode))
+                assert [(r.tag, r.witness) for r in warm] == [(r.tag, r.witness) for r in cold]
+
+    def test_many_majors_stay_polynomial(self, monkeypatch):
+        # k majors in a chain, consecutive ones joined through a connector
+        # vertex, a leaf on each (two on the end ones) and a 2-vertex leg on
+        # the middle one: at lambda = 0 GAMMA(k) fails only at the middle,
+        # after any order of deleting end majors, so a search that forgets
+        # its verdicts makes about 2^k recursive calls
+        k = 24
+        edges, n = [], k
+        for a in range(k - 1):
+            edges += [(a, n), (n, a + 1)]
+            n += 1
+        for w in range(k):
+            for _ in range(2 if w in (0, k - 1) else 1):
+                if w == k // 2:
+                    edges += [(w, n), (n, n + 1)]
+                    n += 2
+                else:
+                    edges.append((w, n))
+                    n += 1
+        t = Tree.from_edges(n, edges)
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args):
+                calls.append(1)
+                assert len(calls) <= 2 * k * k, "exponential search"
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(families, "_gamma", counted(families._gamma))
+        monkeypatch.setattr(families, "_gamma2", counted(families._gamma2))
+        res = classify(t, LAMBDA_0, BROAD)
+        assert res.tag == f"GAMMA2({k})"
+        assert replay_witness(t, res)
 
     def test_relabelling_keeps_tag_and_witness(self):
         rng = random.Random(20240)

@@ -16,10 +16,11 @@ from treemult.spectrum import (
 )
 from treemult.tree import (
     Tree,
-    delete_vertex,
     enumerate_trees,
+    induced,
     path_tree,
     spider_tree,
+    split,
     star_tree,
 )
 
@@ -106,8 +107,8 @@ class TestMultiplicity:
                     m = multiplicity(t, spec)
                     for v in range(t.n):
                         m_minus = sum(
-                            multiplicity(c.tree, spec)
-                            for c in delete_vertex(t, v).components
+                            multiplicity(induced(t, c), spec)
+                            for c in split(t, range(t.n), v)
                         )
                         assert abs(m - m_minus) <= 1
 

@@ -11,7 +11,6 @@ from treemult.tree import (
     canonical_code,
     canonical_tree,
     centroids,
-    delete_vertex,
     emit_graph6,
     enumerate_trees,
     induced,
@@ -91,41 +90,45 @@ class TestCounts:
 
 
 class TestDeleteVertex:
+    """Vertex deletion through pieces: split gives the components of T - v
+    as tuples of t's own ids, attach vertex first; induced builds one."""
+
     def test_path_middle(self):
-        dec = delete_vertex(path_tree(3), 1)
-        assert len(dec.components) == 2
-        for comp in dec.components:
-            assert comp.tree.n == 1 and comp.attach == 0
-        assert sorted(c.parent_ids[0] for c in dec.components) == [0, 2]
+        comps = split(path_tree(3), range(3), 1)
+        assert comps == [(0,), (2,)]
+        for c in comps:
+            assert induced(path_tree(3), c).n == 1
 
     def test_star_center(self):
-        dec = delete_vertex(star_tree(3), 0)
-        assert len(dec.components) == 3
-        assert all(c.tree.n == 1 for c in dec.components)
+        comps = split(star_tree(3), range(4), 0)
+        assert len(comps) == 3
+        assert all(len(c) == 1 for c in comps)
 
     def test_spider_center(self):
         t = spider_tree(2, 2, 2)
-        dec = delete_vertex(t, 0)
-        assert len(dec.components) == 3
-        for comp in dec.components:
-            assert comp.tree.n == 2
-            assert comp.tree.degree(comp.attach) == 1
+        comps = split(t, range(t.n), 0)
+        assert len(comps) == 3
+        for c in comps:
+            sub = induced(t, c)
+            assert sub.n == 2
+            assert sub.degree(0) == 1  # the attach vertex, local id 0
 
     def test_partition_and_backmap(self):
         for n in range(2, 9):
             for t in enumerate_trees(n):
                 for v in range(t.n):
-                    dec = delete_vertex(t, v)
-                    assert len(dec.components) == t.degree(v)
-                    assert sum(c.tree.n for c in dec.components) == t.n - 1
-                    ids = [u for c in dec.components for u in c.parent_ids]
+                    comps = split(t, range(t.n), v)
+                    assert len(comps) == t.degree(v)
+                    # induced validates that each component is a tree
+                    assert sum(induced(t, c).n for c in comps) == t.n - 1
+                    ids = [u for c in comps for u in c]
                     assert sorted(ids + [v]) == list(range(t.n))
-                    for c in dec.components:
-                        assert c.parent_ids[c.attach] in t.adj[v]
+                    for c in comps:
+                        assert c[0] in t.adj[v]
 
     def test_split_of_piece_matches_reindexed_component(self):
         # splitting a component in place names the same vertices, in the
-        # same order, as splitting its re-indexed copy and mapping back
+        # same order, as splitting its induced copy and mapping back
         for n in range(2, 9):
             for t in enumerate_trees(n):
                 for v in range(t.n):
@@ -134,8 +137,7 @@ class TestDeleteVertex:
                         assert sub.n == len(piece)
                         for k, u in enumerate(piece):
                             back = [
-                                tuple(piece[i] for i in c.parent_ids)
-                                for c in delete_vertex(sub, k).components
+                                tuple(piece[i] for i in c) for c in split(sub, range(sub.n), k)
                             ]
                             assert split(t, piece, u) == back
 
