@@ -2,7 +2,7 @@
 
 Two independent engines compute m(T, lambda):
 
-* char_poly + repeated exact division by the minimal polynomial of lambda;
+* char_poly + in-place synthetic division by the minimal polynomial of lambda;
 * a one-pass leaf-to-root diagonalization of A - lambda*I over the field
   of integer-polynomial residues modulo that minimal polynomial.
 
@@ -18,10 +18,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from treemult.poly import (
-    ONE,
     Polynomial,
     LambdaSpec,
-    X,
     NonDivisibleError,
     exact_div,
     minimal_poly,
@@ -31,41 +29,31 @@ from treemult.poly import (
 from treemult.tree import Tree, bfs_order
 
 
+def _convolve(a: list[int], b: list[int]) -> list[int]:
+    """Coefficients of the product of two integer polynomials."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return out
+
+
 def char_poly_rooted(t: Tree, root: int) -> Polynomial:
-    """det(xI - A(T)) via the rooted recurrence.
-
-    For a vertex v with children c_1..c_k (subtree polynomials p_i, deleted
-    -root polynomials q_i):
-
-        p_v = x * prod p_i - sum_i q_i * prod_{j != i} p_j
-        q_v = prod p_i
-
-    The result is root-independent; the recurrence is evaluated iteratively
-    so long paths cannot exhaust the recursion limit.
-    """
+    """det(xI - A(T)) via the rooted recurrence, one child at a time: each
+    vertex holds the coefficients (P, Q) of its subtree so far and of that
+    subtree minus the vertex, from (x, 1), and a finished child (p, q) is
+    folded in by (P, Q) <- (P*p - Q*q, Q*p).  Root-independent; iterative,
+    so long paths stay clear of the recursion limit."""
     order, parent = bfs_order(t, root)
-    # per vertex v: (p_v, q_v), the characteristic polynomials of v's rooted
-    # subtree and of that subtree minus v
-    pairs: list[tuple[Polynomial, Polynomial] | None] = [None] * t.n
-    for u in reversed(order):
-        kids = [pairs[w] for w in t.adj[u] if parent[w] == u]
-        if not kids:
-            pairs[u] = (X, ONE)
-            continue
-        # prefix/suffix products keep the recurrence division-free
-        k = len(kids)
-        prefix = [ONE] * (k + 1)
-        for idx, (p, _) in enumerate(kids):
-            prefix[idx + 1] = prefix[idx] * p
-        suffix = [ONE] * (k + 1)
-        for idx in range(k - 1, -1, -1):
-            suffix[idx] = kids[idx][0] * suffix[idx + 1]
-        total = prefix[k]
-        acc = Polynomial(())
-        for idx, (_, q) in enumerate(kids):
-            acc = acc + q * (prefix[idx] * suffix[idx + 1])
-        pairs[u] = (total.shift(1) - acc, total)
-    return pairs[root][0]
+    pairs = [([0, 1], [1]) for _ in range(t.n)]  # coefficient lists, ascending
+    for c in reversed(order[1:]):  # children before parents
+        (p, q), (p_c, q_c) = pairs[parent[c]], pairs[c]
+        p = _convolve(p, p_c)
+        for k, v in enumerate(_convolve(q, q_c)):
+            p[k] -= v
+        pairs[parent[c]] = (p, _convolve(q, p_c))
+    return Polynomial(pairs[root][0])
 
 
 @lru_cache(maxsize=65536)
@@ -79,14 +67,26 @@ def char_poly(t: Tree) -> Polynomial:
 
 
 def factor_multiplicity(p: Polynomial, mu: Polynomial) -> int:
-    """The largest k with mu^k dividing p, found by repeated exact division."""
-    count = 0
-    while True:
-        try:
-            p = exact_div(p, mu)
-        except NonDivisibleError:
+    """The largest k with mu^k dividing p (nonzero; mu monic of degree d >= 1),
+    by synthetic division in place on one copy of p's coefficients: a round
+    leaves the remainder in the lowest d live slots, the quotient above."""
+    d = mu.degree
+    if not p or d < 1 or not mu.is_monic():
+        raise ValueError(f"need p != 0 and a monic mu of degree >= 1, got mu = {mu}")
+    low = mu.coeffs[:d]
+    a = list(p.coeffs)
+    lo = count = 0  # a[lo:] is p / mu^count
+    while len(a) - lo > d:
+        for k in range(len(a) - 1, lo + d - 1, -1):
+            top = a[k]
+            if top:
+                for j, c in enumerate(low, k - d):
+                    a[j] -= top * c
+        if any(a[lo : lo + d]):
             return count
+        lo += d
         count += 1
+    return count
 
 
 def multiplicity(t: Tree, spec: LambdaSpec) -> int:

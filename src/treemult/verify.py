@@ -22,6 +22,7 @@ import os
 import random
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from multiprocessing import Pool
 
 from treemult.families import (
@@ -223,6 +224,12 @@ class SweepReport(Tally):
         }
 
 
+@lru_cache(maxsize=None)
+def _orbit_table(M_max: int) -> tuple[tuple, tuple[LambdaSpec, ...]]:
+    """The orbits and the specs with M <= M_max, built once per process."""
+    return tuple(spec_orbits(M_max)), tuple(all_specs(M_max))
+
+
 def _sweep_tree(args) -> dict:
     """Per-tree worker: all records for one canonical tree, in (M, i) order.
 
@@ -238,7 +245,8 @@ def _sweep_tree(args) -> dict:
     # a conjugacy orbit (one minimal polynomial) is exactly a denominator M
     # plus a parity of i; classification depends on lambda only through it
     by_orbit: dict[tuple[int, int], tuple[int, list]] = {}
-    for mu, specs in spec_orbits(M_max):
+    orbits, every_spec = _orbit_table(M_max)
+    for mu, specs in orbits:
         m_div = factor_multiplicity(cp, mu)
         m_rank = rank_nullity(t, mu)
         if m_div != m_rank:
@@ -254,7 +262,7 @@ def _sweep_tree(args) -> dict:
         results = [classify(t, rep, mode) for mode in modes]
         by_orbit[(rep.M, rep.i % 2)] = (m_div, results)
     records = []
-    for spec in all_specs(M_max):
+    for spec in every_spec:
         m, results = by_orbit[(spec.M, spec.i % 2)]
         # GAMMA membership does not depend on the GAMMA2 reading
         eq_top = CONSISTENT if (m == p - 1) == results[0].is_gamma() else VIOLATION

@@ -1,5 +1,7 @@
 """Property tests on random labeled trees drawn as Prufer sequences: graph6
-round trips, and invariance of classify under relabelling."""
+round trips, invariance of char_poly and classify under relabelling, and
+agreement of the two multiplicity engines with each other and with dense
+elimination."""
 
 import tempfile
 
@@ -7,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from oracles import prufer_to_edges
+from oracles import nullity_by_elimination, prufer_to_edges
 from treemult.families import BROAD, STRICT, classify, replay_witness
-from treemult.poly import all_specs
+from treemult.poly import all_specs, spec_orbits
+from treemult.spectrum import char_poly, char_poly_rooted, factor_multiplicity, rank_nullity
 from treemult.tree import Tree, canonical_code, emit_graph6, parse_graph6
 
 # the same examples on every run, and no example database written to disk
@@ -59,3 +62,28 @@ def test_classify_tag_invariant_under_relabelling(pair, spec, mode):
     assert got.tag == want.tag
     assert replay_witness(t, want)
     assert replay_witness(u, got)
+
+
+@deterministic
+@given(relabelled_pairs(30), st.data())
+def test_char_poly_invariant_under_relabelling_and_root(pair, data):
+    t, u = pair
+    want = char_poly(t)
+    assert char_poly(u) == want
+    assert char_poly_rooted(t, data.draw(st.integers(0, t.n - 1))) == want
+
+
+@deterministic
+@given(trees(30), st.sampled_from(spec_orbits(31)))
+def test_engines_agree(t, orbit):
+    mu, _ = orbit
+    assert factor_multiplicity(char_poly(t), mu) == rank_nullity(t, mu)
+
+
+@deterministic
+@given(trees(12), st.sampled_from(spec_orbits(31)))
+def test_engines_match_elimination(t, orbit):
+    mu, _ = orbit
+    expected = nullity_by_elimination(t, mu)
+    assert factor_multiplicity(char_poly(t), mu) == expected
+    assert rank_nullity(t, mu) == expected

@@ -11,6 +11,7 @@ from treemult.spectrum import (
     char_poly,
     char_poly_rooted,
     eigen_support_audit,
+    factor_multiplicity,
     multiplicity,
     rank_nullity,
 )
@@ -111,6 +112,49 @@ class TestMultiplicity:
                             for c in split(t, range(t.n), v)
                         )
                         assert abs(m - m_minus) <= 1
+
+
+class TestDivisionEngine:
+    def test_power_of_mu_adds_k(self):
+        # g need not be coprime to mu: its own multiplicity must add to k
+        orbits = spec_orbits(26)
+        for n in range(1, 9):
+            for t in enumerate_trees(n):
+                g = char_poly(t)
+                for mu, specs in orbits:
+                    base = factor_multiplicity(g, mu)
+                    for k in range(5):
+                        assert factor_multiplicity(mu**k * g, mu) == k + base, (
+                            t.edges, specs[0], k,
+                        )
+
+    @pytest.mark.parametrize(
+        "p, mu",
+        [
+            (Polynomial(()), LAMBDA_0.minimal_poly),  # zero p: every power divides
+            (P(0, 0, 4), P(0, 2)),  # mu not monic
+            (P(0, 1), P(1)),  # mu of degree 0
+            (P(0, 1), Polynomial(())),  # mu zero
+        ],
+        ids=["zero-p", "non-monic-mu", "constant-mu", "zero-mu"],
+    )
+    def test_rejects_bad_input(self, p, mu):
+        with pytest.raises(ValueError):
+            factor_multiplicity(p, mu)
+
+    def test_independent_of_tree_engine(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the division engine reached the tree engine")
+
+        monkeypatch.setattr(spectrum_mod, "rank_nullity", unreachable)
+        monkeypatch.setattr(spectrum_mod, "_mulmod", unreachable)
+        spectrum_mod.char_poly.cache_clear()
+        for n in range(1, 8):
+            for t in enumerate_trees(n):
+                for mu, specs in spec_orbits(8):
+                    assert multiplicity(t, specs[0]) == nullity_by_elimination(t, mu), (
+                        t.edges, specs[0],
+                    )
 
 
 def relabel_as_root(t: Tree, v: int) -> Tree:
