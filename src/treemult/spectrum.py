@@ -9,6 +9,15 @@ Two independent engines compute m(T, lambda):
 They share no code path beyond the minimal polynomial itself, so agreement
 between them is a meaningful cross-check, and the verification sweep asserts
 it on every pair it touches.
+
+The tree engine reuses work across calls through two module-level tables:
+interned ids of rooted subtree shapes, and per minimal polynomial the state
+the leaf-to-root pass reaches on each shape.  Only subtrees of at most n // 2
+vertices are interned, so over trees of at most n_max vertices the shape
+table and each state table stay within the rooted trees on n_max // 2
+vertices (37 for n_max = 12), however many trees are checked.  The division engine keeps no
+such table: were an entry wrong, the engines would disagree and the sweep
+abort, instead of both reading the same wrong entry.
 """
 
 from __future__ import annotations
@@ -16,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 
 from treemult.poly import (
     Polynomial,
@@ -114,41 +124,101 @@ def _mulmod(a: list[int], b: list[int], red: list[int]) -> list[int]:
     return conv[:d]
 
 
+def _lowest(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
+    """num/den with the joint integer content of both divided out."""
+    g = math.gcd(*num, *den)
+    return [c // g for c in num], [c // g for c in den]
+
+
+# Rooted subtree shapes, interned AHU-style (Aho, Hopcroft & Ullman, 1974):
+# the sorted shape ids of a vertex's children -> the vertex's shape id.
+_shape_ids: dict[tuple[int, ...], int] = {}
+# per minimal polynomial (its coefficients): shape id -> the subtree's state
+_states: dict[tuple[int, ...], dict[int, tuple]] = {}
+
+
+@lru_cache(maxsize=1)
+def _rooted_shapes(t: Tree) -> tuple[tuple[tuple[int, ...], ...], tuple[int | None, ...]]:
+    """Each vertex's children with t rooted at vertex 0, and its shape id, or
+    None when its subtree has more than t.n // 2 vertices.  Cached for the
+    last tree, which the sweep queries once per orbit."""
+    order, parent = bfs_order(t, 0)
+    kids: list[list[int]] = [[] for _ in range(t.n)]
+    for u in order[1:]:
+        kids[parent[u]].append(u)
+    size = [1] * t.n
+    shape: list[int | None] = [None] * t.n
+    for u in reversed(order):
+        size[u] += sum(size[w] for w in kids[u])
+        if size[u] <= t.n // 2:  # then so are its children's
+            key = tuple(sorted(shape[w] for w in kids[u]))
+            shape[u] = _shape_ids.setdefault(key, len(_shape_ids))
+    return tuple(map(tuple, kids)), tuple(shape)
+
+
 def rank_nullity(t: Tree, mu: Polynomial) -> int:
     """Nullity of A(T) - lambda*I over Q[x]/(mu), lambda the residue of x,
     by the leaf-to-root pass of Jacobs and Trevisan ("Locating the
     eigenvalues of trees", 2011); shared by all specs conjugate under mu.
 
     A vertex's value is -lambda minus the sum of 1/value over its live
-    children, kept as residues (P, Q) with value P/Q and their joint integer
-    content divided out.  Zero-child rule: if z >= 1 children are zero, one
+    children (equal values summed at once), kept as residues (P, Q) with
+    value P/Q and their joint integer content divided out.  Zero-child rule: if z >= 1 children are zero, one
     pivots against the vertex, z - 1 stay zero and add to the nullity, and
     the vertex is cut from its parent; a zero root adds 1.  P == 0 is an
     exact zero test because mu is irreducible: Q[x]/(mu) is a field, so each
-    Q, a product of nonzero residues, is nonzero.  No char_poly is formed,
-    so this engine shares no code path with the division engine.
+    Q, a product of nonzero residues, is nonzero.
+
+    A subtree's state -- its value or cut, and the nullity it adds -- depends
+    only on its rooted shape and mu, so states of subtrees with at most
+    n // 2 vertices are kept in a per-mu table keyed by shape id and reused
+    by later calls, on this tree or any other; the pass descends only into
+    subtrees not in the table.  Rooted at a centroid, as sweep trees are,
+    that leaves a new tree little more than its root to compute.  No
+    char_poly is formed and the division engine keeps no such table, so a
+    wrong state shows as an engine mismatch instead of agreeing with itself.
     """
     d = mu.degree
     red = [-c for c in mu.coeffs[:d]]
     # a leaf's value -x; for linear mu = x + c, x is the integer -c
     leaf = ([0, -1] + [0] * (d - 2) if d > 1 else [mu.coeffs[0]], [1] + [0] * (d - 1))
-    order, parent = bfs_order(t, 0)
-    values: list[tuple[list[int], list[int]] | None] = [None] * t.n  # None: cut
-    nullity = 0
-    for u in reversed(order):
-        kids = [values[w] for w in t.adj[u] if parent[w] == u and values[w]]
-        zeros = sum(1 for p, _ in kids if not any(p))
+    kids, shape = _rooted_shapes(t)
+    table = _states.setdefault(mu.coeffs, {})
+    state: list[tuple | None] = [None] * t.n  # (value or None when cut, nullity)
+    todo, stack = [], [0]
+    while stack:  # preorder over the vertices whose state is not stored
+        u = stack.pop()
+        todo.append(u)
+        for w in kids[u]:
+            state[w] = table.get(shape[w])
+            if state[w] is None:
+                stack.append(w)
+    for u in reversed(todo):  # children before parents
+        below = [state[w] for w in kids[u]]
+        nullity = sum(k for _, k in below)
+        live = [value for value, _ in below if value is not None]
+        zeros = sum(1 for p, _ in live if not any(p))
         if zeros:
-            nullity += zeros - 1
-            continue
-        num, den = leaf
-        for p, q in kids:
-            num = [a - b for a, b in zip(_mulmod(num, p, red), _mulmod(den, q, red))]
-            den = _mulmod(den, p, red)
-            g = math.gcd(*num, *den)
-            num, den = [c // g for c in num], [c // g for c in den]
-        values[u] = (num, den)
-    return nullity + int(values[0] is not None and not any(values[0][0]))
+            state[u] = (None, nullity + zeros - 1)
+        elif not live:
+            state[u] = (leaf, nullity)
+        else:
+            # the sum of 1/value over the live children as num/den, c equal
+            # values q/p at a time; then value = -x - num/den
+            terms = [(p, q, len(list(run))) for (p, q), run in groupby(sorted(live))]
+            den, q, c = terms[0]
+            num = [c * a for a in q]
+            for p, q, c in terms[1:]:
+                num, den = _lowest(
+                    [a + c * b for a, b in zip(_mulmod(num, p, red), _mulmod(den, q, red))],
+                    _mulmod(den, p, red),
+                )
+            x_den = _mulmod(leaf[0], den, red)
+            state[u] = (_lowest([a - b for a, b in zip(x_den, num)], den), nullity)
+        if shape[u] is not None:
+            table[shape[u]] = state[u]
+    value, nullity = state[0]
+    return nullity + int(value is not None and not any(value[0]))
 
 
 # -- all-eigenvalue audit ------------------------------------------------------

@@ -17,6 +17,7 @@ the path form 2*cos(i*pi/M).
 
 from __future__ import annotations
 
+import heapq
 import json
 import os
 import random
@@ -584,7 +585,8 @@ def chebyshev_completeness_audit(
 
 
 def _random_tree_edges(n: int, rng: random.Random) -> list[tuple[int, int]]:
-    """Uniform labeled tree via a random Prufer sequence."""
+    """Uniform labeled tree via a random Prufer sequence, decoded with a heap
+    of the current leaves in O(n log n)."""
     if n == 1:
         return []
     if n == 2:
@@ -593,14 +595,14 @@ def _random_tree_edges(n: int, rng: random.Random) -> list[tuple[int, int]]:
     degree = [1] * n
     for v in seq:
         degree[v] += 1
+    leaves = [u for u in range(n) if degree[u] == 1]  # ascending: a heap
     edges = []
-    for v in seq:
-        u = min(u for u in range(n) if degree[u] == 1)
-        edges.append((u, v))
-        degree[u] -= 1
+    for v in seq:  # join the smallest current leaf to v
+        edges.append((heapq.heappop(leaves), v))
         degree[v] -= 1
-    u, w = (x for x in range(n) if degree[x] == 1)
-    edges.append((u, w))
+        if degree[v] == 1:
+            heapq.heappush(leaves, v)
+    edges.append(tuple(sorted(leaves)))
     return edges
 
 

@@ -1,9 +1,9 @@
 """Independent brute-force oracles shared by the test modules.
 
 Everything here is deliberately dumb: Prufer-sequence enumeration for tree
-counts, cofactor expansion for characteristic polynomials, greedy leaf
-matching for the nullity at zero, dense elimination for the nullity at any
-eigenvalue.  Slow, obvious, and algorithmically unrelated to what they check.
+counts, a scan per step for decoding random Prufer sequences, cofactor
+expansion for characteristic polynomials, greedy leaf matching for the
+nullity at zero, dense elimination for the nullity at any eigenvalue.  Slow, obvious, and algorithmically unrelated to what they check.
 """
 
 from __future__ import annotations
@@ -30,6 +30,29 @@ def prufer_to_edges(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
                 break
     last = [u for u in range(n) if degree[u] == 1]
     edges.append((last[0], last[1]))
+    return edges
+
+
+def random_tree_edges_by_scan(n: int, rng) -> list[tuple[int, int]]:
+    """A random Prufer sequence drawn from rng, decoded by scanning for the
+    smallest leaf at every step: O(n^2), the decoder the agreement check
+    used before its heap of leaves."""
+    if n == 1:
+        return []
+    if n == 2:
+        return [(0, 1)]
+    seq = [rng.randrange(n) for _ in range(n - 2)]
+    degree = [1] * n
+    for v in seq:
+        degree[v] += 1
+    edges = []
+    for v in seq:
+        u = min(u for u in range(n) if degree[u] == 1)
+        edges.append((u, v))
+        degree[u] -= 1
+        degree[v] -= 1
+    u, w = (x for x in range(n) if degree[x] == 1)
+    edges.append((u, w))
     return edges
 
 

@@ -1,6 +1,8 @@
 """Characteristic polynomials, the two multiplicity engines, and the
 all-eigenvalue support audit."""
 
+import random
+
 import pytest
 
 import treemult.poly as poly_mod
@@ -17,6 +19,8 @@ from treemult.spectrum import (
 )
 from treemult.tree import (
     Tree,
+    _rooted_code,
+    _rooted_codes,
     enumerate_trees,
     induced,
     path_tree,
@@ -24,6 +28,7 @@ from treemult.tree import (
     split,
     star_tree,
 )
+from treemult.verify import SweepConfig, sweep
 
 
 def P(*coeffs):
@@ -245,6 +250,80 @@ class TestRankEngine:
         from treemult.verify import engine_agreement_check
 
         assert engine_agreement_check(300, n_max=18, M_max=19, seed=42) == []
+
+
+def rooted_shape_id(t: Tree, r: int) -> int:
+    """The engine's shape id of t rooted at r: t hangs by r from a new vertex
+    0 beside a path on t.n vertices, so it holds at most half the vertices."""
+    n = t.n
+    edges = [(0, 1 + r)] + [(1 + a, 1 + b) for a, b in t.edges]
+    edges += [(n + k, n + k + 1) for k in range(1, n)] + [(0, n + 1)]
+    _, shape = spectrum_mod._rooted_shapes(Tree.from_edges(2 * n + 1, edges))
+    return shape[1 + r]
+
+
+def relabelled(t: Tree, rng: random.Random) -> Tree:
+    perm = list(range(t.n))
+    rng.shuffle(perm)
+    return Tree.from_edges(t.n, [(perm[a], perm[b]) for a, b in t.edges])
+
+
+@pytest.fixture
+def cold_tables():
+    """Empties the tree engine's shape and state tables; call it to empty
+    them again."""
+
+    def clear():
+        spectrum_mod._shape_ids.clear()
+        spectrum_mod._states.clear()
+        spectrum_mod._rooted_shapes.cache_clear()
+
+    clear()
+    yield clear
+    clear()
+
+
+class TestSubtreeInterning:
+    def test_shape_ids_are_rooted_isomorphism_classes(self):
+        # every rooting of every tree, as enumerated and relabelled at random
+        rng = random.Random(1974)
+        id_of, code_of = {}, {}
+        for n in range(1, 11):
+            for t in enumerate_trees(n):
+                for u in (t, relabelled(t, rng)):
+                    for r in range(n):
+                        shape, code = rooted_shape_id(u, r), _rooted_code(u, r)
+                        assert id_of.setdefault(code, shape) == shape, (u.edges, r)
+                        assert code_of.setdefault(shape, code) == code, (u.edges, r)
+        assert len(id_of) == sum(len(_rooted_codes(size)) for size in range(1, 11))
+
+    def test_tables_stay_bounded_in_the_sweep(self, cold_tables):
+        sweep(SweepConfig(n_max=12, M_max=15, worker_count=1))
+        # ids only for subtrees of at most 12 // 2 = 6 vertices: there are
+        # 37 rooted trees on at most 6 vertices
+        assert len(spectrum_mod._shape_ids) <= 37
+        assert len(spectrum_mod._states) == len(spec_orbits(15))
+        assert all(len(rows) <= 37 for rows in spectrum_mod._states.values())
+
+    def test_warm_tables_are_invisible(self, cold_tables):
+        # each tree as enumerated (rooted at a centroid) and relabelled at
+        # random; cold: empty tables for every call, warm: never emptied
+        rng = random.Random(2011)
+        trees = [
+            u for n in range(1, 10) for t in enumerate_trees(n) for u in (t, relabelled(t, rng))
+        ]
+        rng.shuffle(trees)
+        orbits = [mu for mu, _ in spec_orbits(12)]
+        cold = []
+        for t in trees:
+            row = []
+            for mu in orbits:
+                cold_tables()
+                row.append(rank_nullity(t, mu))
+            cold.append(row)
+        cold_tables()
+        warm = [[rank_nullity(t, mu) for mu in orbits] for t in trees]
+        assert warm == cold
 
 
 class TestEigenSupportAudit:

@@ -4,9 +4,11 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 
 import pytest
 
+from oracles import random_tree_edges_by_scan
 from treemult.cli import main
 from treemult.families import BROAD, STRICT
 from treemult.tree import emit_graph6, spider_tree, star_tree
@@ -14,6 +16,7 @@ from treemult.verify import (
     AuditReport,
     SweepConfig,
     Tally,
+    _random_tree_edges,
     chebyshev_completeness_audit,
     engine_agreement_check,
     lemma_suite,
@@ -249,6 +252,17 @@ class TestAudit:
 
 
 class TestEngineAgreement:
+    def test_heap_decoder_matches_scan_oracle(self):
+        # same edges and the same draws from rng, so the agreement check
+        # keeps testing the same trees
+        for n in range(1, 41):
+            for seed in range(50):
+                heap_rng, scan_rng = random.Random(seed), random.Random(seed)
+                assert _random_tree_edges(n, heap_rng) == random_tree_edges_by_scan(
+                    n, scan_rng
+                ), (n, seed)
+                assert heap_rng.random() == scan_rng.random()
+
     def test_random_pairs_single_worker(self):
         assert engine_agreement_check(100, n_max=12, M_max=13, seed=7) == []
 
