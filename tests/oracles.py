@@ -3,7 +3,8 @@
 Everything here is deliberately dumb: Prufer-sequence enumeration for tree
 counts, a scan per step for decoding random Prufer sequences, cofactor
 expansion for characteristic polynomials, greedy leaf matching for the
-nullity at zero, dense elimination for the nullity at any eigenvalue.  Slow, obvious, and algorithmically unrelated to what they check.
+nullity at zero, dense elimination for the nullity at any eigenvalue.
+Slow, obvious, and algorithmically unrelated to what they check.
 """
 
 from __future__ import annotations
