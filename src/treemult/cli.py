@@ -245,7 +245,9 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    return _print_counts(Tally.read(args.path), args.format)
+    tally = Tally.read(args.path)
+    tally.check_summary(args.path + ".summary.json")
+    return _print_counts(tally, args.format)
 
 
 def build_parser() -> argparse.ArgumentParser:

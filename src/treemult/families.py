@@ -23,6 +23,16 @@ splits at its major vertices depends on the tree alone, so each piece is
 split once per tree and every eigenvalue and mode classified on that tree
 reuses the result; the cache is emptied when another tree comes in, so it
 never holds more than one tree's pieces.
+
+Both families join paths at major vertices, so the lengths of those paths
+already decide most trees.  A piece's segments are its legs (a pendant
+vertex up to the nearest major vertex) and its inner paths between two
+majors; a segment is defective when M does not divide its length plus one.
+For k >= 1 a piece is in GAMMA(k) exactly when no segment is defective, and
+a GAMMA2(k) piece has 1 or 3 defective segments (the argument is at
+_defective).  The segment sizes are cached with the piece's cuts, and the
+clause search runs only on the pieces that pass, so it finds the same
+witnesses and stops early on non-members.
 """
 
 from __future__ import annotations
@@ -39,7 +49,6 @@ from treemult.tree import (
     canonical_code,
     induced,
     is_path,
-    major_count,
     major_vertices,
     path_tree,
     pendant_vertices,
@@ -130,11 +139,11 @@ def is_gamma2_0(t: Tree, lam: LambdaSpec, mode: Gamma2Mode = BROAD) -> bool:
 # -- recursive membership ------------------------------------------------------
 
 # A piece is a connected tuple of vertex ids of the tree being classified.
-# memo: piece -> its cuts (see _cuts).  The decomposition of a piece at its
-# major vertices depends on neither lambda nor the mode, so every orbit and
-# mode classified on one tree reads the same entries; classify clears the
-# memo when it gets a different tree, so it holds one tree's pieces.  It is
-# per process state, not for concurrent classification from several threads.
+# memo: piece -> its segment sizes and cuts (see _cuts).  Neither depends on
+# lambda or the mode, so every orbit and mode classified on one tree reads
+# the same entries; classify clears the memo when it gets a different tree,
+# so it holds one tree's pieces.  It is per process state, not for
+# concurrent classification from several threads.
 _member_memo: dict = {}
 _memo_tree: Tree | None = None
 
@@ -145,27 +154,74 @@ def _carries(t: Tree, lam: LambdaSpec) -> bool:
 
 
 def _cuts(t: Tree, piece: tuple[int, ...]):
-    """One (w, components, shapes) per major vertex w of the piece, in piece
-    order: the components of piece - w from split (attach vertex first),
-    and per component (is a path, degree of the attach vertex in it).  Of a
+    """The piece's segment sizes and one (w, components, shapes) per major
+    vertex w of the piece, in piece order.
+
+    A segment is a leg (a pendant vertex up to its nearest major vertex, the
+    major excluded) or an inner path between two majors, counted once; its
+    size is L + 1, where L is the leg's vertex count or the inner path's
+    number of degree-2 vertices, all in piece degrees.  A path has none.
+
+    The components of piece - w come from split (attach vertex first), and
+    per component (is a path, degree of the attach vertex in it).  Of a
     component's vertices only the attach vertex loses an edge, the one to w;
     the join lands on a pendant vertex exactly when that degree is <= 1
     (0 for a one-vertex component)."""
-    cuts = _member_memo.get(piece)
-    if cuts is None:
+    entry = _member_memo.get(piece)
+    if entry is None:
         inside = set(piece)
         deg = {v: len(inside.intersection(t.adj[v])) for v in piece}
-        cuts = []
+        segments, cuts = [], []
         for w in piece:
             if deg[w] >= 3:
+                # walk each segment from w to its far end; an inner path is
+                # walked from both of its majors and kept from the smaller
+                for v in inside.intersection(t.adj[w]):
+                    prev, size = w, 1
+                    while deg[v] == 2:
+                        prev, v = v, next(u for u in t.adj[v] if u != prev and u in inside)
+                        size += 1
+                    if deg[v] == 1:
+                        segments.append(size + 1)
+                    elif w < v:
+                        segments.append(size)
                 comps = split(t, piece, w)
                 shapes = []
                 for c in comps:
                     attach = deg[c[0]] - 1
                     shapes.append((attach <= 2 and all(deg[v] <= 2 for v in c[1:]), attach))
                 cuts.append((w, comps, shapes))
-        _member_memo[piece] = cuts
-    return cuts
+        entry = _member_memo[piece] = (segments, cuts)
+    return entry
+
+
+def _defective(segments: list[int], M: int) -> int:
+    """How many segments have M not dividing their size L + 1.
+
+    Both families are cut from this count alone, before any search:
+
+    * For k >= 1, a piece is in GAMMA(k) exactly when no segment is
+      defective.  At level 1 the segments are the legs of a spider, and each
+      must be a GAMMA(0) path.  At level k >= 2 peel an outer major w, one
+      with a single inner path: the deep component meets w through that
+      path, whose first vertex is a pendant of the component (a zero-length
+      path would be defective), and the path becomes the component's leg
+      with the same L; the other components are the legs at w.  So the
+      piece has no defective segment iff the legs at w are GAMMA(0) paths
+      and the deep component has none, which by induction is GAMMA(k - 1).
+    * A GAMMA2(k) piece, k >= 1, has 1 or 3 defective segments.  A base
+      GAMMA2 path is defective as a leg in either mode (M >= 2).  Clause (a)
+      gives three such legs, clause (b) one.  Clause (1) turns the GAMMA2
+      component's leg at its attach vertex into an inner path of the same
+      L, so it keeps the component's count; clause (3) does the same to a
+      GAMMA component, which has none, and adds one base GAMMA2 leg.
+      Clause (2) adds the zero-length inner path from w to the attach
+      vertex to a GAMMA component.  When that vertex had degree 2 and is
+      promoted to major, it also splits the segment (or path) it lay on
+      into two parts whose sizes add up to the old size, a multiple of M,
+      so the two parts are both defective or neither is.
+    """
+    return sum(1 for size in segments if size % M)
 
 
 def _step(w: int, clause: str, comps, labels, sub: tuple) -> tuple[WitnessStep, ...]:
@@ -178,11 +234,13 @@ def _gamma(t: Tree, piece: tuple[int, ...], M: int, k: int, verdicts: dict):
     pendant in their components; at level 1 every component is a base path,
     above that exactly one component is a GAMMA(k-1) member and the rest are
     base paths."""
-    cuts = _cuts(t, piece)
+    segments, cuts = _cuts(t, piece)
     if len(cuts) != k:
         return None
     if k == 0:
         return () if _gamma0_path_size(len(piece), M) else None
+    if _defective(segments, M):
+        return None
     key = (piece, FamilyKind.GAMMA)
     if key in verdicts:
         return verdicts[key]
@@ -227,11 +285,13 @@ def _gamma2(
     count minus two even though lambda is an eigenvalue of the whole tree.
     """
     M = lam.M
-    cuts = _cuts(t, piece)
+    segments, cuts = _cuts(t, piece)
     if len(cuts) != k:
         return None
     if k == 0:
         return () if _gamma2_0_path_size(len(piece), M, mode) else None
+    if _defective(segments, M) not in (1, 3):
+        return None
     key = (piece, FamilyKind.GAMMA2)
     if key in verdicts:
         return verdicts[key]
@@ -313,7 +373,8 @@ def classify(t: Tree, lam: LambdaSpec, mode: Gamma2Mode = BROAD) -> FamilyResult
     # vertices is searched once per order of deleting them, which grows
     # exponentially with the major count.
     verdicts: dict = {}
-    piece, k = tuple(range(t.n)), major_count(t)
+    piece = tuple(range(t.n))
+    k = len(_cuts(t, piece)[1])
     chain = _gamma(t, piece, lam.M, k, verdicts)
     if chain is not None:
         return FamilyResult(FamilyKind.GAMMA, k, chain)

@@ -26,6 +26,14 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from multiprocessing import Pool
 
+try:
+    # CPython's builtin digest (named _sha256 up to 3.11): importing hashlib
+    # loads OpenSSL, which adds about 3.5 MB to the peak RSS of every process
+    # importing this module, the agreement check's included
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
+
 from treemult.families import (
     BROAD,
     STRICT,
@@ -74,7 +82,9 @@ class IoFailureError(Exception):
 
 
 class MalformedRecordError(ValueError):
-    """A record-file line is not a sweep record; the message names path:line."""
+    """A record file is not what a sweep wrote: a line is not a sweep record
+    (the message names path:line), or the file's record count or digest
+    differs from its summary's."""
 
 
 CONSISTENT = "CONSISTENT"
@@ -123,6 +133,7 @@ class Tally:
     eq_top_violations: int = 0  # m = p - 1 equivalence
     eq_second: dict = field(default_factory=dict)  # mode -> violation count
     strict_discrepancies: list = field(default_factory=list)
+    records_sha256: str | None = None  # of the record file, when one was written
 
     def add(self, rec: dict) -> None:
         self.trees.add(rec["tree"])
@@ -151,20 +162,43 @@ class Tally:
     def read(cls, path: str) -> "Tally":
         """Tally an existing record file (the `report` CLI path)."""
         tally = cls()
+        digest = sha256()
         try:
-            with open(path, "r", encoding="utf-8") as f:
+            with open(path, "rb") as f:
                 for lineno, line in enumerate(f, 1):
+                    digest.update(line)
                     if not line.strip():
                         continue
                     try:
-                        tally.add(json.loads(line))
+                        tally.add(json.loads(line.decode("utf-8")))
                     except (ValueError, KeyError, TypeError, AttributeError) as exc:
                         raise MalformedRecordError(
                             f"{path}:{lineno}: not a sweep record ({exc!r})"
                         ) from exc
         except OSError as exc:
             raise IoFailureError(f"cannot read {path}: {exc}") from exc
+        tally.records_sha256 = digest.hexdigest()
         return tally
+
+    def check_summary(self, summary_path: str) -> None:
+        """Raise MalformedRecordError unless the record count and digest
+        equal those the sweep wrote to summary_path; a missing summary is
+        not checked, so a bare record file can still be re-summarized."""
+        if not os.path.exists(summary_path):
+            return
+        try:
+            with open(summary_path, encoding="utf-8") as f:
+                summary = json.load(f)
+        except OSError as exc:
+            raise IoFailureError(f"cannot read {summary_path}: {exc}") from exc
+        if not isinstance(summary, dict):
+            raise MalformedRecordError(f"{summary_path} is not a sweep summary")
+        for key, got in (("records", self.record_count), ("records_sha256", self.records_sha256)):
+            if summary.get(key) != got:
+                raise MalformedRecordError(
+                    f"{summary_path} says {key}={summary.get(key)!r} "
+                    f"but the record file has {got!r}"
+                )
 
     @property
     def tree_count(self) -> int:
@@ -218,6 +252,7 @@ class SweepReport(Tally):
                 "workers": self.config.worker_count,
             },
             **head,
+            "records_sha256": self.records_sha256,
             "engine_mismatches": 0,  # a mismatch aborts before the summary
             **counts,
             "strict_discrepancy_examples": self.strict_discrepancies[:20],
@@ -352,16 +387,22 @@ def sweep(config: SweepConfig) -> SweepReport:
 
 
 def _aggregate(results, report: SweepReport, sink) -> None:
+    """Tally the records and stream them to sink, hashing the bytes written."""
+    digest = sha256()
     for result in results:
         if "mismatch" in result:
             raise EngineMismatchError(json.dumps(result["mismatch"]))
         for rec in result["records"]:
             report.add(rec)
             if sink is not None:
+                line = json.dumps(rec, sort_keys=False) + "\n"
+                digest.update(line.encode("utf-8"))
                 try:
-                    sink.write(json.dumps(rec, sort_keys=False) + "\n")
+                    sink.write(line)
                 except OSError as exc:
                     raise IoFailureError(str(exc)) from exc
+    if sink is not None:
+        report.records_sha256 = digest.hexdigest()
 
 
 # -- property suites -----------------------------------------------------------

@@ -3,7 +3,8 @@
 Everything here is deliberately dumb: Prufer-sequence enumeration for tree
 counts, a scan per step for decoding random Prufer sequences, cofactor
 expansion for characteristic polynomials, greedy leaf matching for the
-nullity at zero, dense elimination for the nullity at any eigenvalue.
+nullity at zero, dense elimination for the nullity at any eigenvalue,
+deleting the major vertices for the lengths of legs and inner paths.
 Slow, obvious, and algorithmically unrelated to what they check.
 """
 
@@ -74,6 +75,39 @@ def count_free_trees_bruteforce(n: int) -> int:
     """Number of isomorphism classes of trees on n vertices, by generating
     all labeled trees and deduplicating on canonical codes."""
     return len({canonical_code(t) for t in all_labeled_trees(n)})
+
+
+def segment_lengths(t: Tree) -> list[int]:
+    """Lengths of the legs and inner paths of t, one entry per segment.
+
+    Delete every vertex of degree >= 3: each component left is a path that
+    is either a leg or the interior of an inner path, and its length is its
+    vertex count; each edge joining two deleted vertices is an inner path of
+    length 0.  A path has no vertex of degree >= 3 and no segments."""
+    major = {v for v in range(t.n) if t.degree(v) >= 3}
+    if not major:
+        return []
+    lengths = [0 for u, v in t.edges if u in major and v in major]
+    seen = set(major)
+    for start in range(t.n):
+        if start in seen:
+            continue
+        seen.add(start)
+        stack, size = [start], 0
+        while stack:
+            u = stack.pop()
+            size += 1
+            for w in t.adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        lengths.append(size)
+    return lengths
+
+
+def defective_segments(t: Tree, M: int) -> int:
+    """Segments of t whose length L has M not dividing L + 1."""
+    return sum(1 for length in segment_lengths(t) if (length + 1) % M)
 
 
 def charpoly_by_cofactors(t: Tree) -> Polynomial:

@@ -213,6 +213,39 @@ class TestVerifyAuditReport:
         assert err.startswith(f"error: {path}:2: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("damage", ["none", "cut", "appended", "swapped"])
+    def test_report_checks_count_and_digest(self, capsys, tmp_path, damage):
+        # the summary beside a record file pins its record count and sha256:
+        # a file cut by a line, or carrying a record of another sweep, fails
+        out_path = tmp_path / "rec.jsonl"
+        code, _, _ = run(
+            capsys, "verify", "--n-max", "5", "--m-max", "5", "--workers", "1",
+            "--out", str(out_path),
+        )
+        assert code == 0
+        other = tmp_path / "other.jsonl"
+        code, _, _ = run(
+            capsys, "verify", "--n-min", "6", "--n-max", "6", "--m-max", "2",
+            "--workers", "1", "--out", str(other),
+        )
+        assert code == 0
+        lines = out_path.read_text().splitlines(keepends=True)
+        foreign = other.read_text().splitlines(keepends=True)[0]
+        if damage == "cut":
+            lines.pop()
+        elif damage == "appended":
+            lines.append(foreign)
+        elif damage == "swapped":
+            lines[-1] = foreign
+        out_path.write_text("".join(lines))
+        code, out, err = run(capsys, "report", str(out_path))
+        if damage == "none":
+            assert code == 0 and "bound violations: 0" in out
+        else:
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and "Traceback" not in err
+            assert ("records_sha256" if damage == "swapped" else "records=") in err
+
     def test_verify_and_report_print_same_counts(self, capsys, tmp_path):
         out_path = tmp_path / "rec.jsonl"
         code, out, _ = run(

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from oracles import defective_segments
 from treemult import families
 from treemult.families import (
     BROAD,
@@ -217,6 +218,50 @@ class TestClassify:
                         got = classify(relabelled, spec, mode)
                         assert got.tag == want.tag
                         assert replay_witness(relabelled, got)
+
+
+class TestSegments:
+    """The segment tests classify runs before its clause search, checked
+    against the oracle that finds legs and inner paths by deleting majors."""
+
+    def test_gamma_is_exactly_no_defective_segment(self):
+        for n in range(1, 13):
+            for t in enumerate_trees(n):
+                k = major_count(t)
+                for _, specs in spec_orbits(8):
+                    rep = specs[0]
+                    if k == 0:
+                        want = (n + 1) % rep.M == 0
+                    else:
+                        want = defective_segments(t, rep.M) == 0
+                    assert classify(t, rep).is_gamma() == want, (t.edges, str(rep))
+
+    def test_generated_members_pass_the_segment_tests(self):
+        for spec in all_specs(6):
+            for mode in (BROAD, STRICT):
+                for family in (FamilyKind.GAMMA, FamilyKind.GAMMA2):
+                    allowed = {0} if family is FamilyKind.GAMMA else {1, 3}
+                    for k in range(1, 4):
+                        for t in generate(family, k, spec, 14, mode):
+                            assert defective_segments(t, spec.M) in allowed, (t.edges, str(spec))
+                            res = classify(t, spec, mode)
+                            assert (res.kind, res.k) == (family, k), (t.edges, str(spec))
+
+    @pytest.mark.parametrize("mode", [BROAD, STRICT])
+    def test_three_defective_segments_through_promoted_attach(self, mode):
+        # clause (2), promoted shape: the GAMMA(0) path 12-0-1-...-6 joined
+        # at its degree-2 vertex 0 to a new major 7 with two GAMMA(0) legs;
+        # at M = 3 the legs 12 and 1..6 and the zero-length path 0-7 are
+        # defective, the legs 8-9 and 10-11 are not
+        edges = [(12, 0)] + [(v, v + 1) for v in range(6)]
+        edges += [(0, 7), (7, 8), (8, 9), (7, 10), (10, 11)]
+        t = Tree.from_edges(13, edges)
+        assert defective_segments(t, LAMBDA_1.M) == 3
+        res = classify(t, LAMBDA_1, mode)
+        assert res.tag == "GAMMA2(2)"
+        assert res.witness[0].vertex == 7
+        assert "gamma(0)|non-pendant" in dict(res.witness[0].components).values()
+        assert replay_witness(t, res)
 
 
 class TestGenerate:

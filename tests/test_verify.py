@@ -127,6 +127,15 @@ class TestSweep:
         assert summary["pendant_minus_two"]["broad"] == {"violations": 0}
         assert "discrepancies" in summary["pendant_minus_two"]["strict"]
 
+    def test_summary_records_sha256(self, tmp_path):
+        config = small_config(tmp_path, n_max=5, M_max=4)
+        report = sweep(config)
+        summary = json.load(open(report.summary_path, encoding="utf-8"))
+        digest = hashlib.sha256(open(config.output_path, "rb").read()).hexdigest()
+        assert summary["records_sha256"] == digest
+        assert Tally.read(config.output_path).records_sha256 == digest
+        assert sweep(small_config(n_max=5, M_max=4)).records_sha256 is None
+
     def test_summarize_records_roundtrip(self, tmp_path):
         config = small_config(tmp_path, n_max=6, M_max=5)
         report = sweep(config)
