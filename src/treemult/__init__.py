@@ -30,11 +30,7 @@ from treemult.tree import (
     parse_graph6,
     pendant_count,
 )
-from treemult.spectrum import (
-    char_poly,
-    eigen_support_audit,
-    multiplicity,
-)
+from treemult.spectrum import char_poly, multiplicity
 from treemult.families import (
     BROAD,
     STRICT,

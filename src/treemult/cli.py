@@ -82,11 +82,11 @@ def _parse_modes(text: str) -> tuple[Gamma2Mode, ...]:
 
 def _input_trees(args) -> list[Tree]:
     """Resolve the tree input source; stdin supplies one graph6 per line."""
-    if args.graph6:
+    if args.graph6 is not None:
         return [parse_graph6(args.graph6)]
-    if args.edges:
+    if args.edges is not None:
         return [parse_edge_text(args.edges)]
-    if args.json_file:
+    if args.json_file is not None:
         with open(args.json_file, "r", encoding="utf-8") as f:
             return [load_edge_json(f.read())]
     trees = []
@@ -223,9 +223,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    report = chebyshev_completeness_audit(
-        args.n_max, tree_limit=max(args.n_max, DEFAULT_ENUMERATION_LIMIT)
-    )
+    report = chebyshev_completeness_audit(args.n_max)
     payload = {
         "trees_checked": report.trees_checked,
         "flags": report.flags,

@@ -23,19 +23,10 @@ abort, instead of both reading the same wrong entry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
 
-from treemult.poly import (
-    Polynomial,
-    LambdaSpec,
-    NonDivisibleError,
-    exact_div,
-    minimal_poly,
-    spec_orbits,
-    squarefree_decompose,
-)
+from treemult.poly import LambdaSpec, Polynomial, minimal_poly
 from treemult.tree import Tree, bfs_order
 
 
@@ -220,76 +211,3 @@ def rank_nullity(t: Tree, mu: Polynomial) -> int:
     value, nullity = state[0]
     return nullity + int(value is not None and not any(value[0]))
 
-
-# -- all-eigenvalue audit ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EigenSupportProfile:
-    """Squarefree structure of char_poly(T) with its path-type eigenvalue
-    content made explicit.
-
-    parts: the squarefree decomposition (factor, multiplicity-level).
-    cover: per level, the minimal polynomials dividing that factor together
-        with the eigenvalue specs sharing each one.
-    residue: per level, the cofactor left after removing every path-type
-        factor with denominator at most M_max; a nonconstant residue at level
-        k certifies an eigenvalue of multiplicity exactly k that is not of
-        the form 2*cos(i*pi/M) with M <= M_max.
-    """
-
-    tree: Tree
-    M_max: int
-    parts: tuple[tuple[Polynomial, int], ...]
-    cover: tuple[tuple[int, tuple[tuple[Polynomial, tuple[LambdaSpec, ...]], ...]], ...]
-    residue: tuple[tuple[int, Polynomial], ...]
-
-    def cover_at(self, level: int) -> tuple[tuple[Polynomial, tuple[LambdaSpec, ...]], ...]:
-        for k, entries in self.cover:
-            if k == level:
-                return entries
-        return ()
-
-    def residue_at(self, level: int) -> Polynomial | None:
-        for k, res in self.residue:
-            if k == level:
-                return res
-        return None
-
-    def specs_at(self, level: int) -> list[LambdaSpec]:
-        return [s for _, specs in self.cover_at(level) for s in specs]
-
-
-def eigen_support_audit(t: Tree, M_max: int | None = None) -> EigenSupportProfile:
-    """Squarefree-decompose char_poly(T) and divide every path-type minimal
-    polynomial with denominator <= M_max out of each part.
-
-    M_max defaults to n + 1, which covers every eigenvalue a path inside T
-    can contribute; a larger value only widens the candidate set.
-    """
-    if M_max is None:
-        M_max = t.n + 1
-    if M_max < t.n + 1:
-        raise ValueError(f"M_max = {M_max} below n + 1 = {t.n + 1}")
-    parts = tuple(squarefree_decompose(char_poly(t)))
-    cover = []
-    residue = []
-    for g, k in parts:
-        found = []
-        rest = g
-        for mu, specs in spec_orbits(M_max):
-            if mu.degree <= rest.degree:
-                try:
-                    rest = exact_div(rest, mu)
-                except NonDivisibleError:
-                    continue
-                found.append((mu, specs))
-        cover.append((k, tuple(found)))
-        residue.append((k, rest))
-    return EigenSupportProfile(
-        tree=t,
-        M_max=M_max,
-        parts=parts,
-        cover=tuple(cover),
-        residue=tuple(residue),
-    )

@@ -410,7 +410,8 @@ def parse_graph6(text: str) -> Tree:
 def parse_edge_text(text: str) -> Tree:
     """Parse the inline "u-v,u-v,..." edge syntax (0-based ids).
 
-    A bare nonnegative integer denotes the single-vertex tree on that id 0.
+    The bare text "0" denotes the single-vertex tree; no other text without
+    an edge is accepted.
     """
     s = text.strip()
     if not s:

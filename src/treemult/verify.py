@@ -12,7 +12,9 @@ Also provides executable property suites for the supporting facts the
 family machinery rests on (Parter vertices, branch multiplicity drop,
 pendant deletion inside GAMMA members, simplicity of path eigenvalues) and
 an all-eigenvalue audit that looks for high-multiplicity eigenvalues not of
-the path form 2*cos(i*pi/M).
+the path form 2*cos(i*pi/M): the division engine divides every path-type
+minimal polynomial out of the characteristic polynomial, and the squarefree
+decomposition of what is left gives those eigenvalues level by level.
 """
 
 from __future__ import annotations
@@ -44,15 +46,16 @@ from treemult.families import (
 )
 from treemult.poly import (
     LambdaSpec,
+    Polynomial,
     all_specs,
     degree_complete_M_max,
-    exact_div,  # unused here; perfbench/tracer.py wraps it on this module
+    exact_div,
     path_charpoly,
     spec_orbits,
+    squarefree_decompose,
 )
 from treemult.spectrum import (
     char_poly,
-    eigen_support_audit,
     factor_multiplicity,
     multiplicity,
     rank_nullity,
@@ -581,39 +584,47 @@ class AuditReport:
     scope_notes: list = field(default_factory=list)
 
 
-def chebyshev_completeness_audit(
-    n_max: int, tree_limit: int = DEFAULT_ENUMERATION_LIMIT
-) -> AuditReport:
+def non_path_parts(t: Tree, orbits) -> list[tuple[Polynomial, int]]:
+    """The squarefree decomposition of char_poly(t) once every orbit's
+    minimal polynomial mu has been divided out as often as it divides: each
+    part g at level k holds the eigenvalues of multiplicity exactly k that no
+    orbit carries."""
+    rest = char_poly(t)
+    for mu, _ in orbits:
+        m = factor_multiplicity(rest, mu)
+        if m:
+            rest = exact_div(rest, mu**m)
+    return squarefree_decompose(rest)
+
+
+def chebyshev_completeness_audit(n_max: int) -> AuditReport:
     """Look for eigenvalues at the top multiplicity levels that are not of
     the path form 2*cos(i*pi/M).
 
-    A nonconstant non-path residue at squarefree level k >= max(2, p - 2)
-    would be a candidate the family machinery cannot label and is flagged.
-    Level-1 residues on trees with exactly three pendant vertices realize
-    m = 1 = p - 2 with an eigenvalue outside the path parameterization;
-    those are recorded as scope notes, not flags.
+    A non-path part at squarefree level k >= max(2, p - 2) would be a
+    candidate the family machinery cannot label and is flagged.  Level-1
+    parts on trees with exactly three pendant vertices realize m = 1 = p - 2
+    with an eigenvalue outside the path parameterization; those are
+    recorded as scope notes, not flags.
 
-    The candidate denominator bound is degree-complete (every M whose
-    minimal polynomial could divide a degree-n characteristic polynomial),
-    so a residue here is non-path-type absolutely, not merely up to a cap.
+    The orbit table is degree-complete (every M whose minimal polynomial
+    could divide a degree-n characteristic polynomial), so a part here is
+    non-path-type absolutely, not merely up to a cap.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     report = AuditReport()
     for n in range(1, n_max + 1):
-        M_cap = max(degree_complete_M_max(n), n + 1)
-        for t in enumerate_trees(n, tree_limit):
+        orbits = spec_orbits(max(degree_complete_M_max(n), n + 1))
+        for t in enumerate_trees(n, n_max):
             report.trees_checked += 1
-            profile = eigen_support_audit(t, M_max=M_cap)
             p = pendant_count(t)
-            for k, residue in profile.residue:
-                if residue.is_constant():
-                    continue
+            for part, k in non_path_parts(t, orbits):
                 entry = {
                     "tree": emit_graph6(t),
                     "level": k,
                     "p": p,
-                    "residue": list(residue.coeffs),
+                    "residue": list(part.coeffs),
                 }
                 if k >= max(2, p - 2):
                     report.flags.append(entry)

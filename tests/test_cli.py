@@ -178,6 +178,15 @@ class TestVerifyAuditReport:
         assert code == 0
         assert "flags: 0" in out
 
+    def test_audit_output_hash(self, capsys):
+        # every flag and scope note of every tree with n <= 10, pinned byte
+        # for byte
+        code, out, _ = run(capsys, "audit", "--n-max", "10", "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "49ae70a98865f0e5857a4a278faa3fd4319c425237eabf740692376b7514c8cd"
+        )
+
     def test_report_exit_1_on_violations(self, capsys, tmp_path):
         # exit-code contract: broad-mode violations in the record file flip
         # the status to 1 (no real sweep produces one, so build the line)
@@ -283,6 +292,14 @@ class TestErrors:
         path = tmp_path / "tree.json"
         path.write_text(text)
         code, out, err = run(capsys, "mult", "--json", str(path), "--lambda", "1/2")
+        assert code == 2
+        assert err.startswith("error: ") and out == ""
+
+    @pytest.mark.parametrize("flag", ["--graph6", "--edges", "--json"])
+    def test_empty_tree_argument_exits_2(self, capsys, monkeypatch, flag):
+        # an empty argument is an input error, not a request to read stdin
+        monkeypatch.setattr("sys.stdin", io.StringIO("Bg\n"))
+        code, out, err = run(capsys, "mult", flag, "", "--lambda", "1/2")
         assert code == 2
         assert err.startswith("error: ") and out == ""
 

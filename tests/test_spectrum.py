@@ -1,5 +1,6 @@
-"""Characteristic polynomials, the two multiplicity engines, and the
-all-eigenvalue support audit."""
+"""Characteristic polynomials, the two multiplicity engines, and what the
+characteristic polynomial leaves once every path-type factor is divided out
+(the all-eigenvalue audit's pass)."""
 
 import random
 
@@ -12,7 +13,6 @@ from treemult.poly import LambdaSpec, Polynomial, all_specs, path_charpoly, spec
 from treemult.spectrum import (
     char_poly,
     char_poly_rooted,
-    eigen_support_audit,
     factor_multiplicity,
     multiplicity,
     rank_nullity,
@@ -28,7 +28,7 @@ from treemult.tree import (
     split,
     star_tree,
 )
-from treemult.verify import SweepConfig, sweep
+from treemult.verify import SweepConfig, non_path_parts, sweep
 
 
 def P(*coeffs):
@@ -241,7 +241,7 @@ class TestRankEngine:
             raise AssertionError("the tree engine reached the division engine")
 
         monkeypatch.setattr(spectrum_mod, "char_poly", unreachable)
-        monkeypatch.setattr(spectrum_mod, "exact_div", unreachable)
+        monkeypatch.setattr(poly_mod, "exact_div", unreachable)
         monkeypatch.setattr(poly_mod, "divmod_poly", unreachable)
         for t, mu, expected in cases:
             assert rank_nullity(t, mu) == expected, (t.edges, mu)
@@ -327,53 +327,48 @@ class TestSubtreeInterning:
 
 
 class TestEigenSupportAudit:
+    """The audit's pass, `non_path_parts`: what char_poly leaves once every
+    orbit's minimal polynomial is divided out."""
+
     def test_path3(self):
-        profile = eigen_support_audit(path_tree(3))
-        assert [(g, k) for g, k in profile.parts] == [(P(0, -2, 0, 1), 1)]
-        level1 = {(s.i, s.M) for s in profile.specs_at(1)}
-        assert (1, 2) in level1 and (1, 4) in level1
-        assert profile.residue_at(1).is_constant()
+        t = path_tree(3)
+        assert non_path_parts(t, []) == [(P(0, -2, 0, 1), 1)]
+        assert non_path_parts(t, spec_orbits(7)) == []
 
     def test_star_k13(self):
-        # the sqrt(3) pair needs M = 6, above the n + 1 default
-        profile = eigen_support_audit(star_tree(3), M_max=7)
-        assert {(s.i, s.M) for s in profile.specs_at(2)} == {(1, 2)}
-        level1 = {(s.i, s.M) for s in profile.specs_at(1)}
-        assert (1, 6) in level1 and (5, 6) in level1
-        assert profile.residue_at(1).is_constant()
-        assert profile.residue_at(2).is_constant()
+        # 0 at level 2 has M = 2; the sqrt(3) pair needs M = 6
+        t = star_tree(3)
+        assert non_path_parts(t, spec_orbits(5)) == [(P(-3, 0, 1), 1)]
+        assert non_path_parts(t, spec_orbits(7)) == []
 
     def test_spider_124_residue_depends_on_candidate_bound(self):
         # no path eigenvalue with denominator <= n + 1 = 9 divides this
-        # charpoly, so the default audit leaves the whole octic as residue...
-        profile = eigen_support_audit(spider_tree(1, 2, 4))
-        assert len(profile.parts) == 1 and profile.parts[0][1] == 1
-        residue = profile.residue_at(1)
-        assert residue == P(1, 0, -8, 0, 14, 0, -7, 0, 1)
+        # charpoly, so the whole octic is left at level 1...
+        t = spider_tree(1, 2, 4)
+        assert non_path_parts(t, spec_orbits(9)) == [(P(1, 0, -8, 0, 14, 0, -7, 0, 1), 1)]
         # ...yet the octic is exactly the minimal polynomial of 2cos(pi/30):
         # the whole spectrum is path-type with denominator 30
-        wide = eigen_support_audit(spider_tree(1, 2, 4), M_max=30)
-        assert wide.residue_at(1).is_constant()
-        assert {(s.i, s.M) for s in wide.specs_at(1)} == {
-            (i, 30) for i in (1, 7, 11, 13, 17, 19, 23, 29)
-        }
+        assert non_path_parts(t, spec_orbits(30)) == []
+
+    def test_repeated_branches_leave_level_two(self):
+        # three K_{1,4} joined at their centres to one new vertex: each
+        # branch carries +-2, which no 2cos(i*pi/M) reaches, so +-2 is left
+        # at level 2 (three branches less one) and +-sqrt(7) at level 1
+        edges = []
+        for c in (1, 6, 11):
+            edges += [(0, c)] + [(c, c + j) for j in range(1, 5)]
+        t = Tree.from_edges(16, edges)
+        assert non_path_parts(t, spec_orbits(17)) == [(P(-7, 0, 1), 1), (P(-4, 0, 1), 2)]
 
     def test_product_reassembles(self):
+        # char_poly = prod g^k over the parts times prod mu^m over the orbits,
+        # m counted on the whole char_poly
         for n in range(1, 9):
+            orbits = spec_orbits(n + 1)
             for t in enumerate_trees(n):
-                profile = eigen_support_audit(t)
                 product = Polynomial((1,))
-                for (k, entries), (_, residue) in zip(profile.cover, profile.residue):
-                    part = residue
-                    for mu, _ in entries:
-                        part = part * mu
-                    product = product * part**k
+                for g, k in non_path_parts(t, orbits):
+                    product = product * g**k
+                for mu, _ in orbits:
+                    product = product * mu ** factor_multiplicity(char_poly(t), mu)
                 assert product == char_poly(t)
-
-    def test_rejects_small_m_max(self):
-        with pytest.raises(ValueError):
-            eigen_support_audit(path_tree(5), M_max=3)
-
-    def test_default_m_max(self):
-        profile = eigen_support_audit(path_tree(4))
-        assert profile.M_max == 5
