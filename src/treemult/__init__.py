@@ -4,7 +4,8 @@ Computes multiplicities m(T, lambda) of adjacency eigenvalues of trees with
 exact integer arithmetic, classifies trees into the recursive families whose
 multiplicity sits one or two below the pendant-vertex count, generates family
 members, and runs exhaustive verification sweeps over all small trees and all
-path-type (Chebyshev form) eigenvalues.
+path-type (Chebyshev form) eigenvalues, checking every other eigenvalue of
+the trees with n + 1 <= M_max as well.
 """
 
 from treemult.poly import (
@@ -43,7 +44,6 @@ from treemult.families import (
 )
 from treemult.verify import (
     SweepConfig,
-    chebyshev_completeness_audit,
     lemma_suite,
     sweep,
 )

@@ -1,13 +1,15 @@
 """Command-line front end.
 
-Subcommands: mult, charpoly, classify, generate, enumerate, verify, audit,
-report.  Trees are given as graph6 text, an inline "u-v,u-v" edge list, a
-JSON edge-list file, or graph6 lines on stdin (mult/classify/charpoly).
+Subcommands: mult, charpoly, classify, generate, enumerate, verify, report.
+Trees are given as graph6 text, an inline "u-v,u-v" edge list, a JSON
+edge-list file, or graph6 lines on stdin (mult/classify/charpoly).
 Eigenvalues use the exact "i/M" syntax for 2*cos(i*pi/M); decimals are
 deliberately not accepted.
 
 Exit status: 0 on success with zero violations, 1 when a verification run
-found violations, 2 on usage or input errors.
+found violations (with --m-max >= n-max + 1, `verify` also checks every
+eigenvalue outside the swept 2*cos(i*pi/M) and counts its violations), 2 on
+usage or input errors.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from treemult.verify import (
     IoFailureError,
     SweepConfig,
     Tally,
-    chebyshev_completeness_audit,
     default_worker_count,
     sweep,
 )
@@ -216,30 +217,16 @@ def _cmd_verify(args) -> int:
     )
     report = sweep(config)
     status = _print_counts(report, args.format, report.summary_dict())
+    other = report.other_eigenvalues
     if args.format == "human":
+        print(
+            f"other eigenvalues ({other['trees']} trees with n+1 <= M_max): "
+            f"{other['violations']} violations, "
+            f"{other['strict_discrepancies']} strict discrepancies"
+        )
         print(f"records: {report.records_path}")
         print(f"summary: {report.summary_path}")
-    return status
-
-
-def _cmd_audit(args) -> int:
-    report = chebyshev_completeness_audit(args.n_max)
-    payload = {
-        "trees_checked": report.trees_checked,
-        "flags": report.flags,
-        "scope_notes": report.scope_notes,
-    }
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"trees checked: {report.trees_checked}")
-        print(f"flags: {len(report.flags)}")
-        for flag in report.flags:
-            print(f"  {flag['tree']} level={flag['level']} p={flag['p']}")
-        print(f"scope notes (p=3, simple non-path eigenvalue): {len(report.scope_notes)}")
-        for note in report.scope_notes:
-            print(f"  {note['tree']} level={note['level']}")
-    return 1 if report.flags else 0
+    return 1 if other["violations"] else status
 
 
 def _cmd_report(args) -> int:
@@ -301,11 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="enumeration size cap (default 20)")
     _add_format(p)
     p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("audit", help="flag non-path eigenvalues at high multiplicity")
-    p.add_argument("--n-max", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser("report", help="re-summarize an existing record file")
     p.add_argument("path")

@@ -501,6 +501,10 @@ def generate(
 
 
 def _generate_gamma(k: int, M: int, n_max: int) -> dict:
+    # no member fits below one vertex; stopping here bounds the recursion
+    # depth by n_max / 3 whatever k is
+    if n_max < 1:
+        return {}
     if k == 0:
         return {
             canonical_code(path_tree(n)): path_tree(n)
@@ -523,6 +527,8 @@ def _generate_gamma(k: int, M: int, n_max: int) -> dict:
 
 def _generate_gamma2(k: int, lam: LambdaSpec, n_max: int, mode: Gamma2Mode) -> dict:
     M = lam.M
+    if n_max < 1:  # as in _generate_gamma
+        return {}
     if k == 0:
         return {
             canonical_code(path_tree(n)): path_tree(n)

@@ -489,21 +489,3 @@ def spec_orbits(M_max: int, M_min: int = 2) -> list[tuple[Polynomial, tuple[Lamb
     for spec in all_specs(M_max, M_min):
         orbits.setdefault(spec.minimal_poly, []).append(spec)
     return [(mu, tuple(specs)) for mu, specs in orbits.items()]
-
-
-def degree_complete_M_max(degree: int) -> int:
-    """Largest denominator M whose minimal polynomial of 2*cos(i*pi/M) can
-    still divide a polynomial of the given degree.
-
-    The minimal-poly degree is phi(2M)/2 for odd i and phi(M)/2 for even i,
-    and phi(m) >= sqrt(m/2), so the scan range below is exhaustive.
-    """
-    best = 2
-    for M in range(2, 8 * (degree + 1) ** 2 + 3):
-        d_odd = euler_phi(2 * M) // 2
-        candidates = [max(d_odd, 1)]
-        if M % 2 == 1 and M >= 3:
-            candidates.append(max(euler_phi(M) // 2, 1))
-        if min(candidates) <= degree:
-            best = M
-    return best

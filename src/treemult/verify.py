@@ -8,13 +8,15 @@ under the configured base-family modes.  Emits one JSON record per
 (tree, eigenvalue) pair plus a JSON summary, with byte-identical record
 files for identical configs regardless of worker count.
 
+When M_max >= n + 1, a tree's other eigenvalues are checked too: those
+left once every swept orbit's minimal polynomial is divided out of the
+characteristic polynomial, as often as the engines counted it.  The
+squarefree decomposition of what is left gives them level by level, and
+their counts go to the summary's `other_eigenvalues` block, not to records.
+
 Also provides executable property suites for the supporting facts the
 family machinery rests on (Parter vertices, branch multiplicity drop,
-pendant deletion inside GAMMA members, simplicity of path eigenvalues) and
-an all-eigenvalue audit that looks for high-multiplicity eigenvalues not of
-the path form 2*cos(i*pi/M): the division engine divides every path-type
-minimal polynomial out of the characteristic polynomial, and the squarefree
-decomposition of what is left gives those eigenvalues level by level.
+pendant deletion inside GAMMA members, simplicity of path eigenvalues).
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from treemult.poly import (
     LambdaSpec,
     Polynomial,
     all_specs,
-    degree_complete_M_max,
     exact_div,
     path_charpoly,
     spec_orbits,
@@ -94,6 +95,8 @@ CONSISTENT = "CONSISTENT"
 VIOLATION = "VIOLATION"
 NOT_APPLICABLE = "NOT_APPLICABLE"
 
+EXAMPLE_CAP = 20  # examples kept per list in the summary
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -122,6 +125,8 @@ class SweepConfig:
             raise ValueError("worker_count must be positive")
         if not self.modes:
             raise ValueError("at least one mode required")
+        if len(set(self.modes)) != len(self.modes):
+            raise ValueError(f"duplicate mode in {[m.value for m in self.modes]}")
 
 
 @dataclass
@@ -242,6 +247,9 @@ class SweepReport(Tally):
     records_path: str | None = None
     summary_path: str | None = None
     elapsed_seconds: float = 0.0
+    # the check of the eigenvalues no swept orbit carries; it writes no
+    # records, so `report` cannot recount it
+    other_eigenvalues: dict = field(default_factory=lambda: _other_outcome(0))
 
     def summary_dict(self) -> dict:
         counts = self.counts()
@@ -258,7 +266,8 @@ class SweepReport(Tally):
             "records_sha256": self.records_sha256,
             "engine_mismatches": 0,  # a mismatch aborts before the summary
             **counts,
-            "strict_discrepancy_examples": self.strict_discrepancies[:20],
+            "other_eigenvalues": self.other_eigenvalues,
+            "strict_discrepancy_examples": self.strict_discrepancies[:EXAMPLE_CAP],
             "runtime_seconds": round(self.elapsed_seconds, 3),
         }
 
@@ -274,7 +283,8 @@ def _sweep_tree(args) -> dict:
 
     Conjugate eigenvalues share a minimal polynomial, and family membership
     depends on lambda only through M, so multiplicities are computed once
-    per orbit and classifications once per (M, mode).
+    per orbit and classifications once per (M, mode).  When n + 1 <= M_max
+    the tree's other eigenvalues are checked as well (`_check_other`).
     """
     g6, M_max, modes = args
     t = parse_graph6(g6)
@@ -284,6 +294,7 @@ def _sweep_tree(args) -> dict:
     # a conjugacy orbit (one minimal polynomial) is exactly a denominator M
     # plus a parity of i; classification depends on lambda only through it
     by_orbit: dict[tuple[int, int], tuple[int, list]] = {}
+    divided = []  # (mu, m) for every orbit with m >= 1
     orbits, every_spec = _orbit_table(M_max)
     for mu, specs in orbits:
         m_div = factor_multiplicity(cp, mu)
@@ -297,6 +308,8 @@ def _sweep_tree(args) -> dict:
                     "rank_engine": m_rank,
                 }
             }
+        if m_div:
+            divided.append((mu, m_div))
         rep = specs[0]
         results = [classify(t, rep, mode) for mode in modes]
         by_orbit[(rep.M, rep.i % 2)] = (m_div, results)
@@ -328,7 +341,56 @@ def _sweep_tree(args) -> dict:
                 "notes": "",
             }
         )
-    return {"records": records}
+    other = _check_other(g6, cp, divided, p) if t.n + 1 <= M_max else None
+    return {"records": records, "other": other}
+
+
+def _other_outcome(trees: int) -> dict:
+    return {
+        "trees": trees,
+        "levels": 0,
+        "violations": 0,
+        "strict_discrepancies": 0,
+        "violation_examples": [],
+    }
+
+
+def _check_other(g6: str, cp: Polynomial, divided: list, p: int) -> dict:
+    """Check the eigenvalues of a tree with n + 1 <= M_max that no swept
+    orbit carries.  No path on at most n vertices has such an eigenvalue,
+    so at it GAMMA and strict GAMMA2 are empty and broad GAMMA2 is the
+    three-leg spiders.  A level k of them then keeps the bound and both
+    equivalences exactly when k <= p - 3; with p = 3 a level 1 is a broad
+    GAMMA2 member the strict reading misses, a strict discrepancy.  Every
+    other level is a violation.
+    """
+    outcome = _other_outcome(1)
+    # a level that counts has k >= max(1, p - 2) and adds at least k to the
+    # leftover's degree, so a leftover of lower degree holds none
+    if cp.degree - sum(mu.degree * m for mu, m in divided) < max(1, p - 2):
+        return outcome
+    for g, k in non_path_parts(cp, divided):
+        outcome["levels"] += 1
+        if k <= p - 3:
+            continue
+        if p == 3 and k == 1:
+            outcome["strict_discrepancies"] += 1
+        else:
+            outcome["violations"] += 1
+            outcome["violation_examples"].append(
+                {"tree": g6, "level": k, "p": p, "residue": list(g.coeffs)}
+            )
+    return outcome
+
+
+def non_path_parts(cp: Polynomial, divided) -> list[tuple[Polynomial, int]]:
+    """The squarefree decomposition of cp once mu^m has been divided out for
+    each (mu, m) in divided.  With m the multiplicity of each swept orbit's
+    minimal polynomial mu in a tree's char_poly cp, each part g at level k
+    holds the eigenvalues of multiplicity exactly k that no orbit carries."""
+    for mu, m in divided:
+        cp = exact_div(cp, mu**m)
+    return squarefree_decompose(cp)
 
 
 def _ordered_tree_codes(config: SweepConfig) -> list[str]:
@@ -360,11 +422,12 @@ def sweep(config: SweepConfig) -> SweepReport:
                 sink = open(tmp_path, "w", encoding="utf-8")
             except OSError as exc:
                 raise IoFailureError(f"cannot open {tmp_path}: {exc}") from exc
-        if config.worker_count == 1:
+        workers = min(config.worker_count, len(payloads))
+        if workers == 1:
             results = map(_sweep_tree, payloads)
             _aggregate(results, report, sink)
         else:
-            with Pool(config.worker_count) as pool:
+            with Pool(workers) as pool:
                 results = pool.imap(_sweep_tree, payloads, chunksize=8)
                 _aggregate(results, report, sink)
         if sink is not None:
@@ -390,11 +453,17 @@ def sweep(config: SweepConfig) -> SweepReport:
 
 
 def _aggregate(results, report: SweepReport, sink) -> None:
-    """Tally the records and stream them to sink, hashing the bytes written."""
+    """Tally the records and stream them to sink, hashing the bytes written;
+    fold each tree's other-eigenvalue outcome into the report."""
     digest = sha256()
+    block = report.other_eigenvalues
     for result in results:
         if "mismatch" in result:
             raise EngineMismatchError(json.dumps(result["mismatch"]))
+        if result["other"] is not None:
+            for key, value in result["other"].items():
+                block[key] += value
+            del block["violation_examples"][EXAMPLE_CAP:]
         for rec in result["records"]:
             report.add(rec)
             if sink is not None:
@@ -574,65 +643,6 @@ def _check_pendant_deletion(config: SweepConfig):
     return "family_pendant_deletion", checked, violations
 
 
-# -- all-eigenvalue audit --------------------------------------------------------
-
-
-@dataclass
-class AuditReport:
-    trees_checked: int = 0
-    flags: list = field(default_factory=list)
-    scope_notes: list = field(default_factory=list)
-
-
-def non_path_parts(t: Tree, orbits) -> list[tuple[Polynomial, int]]:
-    """The squarefree decomposition of char_poly(t) once every orbit's
-    minimal polynomial mu has been divided out as often as it divides: each
-    part g at level k holds the eigenvalues of multiplicity exactly k that no
-    orbit carries."""
-    rest = char_poly(t)
-    for mu, _ in orbits:
-        m = factor_multiplicity(rest, mu)
-        if m:
-            rest = exact_div(rest, mu**m)
-    return squarefree_decompose(rest)
-
-
-def chebyshev_completeness_audit(n_max: int) -> AuditReport:
-    """Look for eigenvalues at the top multiplicity levels that are not of
-    the path form 2*cos(i*pi/M).
-
-    A non-path part at squarefree level k >= max(2, p - 2) would be a
-    candidate the family machinery cannot label and is flagged.  Level-1
-    parts on trees with exactly three pendant vertices realize m = 1 = p - 2
-    with an eigenvalue outside the path parameterization; those are
-    recorded as scope notes, not flags.
-
-    The orbit table is degree-complete (every M whose minimal polynomial
-    could divide a degree-n characteristic polynomial), so a part here is
-    non-path-type absolutely, not merely up to a cap.
-    """
-    if n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max}")
-    report = AuditReport()
-    for n in range(1, n_max + 1):
-        orbits = spec_orbits(max(degree_complete_M_max(n), n + 1))
-        for t in enumerate_trees(n, n_max):
-            report.trees_checked += 1
-            p = pendant_count(t)
-            for part, k in non_path_parts(t, orbits):
-                entry = {
-                    "tree": emit_graph6(t),
-                    "level": k,
-                    "p": p,
-                    "residue": list(part.coeffs),
-                }
-                if k >= max(2, p - 2):
-                    report.flags.append(entry)
-                elif k == 1 and p == 3:
-                    report.scope_notes.append(entry)
-    return report
-
-
 # -- randomized engine agreement --------------------------------------------------
 
 
@@ -688,7 +698,8 @@ def engine_agreement_check(
     """Compare the two multiplicity engines on random (tree, lambda) pairs;
     returns the list of disagreements (empty on success)."""
     payloads = [(seed + k, n_max, M_max) for k in range(pairs)]
-    if workers == 1:
+    workers = min(workers, len(payloads))
+    if workers <= 1:
         results = map(_agreement_worker, payloads)
         return [r for r in results if r is not None]
     with Pool(workers) as pool:

@@ -2,7 +2,8 @@
 
 The exhaustive sweep over all trees with at most 14 vertices and all
 eigenvalue denominators up to 15 runs once (module fixture) and backs the
-bound check, both family equivalences, and the in-sweep engine agreement.
+bound check, both family equivalences, the in-sweep engine agreement, and
+the check of every other eigenvalue.
 Each criterion prints one pass/fail line (visible under pytest -s).
 """
 
@@ -237,4 +238,16 @@ def test_criterion_9_enumeration_counts():
         "criterion 9: enumeration matches brute-force oracle",
         ours == oracle,
         f"counts {ours}",
+    )
+
+
+def test_criterion_10_every_eigenvalue(big_sweep):
+    # M_max = n_max + 1: the eigenvalues no swept orbit carries are checked
+    # on every tree as well
+    block = big_sweep.other_eigenvalues
+    report(
+        "criterion 10: every eigenvalue keeps the bound and both equivalences",
+        block["trees"] == 5447 and block["violations"] == 0,
+        f"{block['trees']} trees, {block['levels']} levels, {block['violations']} violations, "
+        f"{block['strict_discrepancies']} strict discrepancies",
     )

@@ -139,6 +139,16 @@ class TestStreams:
         assert code == 0
         assert len(out.strip().splitlines()) == 3  # P_1, P_3, P_5
 
+    @pytest.mark.parametrize("family", ["gamma", "gamma2"])
+    def test_generate_large_k_prints_nothing(self, capsys, family):
+        # a member of level k has at least 3k + 1 vertices; the recursion
+        # stops when no vertex is left instead of descending k levels
+        code, out, err = run(
+            capsys, "generate", "--family", family, "--k", "5000",
+            "--lambda", "1/2", "--n-max", "10",
+        )
+        assert (code, out, err) == (0, "", "")
+
     def test_enumerate_respects_cap(self, capsys):
         code, _, err = run(capsys, "enumerate", "--n", "21")
         assert code == 2 and "limit" in err
@@ -173,19 +183,36 @@ class TestVerifyAuditReport:
         assert code == 0
         assert (tmp_path / "verify_records.jsonl").exists()
 
-    def test_audit(self, capsys):
-        code, out, _ = run(capsys, "audit", "--n-max", "6")
-        assert code == 0
-        assert "flags: 0" in out
-
-    def test_audit_output_hash(self, capsys):
-        # every flag and scope note of every tree with n <= 10, pinned byte
-        # for byte
-        code, out, _ = run(capsys, "audit", "--n-max", "10", "--format", "json")
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == (
-            "49ae70a98865f0e5857a4a278faa3fd4319c425237eabf740692376b7514c8cd"
+    def test_audit(self, capsys, tmp_path):
+        # every eigenvalue of every tree with n <= 6 is checked at M_max = 7
+        code, out, _ = run(
+            capsys, "verify", "--n-max", "6", "--m-max", "7", "--workers", "1",
+            "--out", str(tmp_path / "rec.jsonl"),
         )
+        assert code == 0
+        assert (
+            "other eigenvalues (14 trees with n+1 <= M_max): "
+            "0 violations, 3 strict discrepancies"
+        ) in out.splitlines()
+
+    def test_verify_exit_1_on_other_eigenvalue_violation(self, capsys, tmp_path, monkeypatch):
+        # a pendant count one short turns K_{1,3}'s simple +-sqrt(3), left
+        # over at M_max = 5, into a level above p - 3
+        import treemult.verify as verify_mod
+        from treemult.tree import pendant_count
+
+        monkeypatch.setattr(verify_mod, "pendant_count", lambda t: pendant_count(t) - 1)
+        code, out, _ = run(
+            capsys, "verify", "--n-max", "4", "--m-max", "5", "--workers", "1",
+            "--out", str(tmp_path / "rec.jsonl"), "--format", "json",
+        )
+        assert code == 1
+        block = json.loads(out)["other_eigenvalues"]
+        assert block["violations"] == len(block["violation_examples"]) > 0
+        star = emit_graph6(star_tree(3))
+        assert {"tree": star, "level": 1, "p": 2, "residue": [-3, 0, 1]} in block[
+            "violation_examples"
+        ]
 
     def test_report_exit_1_on_violations(self, capsys, tmp_path):
         # exit-code contract: broad-mode violations in the record file flip
@@ -317,11 +344,14 @@ class TestErrors:
         assert "--modes" in err and "'foo'" in err
         assert not (tmp_path / "r.jsonl").exists()
 
-    @pytest.mark.parametrize("n_max", ["0", "-3"])
-    def test_audit_empty_range_exits_2(self, capsys, n_max):
-        code, out, err = run(capsys, "audit", "--n-max", n_max)
+    def test_duplicate_modes_exits_2(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "verify", "--n-max", "3", "--m-max", "3", "--modes", "broad,strict,broad",
+            "--out", str(tmp_path / "r.jsonl"),
+        )
         assert code == 2
-        assert err.startswith("error: ") and out == ""
+        assert err.startswith("error: ") and "duplicate mode" in err and out == ""
+        assert not (tmp_path / "r.jsonl").exists()
 
     def test_json_output_above_graph6_range_exits_2(self, capsys):
         # refused before canonical labeling, which would exceed the

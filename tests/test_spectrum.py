@@ -1,6 +1,6 @@
 """Characteristic polynomials, the two multiplicity engines, and what the
 characteristic polynomial leaves once every path-type factor is divided out
-(the all-eigenvalue audit's pass)."""
+(the sweep's check of the other eigenvalues)."""
 
 import random
 
@@ -33,6 +33,14 @@ from treemult.verify import SweepConfig, non_path_parts, sweep
 
 def P(*coeffs):
     return Polynomial(coeffs)
+
+
+def leftover_parts(t, orbits):
+    """non_path_parts as the sweep calls it: each orbit's multiplicity is
+    counted on the whole char_poly."""
+    cp = char_poly(t)
+    divided = [(mu, factor_multiplicity(cp, mu)) for mu, _ in orbits]
+    return non_path_parts(cp, [(mu, m) for mu, m in divided if m])
 
 
 LAMBDA_0 = LambdaSpec(1, 2)
@@ -327,28 +335,28 @@ class TestSubtreeInterning:
 
 
 class TestEigenSupportAudit:
-    """The audit's pass, `non_path_parts`: what char_poly leaves once every
-    orbit's minimal polynomial is divided out."""
+    """`non_path_parts`: what char_poly leaves once every orbit's minimal
+    polynomial is divided out."""
 
     def test_path3(self):
         t = path_tree(3)
-        assert non_path_parts(t, []) == [(P(0, -2, 0, 1), 1)]
-        assert non_path_parts(t, spec_orbits(7)) == []
+        assert leftover_parts(t, []) == [(P(0, -2, 0, 1), 1)]
+        assert leftover_parts(t, spec_orbits(7)) == []
 
     def test_star_k13(self):
         # 0 at level 2 has M = 2; the sqrt(3) pair needs M = 6
         t = star_tree(3)
-        assert non_path_parts(t, spec_orbits(5)) == [(P(-3, 0, 1), 1)]
-        assert non_path_parts(t, spec_orbits(7)) == []
+        assert leftover_parts(t, spec_orbits(5)) == [(P(-3, 0, 1), 1)]
+        assert leftover_parts(t, spec_orbits(7)) == []
 
     def test_spider_124_residue_depends_on_candidate_bound(self):
         # no path eigenvalue with denominator <= n + 1 = 9 divides this
         # charpoly, so the whole octic is left at level 1...
         t = spider_tree(1, 2, 4)
-        assert non_path_parts(t, spec_orbits(9)) == [(P(1, 0, -8, 0, 14, 0, -7, 0, 1), 1)]
+        assert leftover_parts(t, spec_orbits(9)) == [(P(1, 0, -8, 0, 14, 0, -7, 0, 1), 1)]
         # ...yet the octic is exactly the minimal polynomial of 2cos(pi/30):
         # the whole spectrum is path-type with denominator 30
-        assert non_path_parts(t, spec_orbits(30)) == []
+        assert leftover_parts(t, spec_orbits(30)) == []
 
     def test_repeated_branches_leave_level_two(self):
         # three K_{1,4} joined at their centres to one new vertex: each
@@ -358,7 +366,7 @@ class TestEigenSupportAudit:
         for c in (1, 6, 11):
             edges += [(0, c)] + [(c, c + j) for j in range(1, 5)]
         t = Tree.from_edges(16, edges)
-        assert non_path_parts(t, spec_orbits(17)) == [(P(-7, 0, 1), 1), (P(-4, 0, 1), 2)]
+        assert leftover_parts(t, spec_orbits(17)) == [(P(-7, 0, 1), 1), (P(-4, 0, 1), 2)]
 
     def test_product_reassembles(self):
         # char_poly = prod g^k over the parts times prod mu^m over the orbits,
@@ -367,7 +375,7 @@ class TestEigenSupportAudit:
             orbits = spec_orbits(n + 1)
             for t in enumerate_trees(n):
                 product = Polynomial((1,))
-                for g, k in non_path_parts(t, orbits):
+                for g, k in leftover_parts(t, orbits):
                     product = product * g**k
                 for mu, _ in orbits:
                     product = product * mu ** factor_multiplicity(char_poly(t), mu)

@@ -1,4 +1,5 @@
-"""Sweep harness: records, determinism, property suites, audit."""
+"""Sweep harness: records, determinism, the check of the other eigenvalues,
+property suites."""
 
 import contextlib
 import hashlib
@@ -11,13 +12,15 @@ import pytest
 from oracles import random_tree_edges_by_scan
 from treemult.cli import main
 from treemult.families import BROAD, STRICT
-from treemult.tree import emit_graph6, spider_tree, star_tree
+from treemult.poly import Polynomial
+from treemult.tree import emit_graph6, path_tree, spider_tree, star_tree
 from treemult.verify import (
-    AuditReport,
+    VIOLATION,
     SweepConfig,
     Tally,
+    _check_other,
     _random_tree_edges,
-    chebyshev_completeness_audit,
+    _sweep_tree,
     engine_agreement_check,
     lemma_suite,
     sweep,
@@ -126,6 +129,8 @@ class TestSweep:
         assert summary["bound"]["violations"] == 0
         assert summary["pendant_minus_two"]["broad"] == {"violations": 0}
         assert "discrepancies" in summary["pendant_minus_two"]["strict"]
+        keys = list(summary)
+        assert keys[keys.index("pendant_minus_two") + 1] == "other_eigenvalues"
 
     def test_summary_records_sha256(self, tmp_path):
         config = small_config(tmp_path, n_max=5, M_max=4)
@@ -153,6 +158,8 @@ class TestSweep:
             SweepConfig(M_max=1)
         with pytest.raises(ValueError):
             SweepConfig(modes=())
+        with pytest.raises(ValueError, match="duplicate mode"):
+            SweepConfig(modes=(BROAD, STRICT, BROAD))
         with pytest.raises(ValueError):
             SweepConfig(n_max=25)
 
@@ -176,6 +183,14 @@ class TestSweep:
         keys = ("trees", "specs", "records", "bound", "pendant_minus_one", "pendant_minus_two")
         assert set(counts) == set(keys)
         assert {k: counts[k] for k in keys} == {k: summary[k] for k in keys}
+        # M_max = n_max + 1: every eigenvalue of every tree is checked
+        assert summary["other_eigenvalues"] == {
+            "trees": 201,
+            "levels": 164,
+            "violations": 0,
+            "strict_discrepancies": 20,
+            "violation_examples": [],
+        }
 
     def test_engine_mismatch_aborts(self, monkeypatch):
         import treemult.verify as verify_mod
@@ -234,30 +249,91 @@ class TestLemmaSuite:
 
 
 class TestAudit:
+    """The sweep's check of the eigenvalues no swept orbit carries, on trees
+    with n + 1 <= M_max (the summary's `other_eigenvalues` block)."""
+
+    @staticmethod
+    def swept(t, M_max):
+        return _sweep_tree((emit_graph6(t), M_max, (BROAD, STRICT)))
+
     def test_small_range_flags_empty(self):
-        report = chebyshev_completeness_audit(8)
-        assert isinstance(report, AuditReport)
-        assert report.flags == []
-        assert report.trees_checked == 1 + 1 + 1 + 2 + 3 + 6 + 11 + 23
+        block = sweep(small_config(n_max=8, M_max=9)).other_eigenvalues
+        assert block["violations"] == 0 and block["violation_examples"] == []
+        assert block["trees"] == 1 + 1 + 1 + 2 + 3 + 6 + 11 + 23
+        # the 23 trees on 8 vertices need M_max >= 9
+        assert sweep(small_config(n_max=8, M_max=8)).other_eigenvalues["trees"] == 25
+        assert sweep(small_config(n_max=8, M_max=3)).other_eigenvalues["trees"] == 2
 
     def test_scope_notes_mean_absolutely_non_path_type(self):
-        report = chebyshev_completeness_audit(8)
-        noted = {n["tree"] for n in report.scope_notes}
         # the legs-(3,3,1) spider has 2 as a simple eigenvalue, and |2cos| < 2
-        # strictly, so that one can never be of path form
-        assert emit_graph6(spider_tree(3, 3, 1)) in noted
-        # the legs-(1,2,4) spider looks non-path-type up to denominator n+1,
-        # but its whole spectrum is 2cos(i*pi/30), so it must not be noted
-        assert emit_graph6(spider_tree(1, 2, 4)) not in noted
-        for note in report.scope_notes:
-            assert note["p"] == 3 and note["level"] == 1
+        # strictly, so that one is never of path form
+        for M_max in (9, 30):
+            assert self.swept(spider_tree(3, 3, 1), M_max)["other"]["strict_discrepancies"] == 1
+        # the legs-(1,2,4) spider looks non-path-type up to denominator n + 1,
+        # so it is a strict discrepancy of the block there...
+        t = spider_tree(1, 2, 4)
+        low = self.swept(t, 9)
+        assert low["other"]["strict_discrepancies"] == 1
+        assert all(r["thm14_status"]["strict"] != VIOLATION for r in low["records"])
+        # ...but its whole spectrum is 2cos(i*pi/30), so once M = 30 is swept
+        # it is a strict discrepancy of the records instead, never both
+        high = self.swept(t, 30)
+        assert high["other"]["strict_discrepancies"] == 0
+        strict = {r["lambda"][1] for r in high["records"] if r["thm14_status"]["strict"] == VIOLATION}
+        assert strict == {30}
+
+    @pytest.mark.parametrize(
+        "p, level, verdict",
+        [
+            (2, 1, "violations"),
+            (3, 1, "strict_discrepancies"),
+            (3, 2, "violations"),
+            (4, 1, None),
+            (4, 2, "violations"),
+            (5, 2, None),
+            (5, 3, "violations"),
+        ],
+    )
+    def test_level_rule(self, p, level, verdict):
+        # x^2 - 3 at the given level of a leftover with nothing divided out
+        other = _check_other("?", Polynomial((-3, 0, 1)) ** level, [], p)
+        counted = {key: other[key] for key in ("violations", "strict_discrepancies")}
+        assert counted == {key: int(key == verdict) for key in counted}
+        assert other["levels"] == 1
 
     def test_paths_never_noted(self):
-        report = chebyshev_completeness_audit(7)
-        from treemult.tree import parse_graph6, is_path
+        for n in range(1, 12):
+            other = self.swept(path_tree(n), n + 1)["other"]
+            assert other["levels"] == other["violations"] == other["strict_discrepancies"] == 0
 
-        for entry in report.scope_notes + report.flags:
-            assert not is_path(parse_graph6(entry["tree"]))
+
+class TestPoolSize:
+    def test_pool_never_larger_than_the_work(self, monkeypatch):
+        import treemult.verify as verify_mod
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, payloads, chunksize=1):
+                return map(fn, payloads)
+
+            imap_unordered = imap
+
+        monkeypatch.setattr(verify_mod, "Pool", RecordingPool)
+        assert sweep(small_config(workers=64, n_max=3, M_max=3)).tree_count == 3
+        assert sweep(SweepConfig(n_max=1, M_max=3, worker_count=64)).tree_count == 1
+        assert engine_agreement_check(5, n_max=6, M_max=7, workers=64) == []
+        assert engine_agreement_check(0, workers=64) == []
+        assert sizes == [3, 5]
 
 
 class TestEngineAgreement:
