@@ -82,21 +82,27 @@ def _parse_modes(text: str) -> tuple[Gamma2Mode, ...]:
 
 
 def _input_trees(args) -> list[Tree]:
-    """Resolve the tree input source; stdin supplies one graph6 per line."""
+    """Resolve the tree input source; stdin supplies one graph6 per line.
+    JSON output names each tree in graph6, so a tree above its short form
+    is refused here, before anything is computed."""
     if args.graph6 is not None:
-        return [parse_graph6(args.graph6)]
-    if args.edges is not None:
-        return [parse_edge_text(args.edges)]
-    if args.json_file is not None:
+        trees = [parse_graph6(args.graph6)]
+    elif args.edges is not None:
+        trees = [parse_edge_text(args.edges)]
+    elif args.json_file is not None:
         with open(args.json_file, "r", encoding="utf-8") as f:
-            return [load_edge_json(f.read())]
-    trees = []
-    for line in sys.stdin:
-        line = line.strip()
-        if line:
-            trees.append(parse_graph6(line))
+            trees = [load_edge_json(f.read())]
+    else:
+        trees = [parse_graph6(line) for line in sys.stdin if line.strip()]
     if not trees:
         raise TreeError("no tree input: pass --graph6/--edges/--json or pipe graph6 lines")
+    if args.format == "json":
+        for t in trees:
+            if t.n > GRAPH6_N_MAX:
+                raise ValueError(
+                    f"--format json prints trees as graph6, which covers n <= {GRAPH6_N_MAX}; "
+                    f"got n = {t.n}"
+                )
     return trees
 
 

@@ -423,11 +423,6 @@ class LambdaSpec:
         """Monic integer minimal polynomial of 2*cos(i*pi/M); cached."""
         return _minimal_poly(self.i, self.M)
 
-    @property
-    def approx(self) -> float:
-        """Floating approximation, for display only; never used in decisions."""
-        return 2.0 * math.cos(self.i * math.pi / self.M)
-
     @classmethod
     def from_string(cls, text: str) -> "LambdaSpec":
         """Parse the "i/M" syntax used by the command line."""

@@ -348,23 +348,27 @@ def emit_graph6(t: Tree) -> str:
     trees.  Only the short form (n <= 62) is emitted; larger trees are
     refused before canonical labeling, whose recursion depth grows with n.
     """
-    if t.n > GRAPH6_N_MAX:
+    _check_graph6_size(t.n)
+    return pack_graph6(canonical_tree(t))
+
+
+def pack_graph6(t: Tree) -> str:
+    """graph6 text of t exactly as labeled.  For a tree that
+    `enumerate_trees` yields, whose labels are already canonical, this is
+    `emit_graph6(t)` without labeling it again."""
+    _check_graph6_size(t.n)
+    # bit v(v-1)/2 + u, counted from the most significant, is the edge u < v
+    width = -(-t.n * (t.n - 1) // 12) * 6  # padded to whole 6-bit bytes
+    value = 0
+    for u, v in t.edges:
+        value |= 1 << (width - 1 - v * (v - 1) // 2 - u)
+    shifts = range(width - 6, -1, -6)
+    return chr(t.n + 63) + "".join(chr((value >> s & 63) + 63) for s in shifts)
+
+
+def _check_graph6_size(n: int) -> None:
+    if n > GRAPH6_N_MAX:
         raise MalformedGraph6Error(f"graph6 short form only covers n <= {GRAPH6_N_MAX}")
-    ct = canonical_tree(t)
-    present = {(u, v) for u, v in ct.edges}
-    bits = []
-    for v in range(1, ct.n):
-        for u in range(v):
-            bits.append(1 if (u, v) in present else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    chars = [chr(ct.n + 63)]
-    for k in range(0, len(bits), 6):
-        value = 0
-        for b in bits[k : k + 6]:
-            value = (value << 1) | b
-        chars.append(chr(value + 63))
-    return "".join(chars)
 
 
 def parse_graph6(text: str) -> Tree:

@@ -6,7 +6,10 @@ engines (aborting on any disagreement), the pendant bound, and the
 equivalences "m = p - 1 iff GAMMA member" and "m = p - 2 iff GAMMA2 member"
 under the configured base-family modes.  Emits one JSON record per
 (tree, eigenvalue) pair plus a JSON summary, with byte-identical record
-files for identical configs regardless of worker count.
+files for identical configs regardless of worker count.  The worker that
+sweeps a tree also encodes its records and tallies them; the parent
+process only writes each tree's bytes in enumeration order, hashes them
+and merges the tallies.
 
 When M_max >= n + 1, a tree's other eigenvalues are checked too: those
 left once every swept orbit's minimal polynomial is divided out of the
@@ -69,6 +72,7 @@ from treemult.tree import (
     induced,
     is_path,  # unused here; perfbench/tracer.py wraps it on this module
     major_count,
+    pack_graph6,
     parse_graph6,
     pendant_count,
     pendant_vertices,
@@ -131,8 +135,9 @@ class SweepConfig:
 
 @dataclass
 class Tally:
-    """Counts over sweep records: filled by `sweep` as it writes records and
-    by `Tally.read` from a record file, so both report the same numbers."""
+    """Counts over sweep records: filled per tree by the sweep's workers
+    (then merged) and by `Tally.read` from a record file, both through
+    `add`, so both report the same numbers."""
 
     trees: set = field(default_factory=set)
     specs: set = field(default_factory=set)
@@ -165,6 +170,18 @@ class Tally:
                             "classification": dict(rec["classification"]),
                         }
                     )
+
+    def merge(self, other: "Tally") -> None:
+        """Fold in the counts of records tallied elsewhere, as if they had
+        been added here after the records already counted."""
+        self.trees |= other.trees
+        self.specs |= other.specs
+        self.record_count += other.record_count
+        self.bound_violations += other.bound_violations
+        self.eq_top_violations += other.eq_top_violations
+        for mode_value, count in other.eq_second.items():
+            self.eq_second[mode_value] = self.eq_second.get(mode_value, 0) + count
+        self.strict_discrepancies += other.strict_discrepancies
 
     @classmethod
     def read(cls, path: str) -> "Tally":
@@ -278,13 +295,17 @@ def _orbit_table(M_max: int) -> tuple[tuple, tuple[LambdaSpec, ...]]:
     return tuple(spec_orbits(M_max)), tuple(all_specs(M_max))
 
 
-def _sweep_tree(args) -> dict:
-    """Per-tree worker: all records for one canonical tree, in (M, i) order.
+def _sweep_tree(args) -> tuple[bytes, Tally, dict | None]:
+    """Per-tree worker: the tree's record lines in (M, i) order, encoded,
+    with their Tally and the outcome of `_check_other` (None when it does
+    not apply).  Raises EngineMismatchError when the engines disagree.
 
     Conjugate eigenvalues share a minimal polynomial, and family membership
     depends on lambda only through M, so multiplicities are computed once
-    per orbit and classifications once per (M, mode).  When n + 1 <= M_max
-    the tree's other eigenvalues are checked as well (`_check_other`).
+    per orbit and classifications once per (M, mode).  The records of an
+    orbit's specs then differ only in `lambda`, so each orbit's record tail
+    is JSON-encoded once.  When n + 1 <= M_max the tree's other eigenvalues
+    are checked as well (`_check_other`).
     """
     g6, M_max, modes = args
     t = parse_graph6(g6)
@@ -293,29 +314,19 @@ def _sweep_tree(args) -> dict:
     gamma = major_count(t)
     # a conjugacy orbit (one minimal polynomial) is exactly a denominator M
     # plus a parity of i; classification depends on lambda only through it
-    by_orbit: dict[tuple[int, int], tuple[int, list]] = {}
+    by_orbit: dict[tuple[int, int], tuple[dict, str]] = {}
     divided = []  # (mu, m) for every orbit with m >= 1
     orbits, every_spec = _orbit_table(M_max)
     for mu, specs in orbits:
-        m_div = factor_multiplicity(cp, mu)
-        m_rank = rank_nullity(t, mu)
-        if m_div != m_rank:
-            return {
-                "mismatch": {
-                    "tree": g6,
-                    "lambda": [specs[0].i, specs[0].M],
-                    "division_engine": m_div,
-                    "rank_engine": m_rank,
-                }
-            }
-        if m_div:
-            divided.append((mu, m_div))
         rep = specs[0]
+        m = factor_multiplicity(cp, mu)
+        m_rank = rank_nullity(t, mu)
+        if m != m_rank:
+            mismatch = {"tree": g6, "lambda": [rep.i, rep.M], "division_engine": m, "rank_engine": m_rank}
+            raise EngineMismatchError(json.dumps(mismatch))
+        if m:
+            divided.append((mu, m))
         results = [classify(t, rep, mode) for mode in modes]
-        by_orbit[(rep.M, rep.i % 2)] = (m_div, results)
-    records = []
-    for spec in every_spec:
-        m, results = by_orbit[(spec.M, spec.i % 2)]
         # GAMMA membership does not depend on the GAMMA2 reading
         eq_top = CONSISTENT if (m == p - 1) == results[0].is_gamma() else VIOLATION
         second_status = {}
@@ -325,24 +336,27 @@ def _sweep_tree(args) -> dict:
             else:
                 ok = (m == p - 2) == res.is_gamma2()
                 second_status[mode.value] = CONSISTENT if ok else VIOLATION
-        records.append(
-            {
-                "tree": g6,
-                "lambda": [spec.i, spec.M],
-                "p": p,
-                "gamma": gamma,
-                "m": m,
-                "bound_ok": m <= p - 1,
-                "thm13_status": eq_top,
-                "thm14_status": second_status,
-                "classification": {
-                    mode.value: res.tag for mode, res in zip(modes, results)
-                },
-                "notes": "",
-            }
-        )
+        # every field after "tree" and "lambda", in record order
+        tail = {
+            "p": p,
+            "gamma": gamma,
+            "m": m,
+            "bound_ok": m <= p - 1,
+            "thm13_status": eq_top,
+            "thm14_status": second_status,
+            "classification": {mode.value: res.tag for mode, res in zip(modes, results)},
+            "notes": "",
+        }
+        by_orbit[(rep.M, rep.i % 2)] = (tail, ", " + json.dumps(tail)[1:] + "\n")
+    head = '{"tree": ' + json.dumps(g6) + ', "lambda": '
+    lines = []
+    tally = Tally()
+    for spec in every_spec:
+        tail, tail_text = by_orbit[(spec.M, spec.i % 2)]
+        lines.append(f"{head}[{spec.i}, {spec.M}]{tail_text}")
+        tally.add({"tree": g6, "lambda": [spec.i, spec.M], **tail})
     other = _check_other(g6, cp, divided, p) if t.n + 1 <= M_max else None
-    return {"records": records, "other": other}
+    return "".join(lines).encode("utf-8"), tally, other
 
 
 def _other_outcome(trees: int) -> dict:
@@ -396,7 +410,8 @@ def non_path_parts(cp: Polynomial, divided) -> list[tuple[Polynomial, int]]:
 def _ordered_tree_codes(config: SweepConfig) -> list[str]:
     codes = []
     for n in range(config.n_min, config.n_max + 1):
-        batch = [emit_graph6(t) for t in enumerate_trees(n, config.tree_limit)]
+        # enumerated trees are canonically labeled already
+        batch = [pack_graph6(t) for t in enumerate_trees(n, config.tree_limit)]
         batch.sort()
         codes.extend(batch)
     return codes
@@ -419,7 +434,7 @@ def sweep(config: SweepConfig) -> SweepReport:
     try:
         if config.output_path:
             try:
-                sink = open(tmp_path, "w", encoding="utf-8")
+                sink = open(tmp_path, "wb")
             except OSError as exc:
                 raise IoFailureError(f"cannot open {tmp_path}: {exc}") from exc
         workers = min(config.worker_count, len(payloads))
@@ -453,26 +468,23 @@ def sweep(config: SweepConfig) -> SweepReport:
 
 
 def _aggregate(results, report: SweepReport, sink) -> None:
-    """Tally the records and stream them to sink, hashing the bytes written;
-    fold each tree's other-eigenvalue outcome into the report."""
+    """Stream each tree's encoded records to sink, hashing the bytes
+    written, and fold its Tally and other-eigenvalue outcome into the
+    report."""
     digest = sha256()
     block = report.other_eigenvalues
-    for result in results:
-        if "mismatch" in result:
-            raise EngineMismatchError(json.dumps(result["mismatch"]))
-        if result["other"] is not None:
-            for key, value in result["other"].items():
+    for encoded, tally, other in results:
+        if other is not None:
+            for key, value in other.items():
                 block[key] += value
             del block["violation_examples"][EXAMPLE_CAP:]
-        for rec in result["records"]:
-            report.add(rec)
-            if sink is not None:
-                line = json.dumps(rec, sort_keys=False) + "\n"
-                digest.update(line.encode("utf-8"))
-                try:
-                    sink.write(line)
-                except OSError as exc:
-                    raise IoFailureError(str(exc)) from exc
+        report.merge(tally)
+        if sink is not None:
+            digest.update(encoded)
+            try:
+                sink.write(encoded)
+            except OSError as exc:
+                raise IoFailureError(str(exc)) from exc
     if sink is not None:
         report.records_sha256 = digest.hexdigest()
 

@@ -59,15 +59,33 @@ def random_tree_edges_by_scan(n: int, rng) -> list[tuple[int, int]]:
 
 
 def all_labeled_trees(n: int):
-    """Every labeled tree on n vertices, one per Prufer sequence."""
+    """Every labeled tree on n vertices, one per Prufer sequence.
+
+    Each sequence is decoded in one pass: the smallest leaf is the lowest
+    unused degree-1 vertex, unless the vertex just joined has become a
+    smaller one.  Decoding always gives a tree, so it is built straight
+    from its sorted neighbor lists, without the checks of Tree.from_edges.
+    """
     if n == 1:
-        yield Tree.from_edges(1, [])
-        return
-    if n == 2:
-        yield Tree.from_edges(2, [(0, 1)])
+        yield Tree(1, ((),))
         return
     for seq in product(range(n), repeat=n - 2):
-        yield Tree.from_edges(n, prufer_to_edges(seq, n))
+        degree = [1] * n
+        for v in seq:
+            degree[v] += 1
+        adj = [[] for _ in range(n)]
+        leaf = low = degree.index(1)
+        for v in seq:
+            adj[leaf].append(v)
+            adj[v].append(leaf)
+            degree[v] -= 1
+            if degree[v] == 1 and v < low:
+                leaf = v
+            else:
+                leaf = low = degree.index(1, low + 1)
+        adj[leaf].append(n - 1)
+        adj[n - 1].append(leaf)
+        yield Tree(n, tuple(tuple(sorted(a)) for a in adj))
 
 
 @lru_cache(maxsize=None)

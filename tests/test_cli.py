@@ -354,13 +354,31 @@ class TestErrors:
         assert not (tmp_path / "r.jsonl").exists()
 
     def test_json_output_above_graph6_range_exits_2(self, capsys):
-        # refused before canonical labeling, which would exceed the
-        # recursion limit on P3000
+        # refused before m is computed or the tree canonically labeled
+        # (whose recursion would exceed the limit on P3000)
         code, out, err = run(
             capsys, "mult", "--edges", path_edges(3000), "--lambda", "1/2", "--format", "json"
         )
         assert code == 2
         assert err.startswith("error: ") and out == ""
+
+    @pytest.mark.parametrize("command", ["mult", "charpoly", "classify"])
+    def test_json_output_above_graph6_range_refused_before_computing(
+        self, capsys, monkeypatch, command
+    ):
+        import treemult.cli as cli_mod
+
+        def computed(*args):
+            raise AssertionError("computed before the refusal")
+
+        for name in ("multiplicity", "char_poly", "classify"):
+            monkeypatch.setattr(cli_mod, name, computed)
+        argv = [command, "--edges", path_edges(63), "--format", "json"]
+        if command != "charpoly":
+            argv += ["--lambda", "1/2"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ") and "n = 63" in err and out == ""
 
     @pytest.mark.parametrize("n_max", ["63", "200", "1000"])
     def test_generate_above_graph6_range_exits_2(self, capsys, n_max):

@@ -189,7 +189,8 @@ class TestMinimalPoly:
 
     def test_root_numeric(self):
         for spec in all_specs(30):
-            assert abs(minimal_poly(spec).evaluate(spec.approx)) < 1e-9
+            root = 2 * math.cos(spec.i * math.pi / spec.M)
+            assert abs(minimal_poly(spec).evaluate(root)) < 1e-9
 
     def test_divides_path_charpoly(self):
         # the path on M-1 vertices has every 2cos(i*pi/M) in its spectrum

@@ -1,8 +1,10 @@
 """Tree structure, enumeration, and graph6 round trips."""
 
+from itertools import product
+
 import pytest
 
-from oracles import count_free_trees_bruteforce
+from oracles import all_labeled_trees, count_free_trees_bruteforce, prufer_to_edges
 from treemult.tree import (
     LimitExceededError,
     MalformedGraph6Error,
@@ -13,6 +15,7 @@ from treemult.tree import (
     centroids,
     emit_graph6,
     enumerate_trees,
+    free_tree_codes,
     induced,
     is_path,
     load_edge_json,
@@ -20,11 +23,13 @@ from treemult.tree import (
     parse_edge_text,
     parse_graph6,
     path_tree,
+    pack_graph6,
     pendant_count,
     pendant_vertices,
     spider_tree,
     split,
     star_tree,
+    tree_from_code,
 )
 
 
@@ -147,6 +152,15 @@ class TestEnumeration:
         assert sum(1 for _ in enumerate_trees(1)) == 1
         assert sum(1 for _ in enumerate_trees(4)) == 2
 
+    def test_prufer_oracle_decodes_like_the_scan(self):
+        # the one-pass decoder of the count oracle gives, sequence by
+        # sequence, the tree of the scan decoder: n^(n-2) distinct trees
+        for n in range(2, 8):
+            seqs = product(range(n), repeat=n - 2)
+            scanned = [Tree.from_edges(n, prufer_to_edges(seq, n)) for seq in seqs]
+            assert list(all_labeled_trees(n)) == scanned
+            assert len(set(scanned)) == n ** (n - 2)
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_counts_match_prufer_oracle(self, n):
         ours = sum(1 for _ in enumerate_trees(n))
@@ -167,6 +181,15 @@ class TestEnumeration:
             next(enumerate_trees(21))
         with pytest.raises(LimitExceededError):
             next(enumerate_trees(6, limit=5))
+
+    def test_enumerated_trees_are_canonically_labeled(self):
+        # the sweep encodes enumerated trees with pack_graph6, skipping the
+        # relabeling emit_graph6 does; that is sound only because these hold
+        for n in range(1, 13):
+            for code in free_tree_codes(n):
+                assert canonical_code(tree_from_code(code)) == code, code
+            for t in enumerate_trees(n):
+                assert pack_graph6(t) == emit_graph6(t), t
 
     def test_deterministic_order(self):
         first = [emit_graph6(t) for t in enumerate_trees(8)]
@@ -196,6 +219,16 @@ class TestCanonical:
 class TestGraph6:
     def test_single_vertex(self):
         assert emit_graph6(Tree.from_edges(1, [])) == "@"
+
+    def test_pack_keeps_the_labels(self):
+        # canonical labels put the centroid first, so P3 as 0 - 1 - 2 is not
+        # canonical: emit_graph6 relabels it to 1 - 0 - 2, pack_graph6 does not
+        t = path_tree(3)
+        assert parse_graph6(pack_graph6(t)) == t
+        centred = Tree.from_edges(3, [(0, 1), (0, 2)])
+        assert emit_graph6(t) == pack_graph6(centred) != pack_graph6(t)
+        with pytest.raises(MalformedGraph6Error):
+            pack_graph6(path_tree(63))
 
     def test_round_trip_small(self):
         t = path_tree(3)

@@ -15,7 +15,6 @@ from treemult.families import BROAD, STRICT
 from treemult.poly import Polynomial
 from treemult.tree import emit_graph6, path_tree, spider_tree, star_tree
 from treemult.verify import (
-    VIOLATION,
     SweepConfig,
     Tally,
     _check_other,
@@ -141,6 +140,18 @@ class TestSweep:
         assert Tally.read(config.output_path).records_sha256 == digest
         assert sweep(small_config(n_max=5, M_max=4)).records_sha256 is None
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_merged_tallies_equal_reading_the_file(self, tmp_path, workers):
+        # the sweep folds per-tree tallies with Tally.merge; report reads
+        # the file it wrote with Tally.add, record by record
+        config = small_config(tmp_path, workers=workers, n_max=8, M_max=9)
+        merged = sweep(config)
+        read = Tally.read(config.output_path)
+        assert json.dumps(merged.counts()) == json.dumps(read.counts())  # key order too
+        assert merged.strict_discrepancies == read.strict_discrepancies
+        assert len(merged.strict_discrepancies) > 1
+        assert merged.records_sha256 == read.records_sha256
+
     def test_summarize_records_roundtrip(self, tmp_path):
         config = small_config(tmp_path, n_max=6, M_max=5)
         report = sweep(config)
@@ -254,7 +265,9 @@ class TestAudit:
 
     @staticmethod
     def swept(t, M_max):
-        return _sweep_tree((emit_graph6(t), M_max, (BROAD, STRICT)))
+        """The tree's per-tree Tally and other-eigenvalue outcome."""
+        _, tally, other = _sweep_tree((emit_graph6(t), M_max, (BROAD, STRICT)))
+        return tally, other
 
     def test_small_range_flags_empty(self):
         block = sweep(small_config(n_max=8, M_max=9)).other_eigenvalues
@@ -268,19 +281,20 @@ class TestAudit:
         # the legs-(3,3,1) spider has 2 as a simple eigenvalue, and |2cos| < 2
         # strictly, so that one is never of path form
         for M_max in (9, 30):
-            assert self.swept(spider_tree(3, 3, 1), M_max)["other"]["strict_discrepancies"] == 1
+            assert self.swept(spider_tree(3, 3, 1), M_max)[1]["strict_discrepancies"] == 1
         # the legs-(1,2,4) spider looks non-path-type up to denominator n + 1,
         # so it is a strict discrepancy of the block there...
         t = spider_tree(1, 2, 4)
-        low = self.swept(t, 9)
-        assert low["other"]["strict_discrepancies"] == 1
-        assert all(r["thm14_status"]["strict"] != VIOLATION for r in low["records"])
+        low_tally, low_other = self.swept(t, 9)
+        assert low_other["strict_discrepancies"] == 1
+        assert low_tally.eq_second[STRICT.value] == 0 and low_tally.strict_discrepancies == []
         # ...but its whole spectrum is 2cos(i*pi/30), so once M = 30 is swept
         # it is a strict discrepancy of the records instead, never both
-        high = self.swept(t, 30)
-        assert high["other"]["strict_discrepancies"] == 0
-        strict = {r["lambda"][1] for r in high["records"] if r["thm14_status"]["strict"] == VIOLATION}
+        high_tally, high_other = self.swept(t, 30)
+        assert high_other["strict_discrepancies"] == 0
+        strict = {d["lambda"][1] for d in high_tally.strict_discrepancies}
         assert strict == {30}
+        assert high_tally.eq_second[STRICT.value] == len(high_tally.strict_discrepancies)
 
     @pytest.mark.parametrize(
         "p, level, verdict",
@@ -303,7 +317,7 @@ class TestAudit:
 
     def test_paths_never_noted(self):
         for n in range(1, 12):
-            other = self.swept(path_tree(n), n + 1)["other"]
+            other = self.swept(path_tree(n), n + 1)[1]
             assert other["levels"] == other["violations"] == other["strict_discrepancies"] == 0
 
 
