@@ -98,6 +98,15 @@ class TestSweep:
             i, M = rec["lambda"]
             assert 1 <= i < M <= 4
 
+    def test_records_escape_the_tree_field(self):
+        # graph6 may contain a backslash, which JSON escapes; no canonical
+        # tree on up to 17 vertices has one, so sweep a labeled tree that does
+        g6 = "E_\\?"
+        encoded, tally, _ = _sweep_tree((g6, 4, (BROAD, STRICT)))
+        records = [json.loads(line) for line in encoded.decode("utf-8").splitlines()]
+        assert len(records) == tally.record_count > 0
+        assert {r["tree"] for r in records} == tally.trees == {g6}
+
     def test_byte_identical_across_worker_counts(self, tmp_path):
         cfg1 = SweepConfig(
             n_min=1, n_max=7, M_max=6, modes=(BROAD, STRICT),
