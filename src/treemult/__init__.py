@@ -42,10 +42,6 @@ from treemult.families import (
     is_gamma0,
     is_gamma2_0,
 )
-from treemult.verify import (
-    SweepConfig,
-    lemma_suite,
-    sweep,
-)
+from treemult.verify import SweepConfig, sweep
 
 __version__ = "0.1.0"

@@ -26,7 +26,7 @@ import math
 from functools import lru_cache
 from itertools import groupby
 
-from treemult.poly import LambdaSpec, Polynomial, minimal_poly
+from treemult.poly import LambdaSpec, Polynomial, euler_phi, minimal_poly
 from treemult.tree import Tree, bfs_order
 
 
@@ -92,7 +92,13 @@ def factor_multiplicity(p: Polynomial, mu: Polynomial) -> int:
 
 def multiplicity(t: Tree, spec: LambdaSpec) -> int:
     """m(T, lambda): the largest k with minimal_poly(lambda)^k dividing the
-    characteristic polynomial."""
+    characteristic polynomial.
+
+    The minimal polynomial has degree phi(2M) / 2 (for even i, M is odd and
+    phi(2M) = phi(M)); an irreducible factor of degree above n cannot divide
+    a degree-n char_poly, so then m = 0 without building it."""
+    if euler_phi(2 * spec.M) // 2 > t.n:
+        return 0
     return factor_multiplicity(char_poly(t), minimal_poly(spec))
 
 

@@ -16,10 +16,6 @@ left once every swept orbit's minimal polynomial is divided out of the
 characteristic polynomial, as often as the engines counted it.  The
 squarefree decomposition of what is left gives them level by level, and
 their counts go to the summary's `other_eigenvalues` block, not to records.
-
-Also provides executable property suites for the supporting facts the
-family machinery rests on (Parter vertices, branch multiplicity drop,
-pendant deletion inside GAMMA members, simplicity of path eigenvalues).
 """
 
 from __future__ import annotations
@@ -44,39 +40,32 @@ except ImportError:
 from treemult.families import (
     BROAD,
     STRICT,
-    FamilyKind,
     Gamma2Mode,
     classify,
-    generate,
 )
 from treemult.poly import (
     LambdaSpec,
     Polynomial,
     all_specs,
     exact_div,
-    path_charpoly,
     spec_orbits,
     squarefree_decompose,
 )
 from treemult.spectrum import (
     char_poly,
     factor_multiplicity,
-    multiplicity,
     rank_nullity,
 )
 from treemult.tree import (
     DEFAULT_ENUMERATION_LIMIT,
     Tree,
-    emit_graph6,
+    emit_graph6,  # unused here; perfbench/tracer.py wraps it on this module
     enumerate_trees,
-    induced,
     is_path,  # unused here; perfbench/tracer.py wraps it on this module
     major_count,
     pack_graph6,
     parse_graph6,
     pendant_count,
-    pendant_vertices,
-    split,
 )
 
 
@@ -91,8 +80,8 @@ class IoFailureError(Exception):
 
 class MalformedRecordError(ValueError):
     """A record file is not what a sweep wrote: a line is not a sweep record
-    (the message names path:line), or the file's record count or digest
-    differs from its summary's."""
+    (the message names path:line), its summary is not a sweep summary, or
+    the file's record count or digest differs from its summary's."""
 
 
 CONSISTENT = "CONSISTENT"
@@ -111,12 +100,6 @@ class SweepConfig:
     worker_count: int = 1
     output_path: str | None = None
     tree_limit: int = DEFAULT_ENUMERATION_LIMIT
-    # property-suite ranges (the sweep fields above bound the tree suites)
-    path_n_max: int = 200
-    path_M_max: int = 40
-    family_k_max: int = 3
-    family_n_max: int = 14
-    family_M_max: int = 6
 
     def __post_init__(self):
         if self.n_min < 1 or self.n_min > self.n_max:
@@ -206,9 +189,10 @@ class Tally:
         return tally
 
     def check_summary(self, summary_path: str) -> None:
-        """Raise MalformedRecordError unless the record count and digest
-        equal those the sweep wrote to summary_path; a missing summary is
-        not checked, so a bare record file can still be re-summarized."""
+        """Raise MalformedRecordError, naming summary_path, unless it is a
+        JSON object whose record count and digest equal this tally's; a
+        missing summary is not checked, so a bare record file can still be
+        re-summarized."""
         if not os.path.exists(summary_path):
             return
         try:
@@ -216,6 +200,8 @@ class Tally:
                 summary = json.load(f)
         except OSError as exc:
             raise IoFailureError(f"cannot read {summary_path}: {exc}") from exc
+        except ValueError as exc:
+            raise MalformedRecordError(f"{summary_path} is not JSON ({exc})") from exc
         if not isinstance(summary, dict):
             raise MalformedRecordError(f"{summary_path} is not a sweep summary")
         for key, got in (("records", self.record_count), ("records_sha256", self.records_sha256)):
@@ -487,172 +473,6 @@ def _aggregate(results, report: SweepReport, sink) -> None:
                 raise IoFailureError(str(exc)) from exc
     if sink is not None:
         report.records_sha256 = digest.hexdigest()
-
-
-# -- property suites -----------------------------------------------------------
-
-
-@dataclass
-class LemmaReport:
-    results: dict = field(default_factory=dict)
-
-    def add(self, name: str, checked: int, violations: list) -> None:
-        self.results[name] = {"checked": checked, "violations": violations}
-
-    @property
-    def total_violations(self) -> int:
-        return sum(len(r["violations"]) for r in self.results.values())
-
-
-def lemma_suite(config: SweepConfig) -> LemmaReport:
-    """Run the four property suites over the configured ranges."""
-    report = LemmaReport()
-    report.add(*_check_path_simplicity(config.path_n_max, config.path_M_max))
-    parter, branch = _check_vertex_deletion(config)
-    report.add(*parter)
-    report.add(*branch)
-    report.add(*_check_pendant_deletion(config))
-    return report
-
-
-def _check_path_simplicity(n_max: int, M_max: int):
-    """Every eigenvalue of a path is simple: m(P_n, lambda) <= 1, with
-    equality exactly when M divides n + 1."""
-    violations = []
-    checked = 0
-    orbits = spec_orbits(M_max)
-    for n in range(1, n_max + 1):
-        cp = path_charpoly(n)
-        for mu, specs in orbits:
-            m = factor_multiplicity(cp, mu)
-            expected = 1 if (n + 1) % specs[0].M == 0 else 0
-            checked += 1
-            if m != expected:
-                violations.append({"n": n, "lambda": [specs[0].i, specs[0].M], "m": m})
-    return "path_simplicity", checked, violations
-
-
-def _parter_violation(t: Tree, spec: LambdaSpec, part: str) -> dict:
-    return {"tree": emit_graph6(t), "lambda": [spec.i, spec.M], "part": part}
-
-
-def _check_vertex_deletion(config: SweepConfig):
-    """Two suites over every tree and vertex deletion, sharing the
-    multiplicities of the components of T - v per (tree, v, orbit).
-
-    Parter vertex existence: (i) if lambda is an eigenvalue of T and
-    survives some single-vertex deletion at full multiplicity, some vertex
-    w has m(T - w) = m(T) + 1; (ii) if m(T) >= 2, such a w exists with
-    degree >= 3 and at least three components of T - w carrying lambda.
-
-    Branch equivalence: when lambda is an eigenvalue of T - w,
-    m(T - w) = m(T) + 1 holds exactly when some component H of T - w loses
-    multiplicity on deleting its attach vertex.
-    """
-    parter, branch = [], []
-    parter_checked = branch_checked = 0
-    specs = [orbit[0] for _, orbit in spec_orbits(config.M_max)]
-    for n in range(max(2, config.n_min), config.n_max + 1):
-        for t in enumerate_trees(n, config.tree_limit):
-            whole = range(t.n)
-            # per v: each component H of T - v as a tree, with the trees of
-            # H minus its attach vertex (the first vertex of its piece)
-            parts = [
-                [
-                    (induced(t, c), [induced(t, d) for d in split(t, c, c[0])])
-                    for c in split(t, whole, v)
-                ]
-                for v in whole
-            ]
-            m = [multiplicity(t, spec) for spec in specs]
-            # comp_m[v][o]: multiplicity of specs[o] in each component of T - v
-            comp_m = [
-                [[multiplicity(h, spec) for h, _ in part] for spec in specs] for part in parts
-            ]
-            for o, spec in enumerate(specs):
-                if m[o] < 1:
-                    continue
-                drops = [sum(comp_m[v][o]) for v in whole]
-                if max(drops) < m[o]:
-                    if m[o] >= 2:
-                        # cannot happen: for m >= 2 a Parter vertex exists,
-                        # so its deletion already satisfies the hypothesis
-                        parter.append(_parter_violation(t, spec, "hypothesis"))
-                    continue
-                parter_checked += 1
-                parters = [v for v in whole if drops[v] == m[o] + 1]
-                if not parters:
-                    parter.append(_parter_violation(t, spec, "i"))
-                elif m[o] >= 2 and not any(
-                    t.degree(v) >= 3 and sum(x >= 1 for x in comp_m[v][o]) >= 3
-                    for v in parters
-                ):
-                    parter.append(_parter_violation(t, spec, "ii"))
-            for w in whole:
-                for o, spec in enumerate(specs):
-                    m_minus = sum(comp_m[w][o])
-                    if m_minus < 1:
-                        continue
-                    branch_checked += 1
-                    lhs = m_minus == m[o] + 1
-                    rhs = any(
-                        m_h - sum(multiplicity(d, spec) for d in rest) == 1
-                        for m_h, (_, rest) in zip(comp_m[w][o], parts[w])
-                    )
-                    if lhs != rhs:
-                        branch.append(
-                            {
-                                "tree": emit_graph6(t),
-                                "vertex": w,
-                                "lambda": [spec.i, spec.M],
-                                "m": m[o],
-                                "m_minus": m_minus,
-                            }
-                        )
-    return (
-        ("parter_vertex", parter_checked, parter),
-        ("branch_equivalence", branch_checked, branch),
-    )
-
-
-def _check_pendant_deletion(config: SweepConfig):
-    """Inside generated GAMMA members: lambda is an eigenvalue, and deleting
-    any pendant vertex drops the multiplicity by exactly one."""
-    violations = []
-    checked = 0
-    for M in range(2, config.family_M_max + 1):
-        rep = LambdaSpec(1, M)
-        for k in range(0, config.family_k_max + 1):
-            for t in generate(FamilyKind.GAMMA, k, rep, config.family_n_max):
-                for spec in all_specs(M, M):
-                    m = multiplicity(t, spec)
-                    checked += 1
-                    if m < 1:
-                        violations.append(
-                            {
-                                "tree": emit_graph6(t),
-                                "lambda": [spec.i, spec.M],
-                                "part": "i",
-                                "m": m,
-                            }
-                        )
-                        continue
-                    for v in pendant_vertices(t):
-                        if t.n == 1:
-                            continue
-                        m_minus = sum(
-                            multiplicity(induced(t, c), spec) for c in split(t, range(t.n), v)
-                        )
-                        if m_minus != m - 1:
-                            violations.append(
-                                {
-                                    "tree": emit_graph6(t),
-                                    "lambda": [spec.i, spec.M],
-                                    "part": "ii",
-                                    "vertex": v,
-                                }
-                            )
-    return "family_pendant_deletion", checked, violations
 
 
 # -- randomized engine agreement --------------------------------------------------

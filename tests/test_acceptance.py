@@ -13,6 +13,7 @@ import os
 import pytest
 
 from oracles import charpoly_by_cofactors, count_free_trees_bruteforce
+from suites import branch_equivalence, family_pendant_deletion, parter_vertex, path_simplicity
 from treemult.families import BROAD, STRICT, FamilyKind, classify, generate
 from treemult.poly import (
     LambdaSpec,
@@ -34,7 +35,6 @@ from treemult.tree import (
 from treemult.verify import (
     SweepConfig,
     engine_agreement_check,
-    lemma_suite,
     sweep,
 )
 
@@ -157,22 +157,24 @@ def test_criterion_5_engine_agreement(big_sweep):
 
 
 def test_criterion_6_lemma_suites():
-    config = SweepConfig(
-        n_min=1,
-        n_max=10,
-        M_max=11,
-        path_n_max=200,
-        path_M_max=40,
-        family_k_max=3,
-        family_n_max=14,
-        family_M_max=6,
-    )
-    rep = lemma_suite(config)
-    details = {name: len(out["violations"]) for name, out in rep.results.items()}
+    results = {
+        "path_simplicity": path_simplicity(n_max=200, M_max=40),
+        "parter_vertex": parter_vertex(n_max=10, M_max=11),
+        "branch_equivalence": branch_equivalence(n_max=10, M_max=11),
+        "family_pendant_deletion": family_pendant_deletion(k_max=3, n_max=14, M_max=6),
+    }
+    checked = {name: c for name, (c, _) in results.items()}
+    violations = {name: len(v) for name, (_, v) in results.items()}
     report(
         "criterion 6: supporting property suites",
-        rep.total_violations == 0,
-        ", ".join(f"{k}={v}" for k, v in details.items()),
+        checked == {
+            "path_simplicity": 11_600,
+            "parter_vertex": 320,
+            "branch_equivalence": 4_013,
+            "family_pendant_deletion": 319,
+        }
+        and not any(violations.values()),
+        ", ".join(f"{name} {checked[name]} checked/{violations[name]} violations" for name in results),
     )
 
 

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import signal
 
 import pytest
 
@@ -15,6 +16,21 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_within(seconds, capsys, *argv):
+    """run, failing the test if the command is still going after seconds."""
+
+    def expire(signum, frame):
+        pytest.fail(f"treemult {' '.join(argv)} still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        return run(capsys, *argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def path_edges(n):
@@ -60,6 +76,12 @@ class TestMult:
     def test_long_path_human_needs_no_graph6(self, capsys):
         # P100 is beyond the graph6 short form, which only JSON output uses
         code, out, err = run(capsys, "mult", "--edges", path_edges(100), "--lambda", "1/2")
+        assert (code, out.strip(), err) == (0, "m=0 p=2 gamma=0", "")
+
+    def test_large_denominator_is_not_an_eigenvalue(self, capsys):
+        # the minimal polynomial of 2cos(pi/30011) has degree 15,005 > n, so
+        # m = 0 is known without building cyclotomic(60022)
+        code, out, err = run_within(5, capsys, "mult", "--edges", "0-1,1-2", "--lambda", "1/30011")
         assert (code, out.strip(), err) == (0, "m=0 p=2 gamma=0", "")
 
 
@@ -146,6 +168,14 @@ class TestStreams:
         code, out, err = run(
             capsys, "generate", "--family", family, "--k", "5000",
             "--lambda", "1/2", "--n-max", "10",
+        )
+        assert (code, out, err) == (0, "", "")
+
+    def test_generate_large_denominator_prints_nothing(self, capsys):
+        # no tree on at most 8 vertices has 2cos(pi/30011) as an eigenvalue
+        code, out, err = run_within(
+            5, capsys, "generate", "--family", "gamma2", "--k", "2",
+            "--lambda", "1/30011", "--n-max", "8",
         )
         assert (code, out, err) == (0, "", "")
 
@@ -249,7 +279,7 @@ class TestVerifyAuditReport:
         assert err.startswith(f"error: {path}:2: ")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("damage", ["none", "cut", "appended", "swapped"])
+    @pytest.mark.parametrize("damage", ["none", "cut", "appended", "swapped", "garbled-summary"])
     def test_report_checks_count_and_digest(self, capsys, tmp_path, damage):
         # the summary beside a record file pins its record count and sha256:
         # a file cut by a line, or carrying a record of another sweep, fails
@@ -273,6 +303,8 @@ class TestVerifyAuditReport:
             lines.append(foreign)
         elif damage == "swapped":
             lines[-1] = foreign
+        elif damage == "garbled-summary":
+            (tmp_path / "rec.jsonl.summary.json").write_text("{bad")
         out_path.write_text("".join(lines))
         code, out, err = run(capsys, "report", str(out_path))
         if damage == "none":
@@ -280,7 +312,8 @@ class TestVerifyAuditReport:
         else:
             assert code == 2 and out == ""
             assert err.startswith("error: ") and "Traceback" not in err
-            assert ("records_sha256" if damage == "swapped" else "records=") in err
+            named = {"swapped": "records_sha256", "garbled-summary": "rec.jsonl.summary.json"}
+            assert named.get(damage, "records=") in err
 
     def test_verify_and_report_print_same_counts(self, capsys, tmp_path):
         out_path = tmp_path / "rec.jsonl"

@@ -1,0 +1,43 @@
+"""Package layering: each module imports only modules of lower layers, in
+the order tree/poly -> spectrum -> families -> verify -> cli, so no two
+modules import each other in a cycle.  `__init__` re-exports every layer
+and is exempt."""
+
+import ast
+from pathlib import Path
+
+LAYER = {"tree": 0, "poly": 0, "spectrum": 1, "families": 2, "verify": 3, "cli": 4}
+# parsed, not imported: a cycle would fail the import before any assertion
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "treemult"
+
+
+def package_imports(path: Path) -> set[str]:
+    """The treemult modules that the module at path imports, at any depth."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "treemult" if node.level else node.module or ""
+            if node.level and node.module:
+                base += "." + node.module
+            # `from treemult import spectrum` names a module, not an attribute
+            names = [base] if base != "treemult" else [f"treemult.{a.name}" for a in node.names]
+        else:
+            continue
+        for name in names:
+            parts = name.split(".")
+            if parts[0] == "treemult" and len(parts) > 1:
+                found.add(parts[1])
+    return found
+
+
+def test_imports_point_down_the_layers():
+    paths = {p.stem: p for p in PACKAGE.glob("*.py") if p.stem != "__init__"}
+    assert set(paths) == set(LAYER)  # a new module needs a layer here
+    upward = {}
+    for stem, path in sorted(paths.items()):
+        bad = sorted(m for m in package_imports(path) if LAYER[m] >= LAYER[stem])
+        if bad:
+            upward[stem] = bad
+    assert upward == {}

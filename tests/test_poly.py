@@ -186,6 +186,8 @@ class TestMinimalPoly:
         for spec in all_specs(30):
             expected = euler_phi(2 * spec.M) // 2 if spec.i % 2 else euler_phi(spec.M) // 2
             assert minimal_poly(spec).degree == max(expected, 1)
+            # one form for both parities, which spectrum.multiplicity uses
+            assert minimal_poly(spec).degree == euler_phi(2 * spec.M) // 2
 
     def test_root_numeric(self):
         for spec in all_specs(30):

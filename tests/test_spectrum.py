@@ -126,6 +126,15 @@ class TestMultiplicity:
                         )
                         assert abs(m - m_minus) <= 1
 
+    def test_degree_cutoff_changes_nothing(self):
+        # multiplicity returns 0 unbuilt when the minimal polynomial's
+        # degree exceeds n
+        for n in range(1, 8):
+            for t in enumerate_trees(n):
+                for spec in all_specs(24):
+                    full = factor_multiplicity(char_poly(t), spec.minimal_poly)
+                    assert multiplicity(t, spec) == full
+
 
 class TestDivisionEngine:
     def test_power_of_mu_adds_k(self):

@@ -1,5 +1,5 @@
-"""Sweep harness: records, determinism, the check of the other eigenvalues,
-property suites."""
+"""Sweep harness: records, determinism, the check of the other eigenvalues;
+engine agreement; the property suites of `suites.py` over small ranges."""
 
 import contextlib
 import hashlib
@@ -10,6 +10,7 @@ import random
 import pytest
 
 from oracles import random_tree_edges_by_scan
+from suites import branch_equivalence, family_pendant_deletion, parter_vertex, path_simplicity
 from treemult.cli import main
 from treemult.families import BROAD, STRICT
 from treemult.poly import Polynomial
@@ -21,7 +22,6 @@ from treemult.verify import (
     _random_tree_edges,
     _sweep_tree,
     engine_agreement_check,
-    lemma_suite,
     sweep,
 )
 
@@ -246,25 +246,20 @@ class TestSweep:
 
 class TestLemmaSuite:
     def test_all_checks_clean_small(self):
-        config = SweepConfig(
-            n_max=7,
-            M_max=8,
-            path_n_max=60,
-            path_M_max=12,
-            family_k_max=2,
-            family_n_max=10,
-            family_M_max=4,
-        )
-        report = lemma_suite(config)
-        assert set(report.results) == {
-            "path_simplicity",
-            "parter_vertex",
-            "branch_equivalence",
-            "family_pendant_deletion",
+        results = {
+            "path_simplicity": path_simplicity(n_max=60, M_max=12),
+            "parter_vertex": parter_vertex(n_max=7, M_max=8),
+            "branch_equivalence": branch_equivalence(n_max=7, M_max=8),
+            "family_pendant_deletion": family_pendant_deletion(k_max=2, n_max=10, M_max=4),
         }
-        for name, outcome in report.results.items():
-            assert outcome["violations"] == [], name
-            assert outcome["checked"] > 0, name
+        assert {name: checked for name, (checked, _) in results.items()} == {
+            "path_simplicity": 960,
+            "parter_vertex": 31,
+            "branch_equivalence": 300,
+            "family_pendant_deletion": 55,
+        }
+        for name, (_, violations) in results.items():
+            assert violations == [], name
 
 
 
