@@ -23,7 +23,6 @@ from treemult.families import BROAD, FamilyKind, Gamma2Mode, classify, generate
 from treemult.poly import InvalidSpecError, LambdaSpec
 from treemult.spectrum import char_poly, multiplicity
 from treemult.tree import (
-    DEFAULT_ENUMERATION_LIMIT,
     GRAPH6_N_MAX,
     Tree,
     TreeError,
@@ -184,7 +183,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    for t in enumerate_trees(args.n, args.limit):
+    for t in enumerate_trees(args.n):
         g6 = emit_graph6(t)
         _emit(args.format, g6, lambda: {"graph6": g6, "n": t.n})
     return 0
@@ -219,7 +218,6 @@ def _cmd_verify(args) -> int:
         modes=args.modes,
         worker_count=args.workers,
         output_path=out,
-        tree_limit=args.limit,
     )
     report = sweep(config)
     status = _print_counts(report, args.format, report.summary_dict())
@@ -278,8 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="stream canonical trees as graph6")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--limit", type=int, default=DEFAULT_ENUMERATION_LIMIT,
-                   help="enumeration size cap (default 20)")
     _add_format(p)
     p.set_defaults(func=_cmd_enumerate)
 
@@ -290,8 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modes", type=_parse_modes, default="broad", help="comma list: broad,strict")
     p.add_argument("--workers", type=int, default=default_worker_count())
     p.add_argument("--out", help=f"records path (default under ${OUT_DIR_ENV} or .)")
-    p.add_argument("--limit", type=int, default=DEFAULT_ENUMERATION_LIMIT,
-                   help="enumeration size cap (default 20)")
     _add_format(p)
     p.set_defaults(func=_cmd_verify)
 

@@ -473,7 +473,7 @@ def all_specs(M_max: int, M_min: int = 2) -> list[LambdaSpec]:
     return specs
 
 
-def spec_orbits(M_max: int, M_min: int = 2) -> list[tuple[Polynomial, tuple[LambdaSpec, ...]]]:
+def spec_orbits(M_max: int) -> list[tuple[Polynomial, tuple[LambdaSpec, ...]]]:
     """Group the specs with M <= M_max by shared minimal polynomial.
 
     Specs of the same parity of i at the same M are algebraic conjugates and
@@ -481,6 +481,6 @@ def spec_orbits(M_max: int, M_min: int = 2) -> list[tuple[Polynomial, tuple[Lamb
     computations once per orbit instead of once per spec.
     """
     orbits: dict[Polynomial, list[LambdaSpec]] = {}
-    for spec in all_specs(M_max, M_min):
+    for spec in all_specs(M_max):
         orbits.setdefault(spec.minimal_poly, []).append(spec)
     return [(mu, tuple(specs)) for mu, specs in orbits.items()]

@@ -67,16 +67,18 @@ def char_poly(t: Tree) -> Polynomial:
     return char_poly_rooted(t, 0)
 
 
-def factor_multiplicity(p: Polynomial, mu: Polynomial) -> int:
-    """The largest k with mu^k dividing p (nonzero; mu monic of degree d >= 1),
-    by synthetic division in place on one copy of p's coefficients: a round
-    leaves the remainder in the lowest d live slots, the quotient above."""
+def factor_multiplicity(p: Polynomial, mu: Polynomial) -> tuple[int, Polynomial]:
+    """The largest k with mu^k dividing p (nonzero; mu monic of degree d >= 1)
+    and the quotient p / mu^k, by synthetic division in place on one copy of
+    p's coefficients: a round leaves the remainder in the lowest d live
+    slots, the quotient above."""
     d = mu.degree
     if not p or d < 1 or not mu.is_monic():
         raise ValueError(f"need p != 0 and a monic mu of degree >= 1, got mu = {mu}")
     low = mu.coeffs[:d]
     a = list(p.coeffs)
     lo = count = 0  # a[lo:] is p / mu^count
+    rest = p
     while len(a) - lo > d:
         for k in range(len(a) - 1, lo + d - 1, -1):
             top = a[k]
@@ -84,10 +86,11 @@ def factor_multiplicity(p: Polynomial, mu: Polynomial) -> int:
                 for j, c in enumerate(low, k - d):
                     a[j] -= top * c
         if any(a[lo : lo + d]):
-            return count
+            break  # a[lo:] no longer holds the quotient; rest still does
         lo += d
         count += 1
-    return count
+        rest = Polynomial(a[lo:])
+    return count, rest
 
 
 def multiplicity(t: Tree, spec: LambdaSpec) -> int:
@@ -99,7 +102,7 @@ def multiplicity(t: Tree, spec: LambdaSpec) -> int:
     a degree-n char_poly, so then m = 0 without building it."""
     if euler_phi(2 * spec.M) // 2 > t.n:
         return 0
-    return factor_multiplicity(char_poly(t), minimal_poly(spec))
+    return factor_multiplicity(char_poly(t), minimal_poly(spec))[0]
 
 
 # -- tree engine over Z[x]/(mu) ----------------------------------------------

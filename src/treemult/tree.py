@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 
-DEFAULT_ENUMERATION_LIMIT = 20
+ENUMERATION_LIMIT = 20  # the largest n enumerate_trees accepts
 GRAPH6_N_MAX = 62  # the graph6 short form, the only one emitted or parsed
 
 
@@ -327,13 +327,13 @@ def free_tree_codes(n: int) -> Iterator[tuple]:
                 yield (n, tuple(sorted(a[1] + ((n // 2, b[1]),), reverse=True)))
 
 
-def enumerate_trees(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> Iterator[Tree]:
+def enumerate_trees(n: int) -> Iterator[Tree]:
     """Exactly one representative per isomorphism class of free trees on n
     vertices, in a deterministic canonical order."""
     if n < 1:
         raise ValueError("vertex count must be positive")
-    if n > limit:
-        raise LimitExceededError(f"n = {n} above enumeration limit {limit}")
+    if n > ENUMERATION_LIMIT:
+        raise LimitExceededError(f"n = {n} above enumeration limit {ENUMERATION_LIMIT}")
     for code in free_tree_codes(n):
         yield tree_from_code(code)
 

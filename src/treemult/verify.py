@@ -11,10 +11,11 @@ sweeps a tree also encodes its records and tallies them; the parent
 process only writes each tree's bytes in enumeration order, hashes them
 and merges the tallies.
 
-When M_max >= n + 1, a tree's other eigenvalues are checked too: those
-left once every swept orbit's minimal polynomial is divided out of the
-characteristic polynomial, as often as the engines counted it.  The
-squarefree decomposition of what is left gives them level by level, and
+The multiplicity loop peels each swept orbit's minimal polynomial off the
+characteristic polynomial as it counts it, so what is left holds exactly
+the eigenvalues no swept orbit carries, by the same division whose counts
+the rank engine checks.  When M_max >= n + 1 those are checked too: the
+squarefree decomposition of the leftover gives them level by level, and
 their counts go to the summary's `other_eigenvalues` block, not to records.
 """
 
@@ -47,7 +48,7 @@ from treemult.poly import (
     LambdaSpec,
     Polynomial,
     all_specs,
-    exact_div,
+    exact_div,  # unused here; perfbench/tracer.py wraps it on this module
     spec_orbits,
     squarefree_decompose,
 )
@@ -57,7 +58,7 @@ from treemult.spectrum import (
     rank_nullity,
 )
 from treemult.tree import (
-    DEFAULT_ENUMERATION_LIMIT,
+    ENUMERATION_LIMIT,
     Tree,
     emit_graph6,  # unused here; perfbench/tracer.py wraps it on this module
     enumerate_trees,
@@ -99,13 +100,12 @@ class SweepConfig:
     modes: tuple[Gamma2Mode, ...] = (BROAD,)
     worker_count: int = 1
     output_path: str | None = None
-    tree_limit: int = DEFAULT_ENUMERATION_LIMIT
 
     def __post_init__(self):
         if self.n_min < 1 or self.n_min > self.n_max:
             raise ValueError("need 1 <= n_min <= n_max")
-        if self.n_max > self.tree_limit:
-            raise ValueError(f"n_max {self.n_max} above enumeration limit {self.tree_limit}")
+        if self.n_max > ENUMERATION_LIMIT:
+            raise ValueError(f"n_max {self.n_max} above enumeration limit {ENUMERATION_LIMIT}")
         if self.M_max < 2:
             raise ValueError("M_max must be at least 2")
         if self.worker_count < 1:
@@ -276,9 +276,12 @@ class SweepReport(Tally):
 
 
 @lru_cache(maxsize=None)
-def _orbit_table(M_max: int) -> tuple[tuple, tuple[LambdaSpec, ...]]:
-    """The orbits and the specs with M <= M_max, built once per process."""
-    return tuple(spec_orbits(M_max)), tuple(all_specs(M_max))
+def _orbit_table(M_max: int) -> tuple[tuple, tuple[tuple[LambdaSpec, int], ...]]:
+    """The orbits with M <= M_max, and each spec with M <= M_max in (M, i)
+    order with the index of its orbit; built once per process."""
+    orbits = tuple(spec_orbits(M_max))
+    index = {spec: o for o, (_, specs) in enumerate(orbits) for spec in specs}
+    return orbits, tuple((spec, index[spec]) for spec in all_specs(M_max))
 
 
 def _sweep_tree(args) -> tuple[bytes, Tally, dict | None]:
@@ -288,30 +291,27 @@ def _sweep_tree(args) -> tuple[bytes, Tally, dict | None]:
 
     Conjugate eigenvalues share a minimal polynomial, and family membership
     depends on lambda only through M, so multiplicities are computed once
-    per orbit and classifications once per (M, mode).  The records of an
-    orbit's specs then differ only in `lambda`, so each orbit's record tail
-    is JSON-encoded once.  When n + 1 <= M_max the tree's other eigenvalues
-    are checked as well (`_check_other`).
+    per orbit and classifications once per (orbit, mode).  The records of
+    an orbit's specs then differ only in `lambda`, so each orbit's record
+    tail is JSON-encoded once.  Each orbit's mu^m is divided out of the characteristic polynomial
+    as m is counted; the orbits' minimal polynomials are distinct monic
+    irreducibles, so the counts do not change, and when n + 1 <= M_max what
+    is left is checked as well (`_check_other`).
     """
     g6, M_max, modes = args
     t = parse_graph6(g6)
-    cp = char_poly(t)
+    rest = char_poly(t)
     p = pendant_count(t)
     gamma = major_count(t)
-    # a conjugacy orbit (one minimal polynomial) is exactly a denominator M
-    # plus a parity of i; classification depends on lambda only through it
-    by_orbit: dict[tuple[int, int], tuple[dict, str]] = {}
-    divided = []  # (mu, m) for every orbit with m >= 1
+    tails: list[tuple[dict, str]] = []  # per orbit: its record tail, encoded
     orbits, every_spec = _orbit_table(M_max)
     for mu, specs in orbits:
         rep = specs[0]
-        m = factor_multiplicity(cp, mu)
+        m, rest = factor_multiplicity(rest, mu)
         m_rank = rank_nullity(t, mu)
         if m != m_rank:
             mismatch = {"tree": g6, "lambda": [rep.i, rep.M], "division_engine": m, "rank_engine": m_rank}
             raise EngineMismatchError(json.dumps(mismatch))
-        if m:
-            divided.append((mu, m))
         results = [classify(t, rep, mode) for mode in modes]
         # GAMMA membership does not depend on the GAMMA2 reading
         eq_top = CONSISTENT if (m == p - 1) == results[0].is_gamma() else VIOLATION
@@ -333,15 +333,15 @@ def _sweep_tree(args) -> tuple[bytes, Tally, dict | None]:
             "classification": {mode.value: res.tag for mode, res in zip(modes, results)},
             "notes": "",
         }
-        by_orbit[(rep.M, rep.i % 2)] = (tail, ", " + json.dumps(tail)[1:] + "\n")
+        tails.append((tail, ", " + json.dumps(tail)[1:] + "\n"))
     head = '{"tree": ' + json.dumps(g6) + ', "lambda": '
     lines = []
     tally = Tally()
-    for spec in every_spec:
-        tail, tail_text = by_orbit[(spec.M, spec.i % 2)]
+    for spec, orbit in every_spec:
+        tail, tail_text = tails[orbit]
         lines.append(f"{head}[{spec.i}, {spec.M}]{tail_text}")
         tally.add({"tree": g6, "lambda": [spec.i, spec.M], **tail})
-    other = _check_other(g6, cp, divided, p) if t.n + 1 <= M_max else None
+    other = _check_other(g6, rest, p) if t.n + 1 <= M_max else None
     return "".join(lines).encode("utf-8"), tally, other
 
 
@@ -355,21 +355,24 @@ def _other_outcome(trees: int) -> dict:
     }
 
 
-def _check_other(g6: str, cp: Polynomial, divided: list, p: int) -> dict:
+def _check_other(g6: str, rest: Polynomial, p: int) -> dict:
     """Check the eigenvalues of a tree with n + 1 <= M_max that no swept
-    orbit carries.  No path on at most n vertices has such an eigenvalue,
-    so at it GAMMA and strict GAMMA2 are empty and broad GAMMA2 is the
-    three-leg spiders.  A level k of them then keeps the bound and both
-    equivalences exactly when k <= p - 3; with p = 3 a level 1 is a broad
-    GAMMA2 member the strict reading misses, a strict discrepancy.  Every
-    other level is a violation.
+    orbit carries: the roots of rest, its characteristic polynomial with
+    every swept orbit's mu^m divided out.  Each squarefree part of rest at
+    level k holds the eigenvalues of multiplicity exactly k.
+
+    No path on at most n vertices has such an eigenvalue, so at it GAMMA
+    and strict GAMMA2 are empty and broad GAMMA2 is the three-leg spiders.
+    A level k then keeps the bound and both equivalences exactly when
+    k <= p - 3; with p = 3 a level 1 is a broad GAMMA2 member the strict
+    reading misses, a strict discrepancy.  Every other level is a violation.
     """
     outcome = _other_outcome(1)
     # a level that counts has k >= max(1, p - 2) and adds at least k to the
     # leftover's degree, so a leftover of lower degree holds none
-    if cp.degree - sum(mu.degree * m for mu, m in divided) < max(1, p - 2):
+    if rest.degree < max(1, p - 2):
         return outcome
-    for g, k in non_path_parts(cp, divided):
+    for g, k in squarefree_decompose(rest):
         outcome["levels"] += 1
         if k <= p - 3:
             continue
@@ -383,21 +386,11 @@ def _check_other(g6: str, cp: Polynomial, divided: list, p: int) -> dict:
     return outcome
 
 
-def non_path_parts(cp: Polynomial, divided) -> list[tuple[Polynomial, int]]:
-    """The squarefree decomposition of cp once mu^m has been divided out for
-    each (mu, m) in divided.  With m the multiplicity of each swept orbit's
-    minimal polynomial mu in a tree's char_poly cp, each part g at level k
-    holds the eigenvalues of multiplicity exactly k that no orbit carries."""
-    for mu, m in divided:
-        cp = exact_div(cp, mu**m)
-    return squarefree_decompose(cp)
-
-
 def _ordered_tree_codes(config: SweepConfig) -> list[str]:
     codes = []
     for n in range(config.n_min, config.n_max + 1):
         # enumerated trees are canonically labeled already
-        batch = [pack_graph6(t) for t in enumerate_trees(n, config.tree_limit)]
+        batch = [pack_graph6(t) for t in enumerate_trees(n)]
         batch.sort()
         codes.extend(batch)
     return codes
@@ -508,7 +501,7 @@ def _agreement_worker(args) -> dict | None:
     M = rng.randint(2, M_max)
     spec = rng.choice(all_specs(M, M))
     mu = spec.minimal_poly
-    m_div = factor_multiplicity(char_poly(t), mu)
+    m_div, _ = factor_multiplicity(char_poly(t), mu)
     m_rank = rank_nullity(t, mu)
     if m_div != m_rank:
         return {

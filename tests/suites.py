@@ -25,7 +25,7 @@ def path_simplicity(n_max: int, M_max: int) -> tuple[int, list]:
     for n in range(1, n_max + 1):
         cp = path_charpoly(n)
         for mu, specs in orbits:
-            m = factor_multiplicity(cp, mu)
+            m, _ = factor_multiplicity(cp, mu)
             expected = 1 if (n + 1) % specs[0].M == 0 else 0
             checked += 1
             if m != expected:

@@ -1,14 +1,19 @@
 """Package layering: each module imports only modules of lower layers, in
 the order tree/poly -> spectrum -> families -> verify -> cli, so no two
 modules import each other in a cycle.  `__init__` re-exports every layer
-and is exempt."""
+and is exempt.  Also: the names the benchmark reaches into stay bound."""
 
 import ast
+import importlib.util
 from pathlib import Path
+
+import treemult.families as families
+import treemult.spectrum as spectrum
 
 LAYER = {"tree": 0, "poly": 0, "spectrum": 1, "families": 2, "verify": 3, "cli": 4}
 # parsed, not imported: a cycle would fail the import before any assertion
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "treemult"
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
 def package_imports(path: Path) -> set[str]:
@@ -41,3 +46,16 @@ def test_imports_point_down_the_layers():
         if bad:
             upward[stem] = bad
     assert upward == {}
+
+
+def test_benchmark_names_stay_bound():
+    # perfbench/tracer.py wraps names on verify that verify itself may not
+    # use; installing it getattrs each and raises AttributeError on one
+    # that is gone.  perfbench/run.py reads the other two.
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    with tracer.installed(tracer.Tracer()):
+        pass
+    assert isinstance(families._member_memo, dict)
+    assert callable(spectrum.char_poly.cache_info)

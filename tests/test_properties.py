@@ -78,7 +78,7 @@ def test_char_poly_invariant_under_relabelling_and_root(pair, data):
 def test_engines_agree_under_relabelling(pair, orbit):
     t, u = pair
     mu, _ = orbit
-    m = factor_multiplicity(char_poly(t), mu)
+    m, _ = factor_multiplicity(char_poly(t), mu)
     assert rank_nullity(t, mu) == m
     assert rank_nullity(u, mu) == m
 
@@ -88,5 +88,5 @@ def test_engines_agree_under_relabelling(pair, orbit):
 def test_engines_match_elimination(t, orbit):
     mu, _ = orbit
     expected = nullity_by_elimination(t, mu)
-    assert factor_multiplicity(char_poly(t), mu) == expected
+    assert factor_multiplicity(char_poly(t), mu)[0] == expected
     assert rank_nullity(t, mu) == expected

@@ -9,7 +9,14 @@ import pytest
 import treemult.poly as poly_mod
 import treemult.spectrum as spectrum_mod
 from oracles import charpoly_by_cofactors, nullity_by_elimination, nullity_by_matching
-from treemult.poly import LambdaSpec, Polynomial, all_specs, path_charpoly, spec_orbits
+from treemult.poly import (
+    LambdaSpec,
+    Polynomial,
+    all_specs,
+    path_charpoly,
+    spec_orbits,
+    squarefree_decompose,
+)
 from treemult.spectrum import (
     char_poly,
     char_poly_rooted,
@@ -28,7 +35,7 @@ from treemult.tree import (
     split,
     star_tree,
 )
-from treemult.verify import SweepConfig, non_path_parts, sweep
+from treemult.verify import SweepConfig, sweep
 
 
 def P(*coeffs):
@@ -36,11 +43,12 @@ def P(*coeffs):
 
 
 def leftover_parts(t, orbits):
-    """non_path_parts as the sweep calls it: each orbit's multiplicity is
-    counted on the whole char_poly."""
-    cp = char_poly(t)
-    divided = [(mu, factor_multiplicity(cp, mu)) for mu, _ in orbits]
-    return non_path_parts(cp, [(mu, m) for mu, m in divided if m])
+    """The squarefree parts of what char_poly leaves once each orbit's
+    minimal polynomial is peeled off in turn, as the sweep peels it."""
+    rest = char_poly(t)
+    for mu, _ in orbits:
+        _, rest = factor_multiplicity(rest, mu)
+    return squarefree_decompose(rest)
 
 
 LAMBDA_0 = LambdaSpec(1, 2)
@@ -132,21 +140,22 @@ class TestMultiplicity:
         for n in range(1, 8):
             for t in enumerate_trees(n):
                 for spec in all_specs(24):
-                    full = factor_multiplicity(char_poly(t), spec.minimal_poly)
+                    full, _ = factor_multiplicity(char_poly(t), spec.minimal_poly)
                     assert multiplicity(t, spec) == full
 
 
 class TestDivisionEngine:
     def test_power_of_mu_adds_k(self):
-        # g need not be coprime to mu: its own multiplicity must add to k
+        # g need not be coprime to mu: its own multiplicity must add to k,
+        # and the quotient must not depend on k
         orbits = spec_orbits(26)
         for n in range(1, 9):
             for t in enumerate_trees(n):
                 g = char_poly(t)
                 for mu, specs in orbits:
-                    base = factor_multiplicity(g, mu)
+                    base, rest = factor_multiplicity(g, mu)
                     for k in range(5):
-                        assert factor_multiplicity(mu**k * g, mu) == k + base, (
+                        assert factor_multiplicity(mu**k * g, mu) == (k + base, rest), (
                             t.edges, specs[0], k,
                         )
 
@@ -315,12 +324,21 @@ class TestSubtreeInterning:
         assert len(id_of) == sum(len(_rooted_codes(size)) for size in range(1, 11))
 
     def test_tables_stay_bounded_in_the_sweep(self, cold_tables):
-        sweep(SweepConfig(n_max=12, M_max=15, worker_count=1))
+        report = sweep(SweepConfig(n_max=12, M_max=15, worker_count=1))
         # ids only for subtrees of at most 12 // 2 = 6 vertices: there are
         # 37 rooted trees on at most 6 vertices
         assert len(spectrum_mod._shape_ids) <= 37
         assert len(spectrum_mod._states) == len(spec_orbits(15))
         assert all(len(rows) <= 37 for rows in spectrum_mod._states.values())
+        # every eigenvalue is checked here (M_max = n_max + 3), and the
+        # leftover check reads no mode
+        assert report.other_eigenvalues == {
+            "trees": 987,
+            "levels": 863,
+            "violations": 0,
+            "strict_discrepancies": 35,
+            "violation_examples": [],
+        }
 
     def test_warm_tables_are_invisible(self, cold_tables):
         # each tree as enumerated (rooted at a centroid) and relabelled at
@@ -343,9 +361,9 @@ class TestSubtreeInterning:
         assert warm == cold
 
 
-class TestEigenSupportAudit:
-    """`non_path_parts`: what char_poly leaves once every orbit's minimal
-    polynomial is divided out."""
+class TestLeftover:
+    """What char_poly leaves once every orbit's minimal polynomial is
+    peeled off, as `_sweep_tree` hands it to `_check_other`."""
 
     def test_path3(self):
         t = path_tree(3)
@@ -379,13 +397,17 @@ class TestEigenSupportAudit:
 
     def test_product_reassembles(self):
         # char_poly = prod g^k over the parts times prod mu^m over the orbits,
+        # each m peeled off what the orbits before it left, and equal to the
         # m counted on the whole char_poly
         for n in range(1, 9):
             orbits = spec_orbits(n + 1)
             for t in enumerate_trees(n):
+                cp = rest = char_poly(t)
                 product = Polynomial((1,))
+                for mu, _ in orbits:
+                    m, rest = factor_multiplicity(rest, mu)
+                    assert m == factor_multiplicity(cp, mu)[0], (t.edges, mu)
+                    product = product * mu**m
                 for g, k in leftover_parts(t, orbits):
                     product = product * g**k
-                for mu, _ in orbits:
-                    product = product * mu ** factor_multiplicity(char_poly(t), mu)
-                assert product == char_poly(t)
+                assert product == cp

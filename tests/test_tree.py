@@ -179,8 +179,6 @@ class TestEnumeration:
     def test_limit(self):
         with pytest.raises(LimitExceededError):
             next(enumerate_trees(21))
-        with pytest.raises(LimitExceededError):
-            next(enumerate_trees(6, limit=5))
 
     def test_enumerated_trees_are_canonically_labeled(self):
         # the sweep encodes enumerated trees with pack_graph6, skipping the

@@ -313,8 +313,8 @@ class TestAudit:
         ],
     )
     def test_level_rule(self, p, level, verdict):
-        # x^2 - 3 at the given level of a leftover with nothing divided out
-        other = _check_other("?", Polynomial((-3, 0, 1)) ** level, [], p)
+        # a leftover of x^2 - 3 at the given level
+        other = _check_other("?", Polynomial((-3, 0, 1)) ** level, p)
         counted = {key: other[key] for key in ("violations", "strict_discrepancies")}
         assert counted == {key: int(key == verdict) for key in counted}
         assert other["levels"] == 1
