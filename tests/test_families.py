@@ -1,5 +1,6 @@
 """Family classifiers, generators, and their closure against enumeration."""
 
+import hashlib
 import random
 
 import pytest
@@ -22,8 +23,10 @@ from treemult.spectrum import multiplicity
 from treemult.tree import (
     Tree,
     canonical_code,
+    emit_graph6,
     enumerate_trees,
     major_count,
+    pack_graph6,
     path_tree,
     pendant_count,
     spider_tree,
@@ -341,6 +344,29 @@ class TestGenerate:
                                 if res.kind is family and res.k == k:
                                     classified.add(canonical_code(t))
                         assert generated == classified, (family, k, M, mode)
+
+    def test_golden_output_hash(self):
+        # every member yielded for both families, k <= 3, every orbit with
+        # M <= 6 and both modes: the canonical graph6 lines pin the classes
+        # and their order, the graph6 lines of the trees as yielded pin the
+        # labels
+        classes, labeled = hashlib.sha256(), hashlib.sha256()
+        lines = 0
+        for family in (FamilyKind.GAMMA, FamilyKind.GAMMA2):
+            for k in range(4):
+                for spec in all_specs(6):
+                    for mode in (BROAD, STRICT):
+                        for t in generate(family, k, spec, 14, mode):
+                            classes.update((emit_graph6(t) + "\n").encode())
+                            labeled.update((pack_graph6(t) + "\n").encode())
+                            lines += 1
+        assert lines == 3372
+        assert classes.hexdigest() == (
+            "87942f882579a90e0f59c3a0a7c48f2a6711c9f7b726d7e33030776a11b7b140"
+        )
+        assert labeled.hexdigest() == (
+            "8212de5005bb1f395e64973500b1e26c3e2e7c728d2bfcb0f86b3f99363fc578"
+        )
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
