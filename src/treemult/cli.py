@@ -30,6 +30,7 @@ from treemult.tree import (
     enumerate_trees,
     load_edge_json,
     major_count,
+    pack_graph6,
     parse_edge_text,
     parse_graph6,
     pendant_count,
@@ -184,7 +185,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     for t in enumerate_trees(args.n):
-        g6 = emit_graph6(t)
+        g6 = pack_graph6(t)  # enumerated trees are canonically labeled
         _emit(args.format, g6, lambda: {"graph6": g6, "n": t.n})
     return 0
 

@@ -32,7 +32,9 @@ For k >= 1 a piece is in GAMMA(k) exactly when no segment is defective, and
 a GAMMA2(k) piece has 1 or 3 defective segments (the argument is at
 _defective).  The segment sizes are cached with the piece's cuts, and the
 clause search runs only on the pieces that pass, so it finds the same
-witnesses and stops early on non-members.
+witnesses and stops early on non-members.  Only the GAMMA2 search keeps
+verdicts (see classify): a piece that passes the GAMMA test is a member,
+which its first outer major peels.
 """
 
 from __future__ import annotations
@@ -228,7 +230,7 @@ def _step(w: int, clause: str, comps, labels, sub: tuple) -> tuple[WitnessStep, 
     return (WitnessStep(w, clause, tuple(zip(comps, labels))),) + sub
 
 
-def _gamma(t: Tree, piece: tuple[int, ...], M: int, k: int, verdicts: dict):
+def _gamma(t: Tree, piece: tuple[int, ...], M: int, k: int):
     """Witness chain certifying the piece in GAMMA(k), outer step first, or
     None.  At some major vertex w, all attach vertices of piece - w must be
     pendant in their components; at level 1 every component is a base path,
@@ -241,10 +243,6 @@ def _gamma(t: Tree, piece: tuple[int, ...], M: int, k: int, verdicts: dict):
         return () if _gamma0_path_size(len(piece), M) else None
     if _defective(segments, M):
         return None
-    key = (piece, FamilyKind.GAMMA)
-    if key in verdicts:
-        return verdicts[key]
-    chain = None
     for w, comps, shapes in cuts:
         if any(attach > 1 for _, attach in shapes):
             continue
@@ -252,13 +250,11 @@ def _gamma(t: Tree, piece: tuple[int, ...], M: int, k: int, verdicts: dict):
         deep = [c for c, b in zip(comps, base) if not b]
         if len(deep) != (1 if k > 1 else 0):
             continue
-        sub = _gamma(t, deep[0], M, k - 1, verdicts) if deep else ()
+        sub = _gamma(t, deep[0], M, k - 1) if deep else ()
         if sub is not None:
             labels = ["gamma0" if b else f"gamma({k - 1})" for b in base]
-            chain = _step(w, "gamma", comps, labels, sub)
-            break
-    verdicts[key] = chain
-    return chain
+            return _step(w, "gamma", comps, labels, sub)
+    return None
 
 
 def _gamma2(
@@ -292,9 +288,8 @@ def _gamma2(
         return () if _gamma2_0_path_size(len(piece), M, mode) else None
     if _defective(segments, M) not in (1, 3):
         return None
-    key = (piece, FamilyKind.GAMMA2)
-    if key in verdicts:
-        return verdicts[key]
+    if piece in verdicts:
+        return verdicts[piece]
     chain = None
     for w, comps, shapes in cuts:
         g0 = [path and _gamma0_path_size(len(c), M) for c, (path, _) in zip(comps, shapes)]
@@ -323,7 +318,7 @@ def _gamma2(
             one = non_pendant[0]
             level = k - 1 if shapes[one][1] >= 3 else k - 2
             if all(b for idx, b in enumerate(g0) if idx != one):
-                sub = _gamma(t, comps[one], M, level, verdicts)
+                sub = _gamma(t, comps[one], M, level)
                 if sub is not None:
                     labels[one] = f"gamma({level})|non-pendant"
                     chain = _step(w, "gamma2", comps, labels, sub)
@@ -343,12 +338,12 @@ def _gamma2(
                 break
         elif sum(g20) == 1:
             # clause (3)
-            sub = _gamma(t, comps[one], M, k - 1, verdicts)
+            sub = _gamma(t, comps[one], M, k - 1)
             if sub is not None:
                 labels[one] = f"gamma({k - 1})"
                 chain = _step(w, "gamma2", comps, labels, sub)
                 break
-    verdicts[key] = chain
+    verdicts[piece] = chain
     return chain
 
 
@@ -367,15 +362,17 @@ def classify(t: Tree, lam: LambdaSpec, mode: Gamma2Mode = BROAD) -> FamilyResult
     if t != _memo_tree:
         _member_memo.clear()
         _memo_tree = t
-    # (piece, family) -> witness chain or None.  Lambda and the mode are
-    # fixed within one call and a piece's level is its major count, so the
-    # key needs nothing else; without it a non-member with many major
+    # piece -> GAMMA2 witness chain or None.  Lambda and the mode are fixed
+    # within one call and a piece's level is its major count, so the key
+    # needs nothing else; without it a GAMMA2 non-member with many major
     # vertices is searched once per order of deleting them, which grows
-    # exponentially with the major count.
+    # exponentially with the major count.  GAMMA needs no verdicts: a piece
+    # that passes its segment test is a member, and its first outer major
+    # peels it, so each level recurses once.
     verdicts: dict = {}
     piece = tuple(range(t.n))
     k = len(_cuts(t, piece)[1])
-    chain = _gamma(t, piece, lam.M, k, verdicts)
+    chain = _gamma(t, piece, lam.M, k)
     if chain is not None:
         return FamilyResult(FamilyKind.GAMMA, k, chain)
     chain = _gamma2(t, piece, lam, k, mode, verdicts)
@@ -438,19 +435,18 @@ def _size_multisets(sizes: list[int], count_min: int, total_max: int) -> Iterato
         yield from rec(total_max, len(usable) - 1, [])
 
 
-def _join(parts: list[tuple[Tree, int]]) -> Tree:
-    """New tree: a fresh vertex joined to the given vertex of each part."""
+def _keep_join(out: dict, sizes: tuple[int, ...], *head: tuple[Tree, int]) -> None:
+    """Join a fresh vertex to the given vertex of each head part, then to an
+    end of a path per size, in that order; keep the tree in out under its
+    canonical code unless an isomorphic tree is already kept there."""
     edges: list[tuple[int, int]] = []
     offset = 1
-    for part, attach in parts:
+    for part, attach in [*head, *((path_tree(s), 0) for s in sizes)]:
         edges.extend((u + offset, v + offset) for u, v in part.edges)
         edges.append((0, attach + offset))
         offset += part.n
-    return Tree.from_edges(offset, edges)
-
-
-def _join_paths_only(path_sizes: tuple[int, ...]) -> Tree:
-    return _join([(path_tree(s), 0) for s in path_sizes])
+    t = Tree.from_edges(offset, edges)
+    out.setdefault(canonical_code(t), t)
 
 
 def _distinct_by_attachment(t: Tree, candidates: list[int]) -> list[int]:
@@ -466,16 +462,8 @@ def _distinct_by_attachment(t: Tree, candidates: list[int]) -> list[int]:
     return out
 
 
-def _distinct_pendants(t: Tree) -> list[int]:
-    return _distinct_by_attachment(t, pendant_vertices(t))
-
-
-def _distinct_degree2(t: Tree) -> list[int]:
-    return _distinct_by_attachment(t, [v for v in range(t.n) if t.degree(v) == 2])
-
-
 def generate(
-    family: FamilyKind | str,
+    family: FamilyKind,
     k: int,
     lam: LambdaSpec,
     n_max: int,
@@ -486,8 +474,6 @@ def generate(
     definitions and deduplicated canonically.  Deterministic order: by
     vertex count, then canonical code.
     """
-    if isinstance(family, str):
-        family = FamilyKind(family.upper())
     if k < 0 or n_max < 1:
         raise ValueError("k must be >= 0 and n_max >= 1")
     if family is FamilyKind.GAMMA:
@@ -505,23 +491,18 @@ def _generate_gamma(k: int, M: int, n_max: int) -> dict:
     # depth by n_max / 3 whatever k is
     if n_max < 1:
         return {}
-    if k == 0:
-        return {
-            canonical_code(path_tree(n)): path_tree(n)
-            for n in _gamma0_sizes(M, n_max)
-        }
-    out: dict = {}
     base_sizes = _gamma0_sizes(M, n_max)
+    if k == 0:
+        return {canonical_code(p): p for p in map(path_tree, base_sizes)}
+    out: dict = {}
     if k == 1:
         for sizes in _size_multisets(base_sizes, 3, n_max - 1):
-            t = _join_paths_only(sizes)
-            out.setdefault(canonical_code(t), t)
+            _keep_join(out, sizes)
         return out
     for rec in _generate_gamma(k - 1, M, n_max - 3).values():
-        for attach in _distinct_pendants(rec):
+        for attach in _distinct_by_attachment(rec, pendant_vertices(rec)):
             for sizes in _size_multisets(base_sizes, 2, n_max - 1 - rec.n):
-                t = _join([(rec, attach)] + [(path_tree(s), 0) for s in sizes])
-                out.setdefault(canonical_code(t), t)
+                _keep_join(out, sizes, (rec, attach))
     return out
 
 
@@ -529,58 +510,43 @@ def _generate_gamma2(k: int, lam: LambdaSpec, n_max: int, mode: Gamma2Mode) -> d
     M = lam.M
     if n_max < 1:  # as in _generate_gamma
         return {}
-    if k == 0:
-        return {
-            canonical_code(path_tree(n)): path_tree(n)
-            for n in _gamma2_0_sizes(M, n_max, mode)
-        }
-    out: dict = {}
     g0_sizes = _gamma0_sizes(M, n_max)
     g20_sizes = _gamma2_0_sizes(M, n_max, mode)
+    if k == 0:
+        return {canonical_code(p): p for p in map(path_tree, g20_sizes)}
+    out: dict = {}
     if k == 1:
         for sizes in _size_multisets(g20_sizes, 3, n_max - 1):
-            if len(sizes) != 3:
-                continue
-            t = _join_paths_only(sizes)
-            out.setdefault(canonical_code(t), t)
+            if len(sizes) == 3:
+                _keep_join(out, sizes)
         for lead in g20_sizes:
             for sizes in _size_multisets(g0_sizes, 2, n_max - 1 - lead):
-                t = _join_paths_only((lead,) + sizes)
-                out.setdefault(canonical_code(t), t)
+                _keep_join(out, (lead,) + sizes)
         return out
     # clause (1): recursive GAMMA2 component, restricted to members that
     # have lambda as an eigenvalue, joined at one of its pendants
     for rec in _generate_gamma2(k - 1, lam, n_max - 3, mode).values():
         if not _carries(rec, lam):
             continue
-        for attach in _distinct_pendants(rec):
+        for attach in _distinct_by_attachment(rec, pendant_vertices(rec)):
             for sizes in _size_multisets(g0_sizes, 2, n_max - 1 - rec.n):
-                t = _join([(rec, attach)] + [(path_tree(s), 0) for s in sizes])
-                out.setdefault(canonical_code(t), t)
+                _keep_join(out, sizes, (rec, attach))
     for rec in _generate_gamma(k - 1, M, n_max - 3).values():
         # clause (2), same-level shape: GAMMA component joined at one of its
         # major vertices (the join keeps the major count at k)
         for attach in major_vertices(rec):
             for sizes in _size_multisets(g0_sizes, 2, n_max - 1 - rec.n):
-                t = _join([(rec, attach)] + [(path_tree(s), 0) for s in sizes])
-                out.setdefault(canonical_code(t), t)
+                _keep_join(out, sizes, (rec, attach))
         # clause (3): GAMMA component plus exactly one base GAMMA2 path
-        for attach in _distinct_pendants(rec):
+        for attach in _distinct_by_attachment(rec, pendant_vertices(rec)):
             for lead in g20_sizes:
-                budget = n_max - 1 - rec.n - lead
-                if budget < 0:
-                    continue
-                for sizes in _size_multisets(g0_sizes, 1, budget):
-                    t = _join(
-                        [(rec, attach), (path_tree(lead), 0)]
-                        + [(path_tree(s), 0) for s in sizes]
-                    )
-                    out.setdefault(canonical_code(t), t)
+                for sizes in _size_multisets(g0_sizes, 1, n_max - 1 - rec.n - lead):
+                    _keep_join(out, (lead,) + sizes, (rec, attach))
     # clause (2), promoted-attach shape: a GAMMA member two levels down
     # joined at a degree-2 vertex, which the join promotes to a new major
     for rec in _generate_gamma(k - 2, M, n_max - 3).values():
-        for attach in _distinct_degree2(rec):
+        degree2 = [v for v in range(rec.n) if rec.degree(v) == 2]
+        for attach in _distinct_by_attachment(rec, degree2):
             for sizes in _size_multisets(g0_sizes, 2, n_max - 1 - rec.n):
-                t = _join([(rec, attach)] + [(path_tree(s), 0) for s in sizes])
-                out.setdefault(canonical_code(t), t)
+                _keep_join(out, sizes, (rec, attach))
     return out

@@ -356,17 +356,35 @@ def path_charpoly(n: int) -> Polynomial:
     return cur
 
 
+def _at_power(p: Polynomial, e: int) -> Polynomial:
+    """p(x^e)."""
+    coeffs = [0] * (p.degree * e + 1)
+    coeffs[::e] = p.coeffs
+    return Polynomial(coeffs)
+
+
 @lru_cache(maxsize=None)
 def cyclotomic(n: int) -> Polynomial:
-    """n-th cyclotomic polynomial via exact division of x^n - 1 by the
-    cyclotomic polynomials of the proper divisors of n."""
+    """n-th cyclotomic polynomial, built one prime of n at a time.
+
+    For a prime q not dividing m, Phi_mq(x) = Phi_m(x^q) / Phi_m(x); that
+    gives Phi at rad(n), the product of the distinct primes of n, and then
+    Phi_n(x) = Phi_rad(n)(x^(n / rad(n))).  Each division is by a
+    polynomial of degree at most phi(rad(n)), so no step is quadratic in n.
+    """
     if n < 1:
         raise ValueError("cyclotomic index must be positive")
-    p = Polynomial((-1,) + (0,) * (n - 1) + (1,))
-    for d in range(1, n):
-        if n % d == 0:
-            p = exact_div(p, cyclotomic(d))
-    return p
+    p, rad, rest, q = Polynomial((-1, 1)), 1, n, 2
+    while rest > 1:
+        if q * q > rest:
+            q = rest
+        if rest % q == 0:
+            while rest % q == 0:
+                rest //= q
+            p = exact_div(_at_power(p, q), p)
+            rad *= q
+        q += 1 if q == 2 else 2
+    return _at_power(p, n // rad)
 
 
 def palindromic_descend(p: Polynomial) -> Polynomial:

@@ -189,9 +189,10 @@ class Tally:
         return tally
 
     def check_summary(self, summary_path: str) -> None:
-        """Raise MalformedRecordError, naming summary_path, unless it is a
-        JSON object whose record count and digest equal this tally's; a
-        missing summary is not checked, so a bare record file can still be
+        """Raise MalformedRecordError, naming summary_path and the first key
+        that differs, unless it is a JSON object whose record count, digest
+        and other counts (see `counts`) equal this tally's; a missing
+        summary is not checked, so a bare record file can still be
         re-summarized."""
         if not os.path.exists(summary_path):
             return
@@ -204,7 +205,9 @@ class Tally:
             raise MalformedRecordError(f"{summary_path} is not JSON ({exc})") from exc
         if not isinstance(summary, dict):
             raise MalformedRecordError(f"{summary_path} is not a sweep summary")
-        for key, got in (("records", self.record_count), ("records_sha256", self.records_sha256)):
+        counts = self.counts()
+        want = {"records": counts.pop("records"), "records_sha256": self.records_sha256, **counts}
+        for key, got in want.items():
             if summary.get(key) != got:
                 raise MalformedRecordError(
                     f"{summary_path} says {key}={summary.get(key)!r} "

@@ -279,10 +279,14 @@ class TestVerifyAuditReport:
         assert err.startswith(f"error: {path}:2: ")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("damage", ["none", "cut", "appended", "swapped", "garbled-summary"])
+    @pytest.mark.parametrize(
+        "damage", ["none", "cut", "appended", "swapped", "garbled-summary", "bound"]
+    )
     def test_report_checks_count_and_digest(self, capsys, tmp_path, damage):
-        # the summary beside a record file pins its record count and sha256:
-        # a file cut by a line, or carrying a record of another sweep, fails
+        # the summary beside a record file pins its record count, sha256 and
+        # other counts: a file cut by a line, or carrying a record of another
+        # sweep, fails, and so does a summary whose counts the records do
+        # not give
         out_path = tmp_path / "rec.jsonl"
         code, _, _ = run(
             capsys, "verify", "--n-max", "5", "--m-max", "5", "--workers", "1",
@@ -305,6 +309,11 @@ class TestVerifyAuditReport:
             lines[-1] = foreign
         elif damage == "garbled-summary":
             (tmp_path / "rec.jsonl.summary.json").write_text("{bad")
+        elif damage == "bound":
+            summary_path = tmp_path / "rec.jsonl.summary.json"
+            summary = json.loads(summary_path.read_text())
+            summary["bound"] = {"violations": 1}
+            summary_path.write_text(json.dumps(summary))
         out_path.write_text("".join(lines))
         code, out, err = run(capsys, "report", str(out_path))
         if damage == "none":
@@ -312,7 +321,11 @@ class TestVerifyAuditReport:
         else:
             assert code == 2 and out == ""
             assert err.startswith("error: ") and "Traceback" not in err
-            named = {"swapped": "records_sha256", "garbled-summary": "rec.jsonl.summary.json"}
+            named = {
+                "swapped": "records_sha256",
+                "garbled-summary": "rec.jsonl.summary.json",
+                "bound": "bound=",
+            }
             assert named.get(damage, "records=") in err
 
     def test_verify_and_report_print_same_counts(self, capsys, tmp_path):

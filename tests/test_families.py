@@ -172,41 +172,59 @@ class TestClassify:
                         cold.append(classify(t, spec, mode))
                 assert [(r.tag, r.witness) for r in warm] == [(r.tag, r.witness) for r in cold]
 
-    def test_many_majors_stay_polynomial(self, monkeypatch):
-        # k majors in a chain, consecutive ones joined through a connector
-        # vertex, a leaf on each (two on the end ones) and a 2-vertex leg on
-        # the middle one: at lambda = 0 GAMMA(k) fails only at the middle,
-        # after any order of deleting end majors, so a search that forgets
-        # its verdicts makes about 2^k recursive calls
+    @pytest.mark.parametrize(
+        "connector, leg, middle, lam, mode, tag",
+        [
+            # GAMMA2 member: the middle leg is the one defective segment
+            pytest.param(1, 1, 2, LAMBDA_0, BROAD, "GAMMA2(24)", id="gamma2-member"),
+            # strict non-member: the middle leg is defective but is not a
+            # strict base path, so every clause fails only at the middle,
+            # after any order of peeling end majors; without the GAMMA2
+            # verdicts the search makes about 2^k recursive calls
+            pytest.param(2, 2, 3, LAMBDA_1, STRICT, "NONE", id="strict-non-member"),
+            # GAMMA member: no segment is defective, and the first outer
+            # major peels at every level
+            pytest.param(1, 1, 1, LAMBDA_0, BROAD, "GAMMA(24)", id="gamma-member"),
+        ],
+    )
+    def test_many_majors_stay_polynomial(
+        self, monkeypatch, connector, leg, middle, lam, mode, tag
+    ):
+        # k majors in a chain, consecutive ones joined through a path of
+        # `connector` vertices, a leg of `leg` vertices on each (two on the
+        # end ones), the middle one's leg of `middle` vertices
         k = 24
         edges, n = [], k
         for a in range(k - 1):
-            edges += [(a, n), (n, a + 1)]
-            n += 1
+            path = list(range(n, n + connector))
+            edges += list(zip([a] + path, path + [a + 1]))
+            n += connector
         for w in range(k):
             for _ in range(2 if w in (0, k - 1) else 1):
-                if w == k // 2:
-                    edges += [(w, n), (n, n + 1)]
-                    n += 2
-                else:
-                    edges.append((w, n))
-                    n += 1
+                size = middle if w == k // 2 else leg
+                path = list(range(n, n + size))
+                edges += list(zip([w] + path, path))
+                n += size
         t = Tree.from_edges(n, edges)
-        calls = []
+        calls = {"_gamma": 0, "_gamma2": 0}
 
-        def counted(fn):
+        def counted(name):
+            fn = getattr(families, name)
+
             def wrapper(*args):
-                calls.append(1)
-                assert len(calls) <= 2 * k * k, "exponential search"
+                calls[name] += 1
+                assert sum(calls.values()) <= 2 * k * k, "exponential search"
                 return fn(*args)
 
-            return wrapper
+            monkeypatch.setattr(families, name, wrapper)
 
-        monkeypatch.setattr(families, "_gamma", counted(families._gamma))
-        monkeypatch.setattr(families, "_gamma2", counted(families._gamma2))
-        res = classify(t, LAMBDA_0, BROAD)
-        assert res.tag == f"GAMMA2({k})"
+        counted("_gamma")
+        counted("_gamma2")
+        res = classify(t, lam, mode)
+        assert res.tag == tag
         assert replay_witness(t, res)
+        if res.is_gamma():
+            assert calls == {"_gamma": k, "_gamma2": 0}
 
     def test_relabelling_keeps_tag_and_witness(self):
         rng = random.Random(20240)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import signal
 
 import pytest
 
@@ -122,12 +123,29 @@ class TestCyclotomic:
             assert cyclotomic(n).is_monic()
 
     def test_product_reconstructs_x_n_minus_1(self):
-        for n in (6, 10, 12, 30):
+        for n in range(1, 121):
             prod = ONE
             for d in range(1, n + 1):
                 if n % d == 0:
                     prod = prod * cyclotomic(d)
             assert prod == Polynomial((-1,) + (0,) * (n - 1) + (1,))
+
+    def test_large_index_is_fast(self):
+        # 60022 = 2 * 30011: dividing x^n - 1 by the cyclotomic polynomial
+        # of every proper divisor takes minutes here
+        def expire(signum, frame):
+            pytest.fail("cyclotomic(60022) still running after 5 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(5)
+        try:
+            p = cyclotomic(60022)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert p.degree == euler_phi(60022) == 30010
+        # Phi_2q(x) = Phi_q(-x) = 1 - x + x^2 - ... + x^(q-1) for an odd prime q
+        assert p.coeffs == tuple((-1) ** k for k in range(30011))
 
 
 def _recompose(q, d):
