@@ -1,5 +1,6 @@
 """Tree structure, enumeration, and graph6 round trips."""
 
+import random
 from itertools import product
 
 import pytest
@@ -31,6 +32,7 @@ from treemult.tree import (
     star_tree,
     tree_from_code,
 )
+from treemult.verify import _random_tree_edges
 
 
 class TestConstruction:
@@ -227,6 +229,11 @@ class TestGraph6:
         assert emit_graph6(t) == pack_graph6(centred) != pack_graph6(t)
         with pytest.raises(MalformedGraph6Error):
             pack_graph6(path_tree(63))
+        rng = random.Random(6)
+        for _ in range(200):
+            n = rng.randint(1, 62)
+            t = Tree.from_edges(n, _random_tree_edges(n, rng))
+            assert parse_graph6(pack_graph6(t)) == t
 
     def test_round_trip_small(self):
         t = path_tree(3)
@@ -257,6 +264,8 @@ class TestGraph6:
             parse_graph6("D")  # truncated payload
         with pytest.raises(MalformedGraph6Error):
             parse_graph6("B\x1f")  # byte below 63
+        with pytest.raises(MalformedGraph6Error):
+            parse_graph6("Bp")  # n = 3, payload 110001: nonzero padding
 
     def test_empty_graph_rejected(self):
         with pytest.raises(NotATreeError):
