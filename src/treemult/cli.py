@@ -39,7 +39,6 @@ from treemult.verify import (
     IoFailureError,
     SweepConfig,
     Tally,
-    default_worker_count,
     sweep,
 )
 
@@ -285,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--m-max", type=int, required=True, help="largest eigenvalue denominator M")
     p.add_argument("--modes", type=_parse_modes, default="broad", help="comma list: broad,strict")
-    p.add_argument("--workers", type=int, default=default_worker_count())
+    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     p.add_argument("--out", help=f"records path (default under ${OUT_DIR_ENV} or .)")
     _add_format(p)
     p.set_defaults(func=_cmd_verify)

@@ -3,7 +3,8 @@
 Provides the dense big-integer polynomial type used everywhere in this
 package, plus the number-theoretic constructions the multiplicity machinery
 needs: characteristic polynomials of paths, cyclotomic polynomials, minimal
-polynomials of 2*cos(i*pi/M), and Yun squarefree decomposition.
+polynomials of 2*cos(i*pi/M), cached once per orbit of conjugates, and Yun
+squarefree decomposition.
 
 All operations are pure and all values immutable, so everything here is safe
 to share across worker processes or threads without synchronization.
@@ -99,25 +100,8 @@ class Polynomial:
         return hash(self.coeffs)
 
     def __repr__(self) -> str:
-        return f"Polynomial({self})"
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else ("+" if parts else "")
-            mag = abs(c)
-            if k == 0:
-                term = str(mag)
-            else:
-                var = "x" if k == 1 else f"x^{k}"
-                term = var if mag == 1 else f"{mag}{var}"
-            parts.append(f"{sign} {term}" if parts else f"{sign}{term}")
-        return " ".join(parts)
+        """Ascending coefficients; evaluates back to an equal polynomial."""
+        return f"Polynomial({self.coeffs!r})"
 
     # -- arithmetic -------------------------------------------------------
 
@@ -244,8 +228,6 @@ def exact_div(a: Polynomial, b: Polynomial) -> Polynomial:
         raise ZeroDivisionError("polynomial division by zero")
     if a.is_zero():
         return ZERO
-    if a.degree < b.degree:
-        raise NonDivisibleError("degree of dividend below divisor")
     quo, rem = divmod_poly(a, b)
     if not rem.is_zero():
         raise NonDivisibleError("nonzero remainder")
@@ -363,7 +345,6 @@ def _at_power(p: Polynomial, e: int) -> Polynomial:
     return Polynomial(coeffs)
 
 
-@lru_cache(maxsize=None)
 def cyclotomic(n: int) -> Polynomial:
     """n-th cyclotomic polynomial, built one prime of n at a time.
 
@@ -409,14 +390,8 @@ def palindromic_descend(p: Polynomial) -> Polynomial:
 
 
 @lru_cache(maxsize=None)
-def _minimal_poly(i: int, M: int) -> Polynomial:
-    if not (1 <= i <= M - 1) or math.gcd(i, M) != 1:
-        raise InvalidSpecError(f"invalid eigenvalue spec ({i}, {M})")
-    # i odd: 2cos(i*pi/M) = z + 1/z for z a primitive 2M-th root of unity.
-    # i even (M odd): equal to 2cos(2*pi*(i/2)/M) with gcd(i/2, M) = 1, so z
-    # is a primitive M-th root.  The relevant cyclotomic index is >= 3 for
-    # every valid spec, so the descent below always applies.
-    n = 2 * M if i % 2 == 1 else M
+def _minimal_poly(n: int) -> Polynomial:
+    """Minimal polynomial of z + 1/z, z a primitive n-th root of unity (n >= 3)."""
     return palindromic_descend(cyclotomic(n))
 
 
@@ -438,8 +413,12 @@ class LambdaSpec:
 
     @property
     def minimal_poly(self) -> Polynomial:
-        """Monic integer minimal polynomial of 2*cos(i*pi/M); cached."""
-        return _minimal_poly(self.i, self.M)
+        """Monic integer minimal polynomial of 2*cos(i*pi/M); cached per orbit."""
+        # i odd: 2cos(i*pi/M) = z + 1/z for z a primitive 2M-th root of unity.
+        # i even (M odd): equal to 2cos(2*pi*(i/2)/M) with gcd(i/2, M) = 1, so z
+        # is a primitive M-th root.  The cyclotomic index is >= 3 for every
+        # valid spec, so the descent always applies.
+        return _minimal_poly(2 * self.M if self.i % 2 == 1 else self.M)
 
     @classmethod
     def from_string(cls, text: str) -> "LambdaSpec":
@@ -460,7 +439,7 @@ def minimal_poly(spec: LambdaSpec) -> Polynomial:
     Monic, irreducible over the rationals, of degree phi(2M)/2 for odd i and
     phi(M)/2 for even i (phi the Euler totient).
     """
-    return _minimal_poly(spec.i, spec.M)
+    return spec.minimal_poly
 
 
 def euler_phi(n: int) -> int:

@@ -15,9 +15,10 @@ interned ids of rooted subtree shapes, and per minimal polynomial the state
 the leaf-to-root pass reaches on each shape.  Only subtrees of at most n // 2
 vertices are interned, so over trees of at most n_max vertices the shape
 table and each state table stay within the rooted trees on n_max // 2
-vertices (37 for n_max = 12), however many trees are checked.  The division engine keeps no
-such table: were an entry wrong, the engines would disagree and the sweep
-abort, instead of both reading the same wrong entry.
+vertices (37 for n_max = 12), however many trees are checked.  The division
+engine keeps no such table, only char_poly's memo of the last 256 trees,
+each computed from that tree alone: were an entry wrong, the engines would
+disagree and the sweep abort, instead of both reading the same wrong entry.
 """
 
 from __future__ import annotations
@@ -40,13 +41,17 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def char_poly_rooted(t: Tree, root: int) -> Polynomial:
-    """det(xI - A(T)) via the rooted recurrence, one child at a time: each
-    vertex holds the coefficients (P, Q) of its subtree so far and of that
-    subtree minus the vertex, from (x, 1), and a finished child (p, q) is
-    folded in by (P, Q) <- (P*p - Q*q, Q*p).  Root-independent; iterative,
-    so long paths stay clear of the recursion limit."""
-    order, parent = bfs_order(t, root)
+@lru_cache(maxsize=256)
+def char_poly(t: Tree) -> Polynomial:
+    """det(xI - A(T)), monic of degree n with integer coefficients.
+
+    Rooted at vertex 0, one child at a time: each vertex holds the
+    coefficients (P, Q) of its subtree so far and of that subtree minus the
+    vertex, from (x, 1), and a finished child (p, q) is folded in by
+    (P, Q) <- (P*p - Q*q, Q*p).  Any root gives the same determinant.
+    Iterative, so long paths stay clear of the recursion limit.
+    """
+    order, parent = bfs_order(t, 0)
     pairs = [([0, 1], [1]) for _ in range(t.n)]  # coefficient lists, ascending
     for c in reversed(order[1:]):  # children before parents
         (p, q), (p_c, q_c) = pairs[parent[c]], pairs[c]
@@ -54,17 +59,7 @@ def char_poly_rooted(t: Tree, root: int) -> Polynomial:
         for k, v in enumerate(_convolve(q, q_c)):
             p[k] -= v
         pairs[parent[c]] = (p, _convolve(q, p_c))
-    return Polynomial(pairs[root][0])
-
-
-@lru_cache(maxsize=65536)
-def char_poly(t: Tree) -> Polynomial:
-    """Characteristic polynomial of the adjacency matrix of t.
-
-    Monic of degree n with integer coefficients; rooted at vertex 0 for
-    determinism (any root gives the same determinant).
-    """
-    return char_poly_rooted(t, 0)
+    return Polynomial(pairs[0][0])
 
 
 def factor_multiplicity(p: Polynomial, mu: Polynomial) -> tuple[int, Polynomial]:
@@ -74,7 +69,7 @@ def factor_multiplicity(p: Polynomial, mu: Polynomial) -> tuple[int, Polynomial]
     slots, the quotient above."""
     d = mu.degree
     if not p or d < 1 or not mu.is_monic():
-        raise ValueError(f"need p != 0 and a monic mu of degree >= 1, got mu = {mu}")
+        raise ValueError(f"need p != 0 and a monic mu of degree >= 1, got mu = {mu!r}")
     low = mu.coeffs[:d]
     a = list(p.coeffs)
     lo = count = 0  # a[lo:] is p / mu^count

@@ -393,21 +393,19 @@ def parse_graph6(text: str) -> Tree:
         raise MalformedGraph6Error(
             f"expected {need} payload bytes for n = {n}, got {len(body)}"
         )
-    bits = []
+    # the payload as the integer pack_graph6 writes: bit v(v-1)/2 + u,
+    # counted from the most significant, is the edge u < v
+    width = 6 * need
+    value = 0
     for ch in body:
-        value = ord(ch) - 63
-        bits.extend((value >> k) & 1 for k in range(5, -1, -1))
-    if any(bits[n * (n - 1) // 2 :]):
+        value = value << 6 | ord(ch) - 63
+    if value & ((1 << width - n * (n - 1) // 2) - 1):
         raise MalformedGraph6Error("nonzero padding bits")
     if n == 0:
         raise NotATreeError("empty graph is not a tree")
-    edges = []
-    idx = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[idx]:
-                edges.append((u, v))
-            idx += 1
+    edges = [
+        (u, v) for v in range(1, n) for u in range(v) if value >> (width - 1 - v * (v - 1) // 2 - u) & 1
+    ]
     return Tree.from_edges(n, edges)
 
 

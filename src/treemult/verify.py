@@ -129,7 +129,7 @@ class Tally:
     eq_top_violations: int = 0  # m = p - 1 equivalence
     eq_second: dict = field(default_factory=dict)  # mode -> violation count
     strict_discrepancies: list = field(default_factory=list)
-    records_sha256: str | None = None  # of the record file, when one was written
+    records_sha256: str | None = None  # of the records' bytes, as a record file holds them
 
     def add(self, rec: dict) -> None:
         self.trees.add(rec["tree"])
@@ -190,10 +190,9 @@ class Tally:
 
     def check_summary(self, summary_path: str) -> None:
         """Raise MalformedRecordError, naming summary_path and the first key
-        that differs, unless it is a JSON object whose record count, digest
-        and other counts (see `counts`) equal this tally's; a missing
-        summary is not checked, so a bare record file can still be
-        re-summarized."""
+        that differs, unless it is a JSON object whose count block (see
+        `counts`) equals this tally's; a missing summary is not checked, so
+        a bare record file can still be re-summarized."""
         if not os.path.exists(summary_path):
             return
         try:
@@ -205,9 +204,7 @@ class Tally:
             raise MalformedRecordError(f"{summary_path} is not JSON ({exc})") from exc
         if not isinstance(summary, dict):
             raise MalformedRecordError(f"{summary_path} is not a sweep summary")
-        counts = self.counts()
-        want = {"records": counts.pop("records"), "records_sha256": self.records_sha256, **counts}
-        for key, got in want.items():
+        for key, got in self.counts().items():
             if summary.get(key) != got:
                 raise MalformedRecordError(
                     f"{summary_path} says {key}={summary.get(key)!r} "
@@ -231,16 +228,18 @@ class Tally:
         )
 
     def counts(self) -> dict:
-        """The counts shared by the summary file and `report`; strict-mode
+        """The count block shared by the summary file, `report` and
+        `check_summary`, record count and digest first; strict-mode
         failures are labelled discrepancies, not violations."""
         second = {}
         for mode_value, count in self.eq_second.items():
             label = "violations" if mode_value == BROAD.value else "discrepancies"
             second[mode_value] = {label: count}
         return {
+            "records": self.record_count,
+            "records_sha256": self.records_sha256,
             "trees": self.tree_count,
             "specs": self.spec_count,
-            "records": self.record_count,
             "bound": {"violations": self.bound_violations},
             "pendant_minus_one": {"violations": self.eq_top_violations},
             "pendant_minus_two": second,
@@ -258,8 +257,6 @@ class SweepReport(Tally):
     other_eigenvalues: dict = field(default_factory=lambda: _other_outcome(0))
 
     def summary_dict(self) -> dict:
-        counts = self.counts()
-        head = {key: counts.pop(key) for key in ("trees", "specs", "records")}
         return {
             "config": {
                 "n_min": self.config.n_min,
@@ -268,10 +265,8 @@ class SweepReport(Tally):
                 "modes": [m.value for m in self.config.modes],
                 "workers": self.config.worker_count,
             },
-            **head,
-            "records_sha256": self.records_sha256,
             "engine_mismatches": 0,  # a mismatch aborts before the summary
-            **counts,
+            **self.counts(),
             "other_eigenvalues": self.other_eigenvalues,
             "strict_discrepancy_examples": self.strict_discrepancies[:EXAMPLE_CAP],
             "runtime_seconds": round(self.elapsed_seconds, 3),
@@ -450,9 +445,9 @@ def sweep(config: SweepConfig) -> SweepReport:
 
 
 def _aggregate(results, report: SweepReport, sink) -> None:
-    """Stream each tree's encoded records to sink, hashing the bytes
-    written, and fold its Tally and other-eigenvalue outcome into the
-    report."""
+    """Hash each tree's encoded records, and stream them to sink when there
+    is one, so the digest is the record file's whether or not it is written;
+    fold each tree's Tally and other-eigenvalue outcome into the report."""
     digest = sha256()
     block = report.other_eigenvalues
     for encoded, tally, other in results:
@@ -461,14 +456,13 @@ def _aggregate(results, report: SweepReport, sink) -> None:
                 block[key] += value
             del block["violation_examples"][EXAMPLE_CAP:]
         report.merge(tally)
+        digest.update(encoded)
         if sink is not None:
-            digest.update(encoded)
             try:
                 sink.write(encoded)
             except OSError as exc:
                 raise IoFailureError(str(exc)) from exc
-    if sink is not None:
-        report.records_sha256 = digest.hexdigest()
+    report.records_sha256 = digest.hexdigest()
 
 
 # -- randomized engine agreement --------------------------------------------------
@@ -532,7 +526,3 @@ def engine_agreement_check(
         return [r for r in results if r is not None]
     with Pool(workers) as pool:
         return [r for r in pool.imap_unordered(_agreement_worker, payloads, chunksize=64) if r is not None]
-
-
-def default_worker_count() -> int:
-    return os.cpu_count() or 1

@@ -1,7 +1,8 @@
 """Package layering: each module imports only modules of lower layers, in
 the order tree/poly -> spectrum -> families -> verify -> cli, so no two
 modules import each other in a cycle.  `__init__` re-exports every layer
-and is exempt.  Also: the names the benchmark reaches into stay bound."""
+and is exempt.  Also: the names the benchmark reaches into stay bound, and
+the modules that decide verdicts use no floating point."""
 
 import ast
 import importlib.util
@@ -59,3 +60,32 @@ def test_benchmark_names_stay_bound():
         pass
     assert isinstance(families._member_memo, dict)
     assert callable(spectrum.char_poly.cache_info)
+
+
+DECISION_PATH = ("tree", "poly", "spectrum", "families")
+FLOAT_MATH = {"cos", "sin", "pi", "sqrt", "isclose"}
+
+
+def float_uses(path: Path) -> list[str]:
+    """Float literals, true division, float(...) and the math module's
+    floating-point names in the module at path, as "line: what"."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            found.append(f"{node.lineno}: literal {node.value!r}")
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append(f"{node.lineno}: true division")
+        elif isinstance(node, ast.Name) and node.id == "float":
+            found.append(f"{node.lineno}: float")
+        elif isinstance(node, ast.Attribute) and node.attr in FLOAT_MATH:
+            if isinstance(node.value, ast.Name) and node.value.id == "math":
+                found.append(f"{node.lineno}: math.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found += [f"{node.lineno}: math.{a.name}" for a in node.names if a.name in FLOAT_MATH]
+    return found
+
+
+def test_no_floats_on_the_decision_path():
+    # every verdict is decided in exact integer arithmetic
+    found = {stem: float_uses(PACKAGE / f"{stem}.py") for stem in DECISION_PATH}
+    assert {stem: uses for stem, uses in found.items() if uses} == {}

@@ -58,6 +58,8 @@ class TestArithmetic:
     def test_non_divisible_signals(self):
         with pytest.raises(NonDivisibleError):
             exact_div(P(1, 0, 1), P(-1, 1))
+        with pytest.raises(NonDivisibleError):
+            exact_div(P(1, 1), P(1, 0, 2))  # dividend of lower degree
         assert not divides(P(-1, 1), P(1, 0, 1))
         assert divides(P(-1, 1), P(-1, 0, 0, 1))
 
@@ -66,6 +68,11 @@ class TestArithmetic:
         assert Polynomial([0, 0]).is_zero()
         assert Polynomial([]).degree == -1
         assert P(3, 1).degree == 1
+
+    def test_repr_evaluates_back(self):
+        assert repr(P(1, 0, -3)) == "Polynomial((1, 0, -3))"
+        for p in (P(1, 0, -3), P(5), P()):
+            assert eval(repr(p)) == p
 
     def test_evaluate(self):
         assert P(1, -2, 1).evaluate(5) == 16

@@ -19,7 +19,6 @@ from treemult.poly import (
 )
 from treemult.spectrum import (
     char_poly,
-    char_poly_rooted,
     factor_multiplicity,
     multiplicity,
     rank_nullity,
@@ -77,9 +76,9 @@ class TestCharPoly:
     def test_root_independence(self):
         for n in range(1, 10):
             for t in enumerate_trees(n):
-                reference = char_poly_rooted(t, 0)
+                reference = char_poly(t)
                 for root in range(1, t.n):
-                    assert char_poly_rooted(t, root) == reference
+                    assert char_poly(relabel_as_root(t, root)) == reference
 
     def test_spider_331_hand_expansion(self):
         # legs 3, 3, 1: x^2 (x^2-1)(x^2-2)(x^2-4)
@@ -330,6 +329,8 @@ class TestSubtreeInterning:
         assert len(spectrum_mod._shape_ids) <= 37
         assert len(spectrum_mod._states) == len(spec_orbits(15))
         assert all(len(rows) <= 37 for rows in spectrum_mod._states.values())
+        # the memo holds recent trees, not every swept one
+        assert spectrum_mod.char_poly.cache_info().currsize <= 256
         # every eigenvalue is checked here (M_max = n_max + 3), and the
         # leftover check reads no mode
         assert report.other_eigenvalues == {

@@ -147,7 +147,8 @@ class TestSweep:
         digest = hashlib.sha256(open(config.output_path, "rb").read()).hexdigest()
         assert summary["records_sha256"] == digest
         assert Tally.read(config.output_path).records_sha256 == digest
-        assert sweep(small_config(n_max=5, M_max=4)).records_sha256 is None
+        # the same digest when no file is written
+        assert sweep(small_config(n_max=5, M_max=4)).records_sha256 == digest
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_merged_tallies_equal_reading_the_file(self, tmp_path, workers):
@@ -200,8 +201,11 @@ class TestSweep:
             assert main(["report", str(out), "--format", "json"]) == 0
         counts = json.loads(buf.getvalue())
         summary = json.loads((tmp_path / "records.jsonl.summary.json").read_text())
-        keys = ("trees", "specs", "records", "bound", "pendant_minus_one", "pendant_minus_two")
-        assert set(counts) == set(keys)
+        keys = (
+            "records", "records_sha256", "trees", "specs", "bound",
+            "pendant_minus_one", "pendant_minus_two",
+        )
+        assert list(counts) == list(keys)
         assert {k: counts[k] for k in keys} == {k: summary[k] for k in keys}
         # M_max = n_max + 1: every eigenvalue of every tree is checked
         assert summary["other_eigenvalues"] == {
