@@ -18,11 +18,11 @@ GAMMA2 component.  Membership therefore depends on lambda only through its
 conjugacy orbit (denominator M and the parity of i), and only on the
 isomorphism class of the tree.  The classifier works in the classified
 tree's own vertex ids: each component, a piece, is a tuple of those ids, and
-the recursion that decides membership also returns the witness.  How a piece
-splits at its major vertices depends on the tree alone, so each piece is
-split once per tree and every eigenvalue and mode classified on that tree
-reuses the result; the cache is emptied when another tree comes in, so it
-never holds more than one tree's pieces.
+the recursion that decides membership also returns the witness.  A piece's
+segments and how it splits at its major vertices depend on the tree alone,
+so each is computed at most once per tree and every eigenvalue and mode
+classified on that tree reuses it; the cache is emptied when another tree
+comes in, so it never holds more than one tree's pieces.
 
 Both families join paths at major vertices, so the lengths of those paths
 already decide most trees.  A piece's segments are its legs (a pendant
@@ -30,9 +30,11 @@ vertex up to the nearest major vertex) and its inner paths between two
 majors; a segment is defective when M does not divide its length plus one.
 For k >= 1 a piece is in GAMMA(k) exactly when no segment is defective, and
 a GAMMA2(k) piece has 1 or 3 defective segments (the argument is at
-_defective).  The segment sizes are cached with the piece's cuts, and the
-clause search runs only on the pieces that pass, so it finds the same
-witnesses and stops early on non-members.  Only the GAMMA2 search keeps
+_defective).  The segment sizes come from one walk over the piece, and
+the clause search, with the splits it needs, runs only on the pieces that
+pass: a piece is split the first time one of its segment tests passes, and
+never when all fail, as they do for most trees.  The search so finds the
+same witnesses and stops early on non-members.  Only the GAMMA2 search keeps
 verdicts (see classify): a piece that passes the GAMMA test is a member,
 which its first outer major peels.
 """
@@ -141,11 +143,12 @@ def is_gamma2_0(t: Tree, lam: LambdaSpec, mode: Gamma2Mode = BROAD) -> bool:
 # -- recursive membership ------------------------------------------------------
 
 # A piece is a connected tuple of vertex ids of the tree being classified.
-# memo: piece -> its segment sizes and cuts (see _cuts).  Neither depends on
-# lambda or the mode, so every orbit and mode classified on one tree reads
-# the same entries; classify clears the memo when it gets a different tree,
-# so it holds one tree's pieces.  It is per process state, not for
-# concurrent classification from several threads.
+# memo: piece -> [segment sizes, majors, degrees, cuts or None] (see
+# _segments and _cuts).  None of it depends on lambda or the mode, so every
+# orbit and mode classified on one tree reads the same entries; classify
+# clears the memo when it gets a different tree, so it holds one tree's
+# pieces.  It is per process state, not for concurrent classification from
+# several threads.
 _member_memo: dict = {}
 _memo_tree: Tree | None = None
 
@@ -155,27 +158,22 @@ def _carries(t: Tree, lam: LambdaSpec) -> bool:
     return spectrum.multiplicity(t, lam) >= 1
 
 
-def _cuts(t: Tree, piece: tuple[int, ...]):
-    """The piece's segment sizes and one (w, components, shapes) per major
-    vertex w of the piece, in piece order.
+def _segments(t: Tree, piece: tuple[int, ...]) -> list:
+    """The piece's memo entry: its segment sizes, its major vertices in
+    piece order, its degrees, and its cuts once _cuts has built them.
 
     A segment is a leg (a pendant vertex up to its nearest major vertex, the
     major excluded) or an inner path between two majors, counted once; its
     size is L + 1, where L is the leg's vertex count or the inner path's
-    number of degree-2 vertices, all in piece degrees.  A path has none.
-
-    The components of piece - w come from split (attach vertex first), and
-    per component (is a path, degree of the attach vertex in it).  Of a
-    component's vertices only the attach vertex loses an edge, the one to w;
-    the join lands on a pendant vertex exactly when that degree is <= 1
-    (0 for a one-vertex component)."""
+    number of degree-2 vertices, all in piece degrees.  A path has none."""
     entry = _member_memo.get(piece)
     if entry is None:
         inside = set(piece)
         deg = {v: len(inside.intersection(t.adj[v])) for v in piece}
-        segments, cuts = [], []
+        segments, majors = [], []
         for w in piece:
             if deg[w] >= 3:
+                majors.append(w)
                 # walk each segment from w to its far end; an inner path is
                 # walked from both of its majors and kept from the smaller
                 for v in inside.intersection(t.adj[w]):
@@ -187,14 +185,33 @@ def _cuts(t: Tree, piece: tuple[int, ...]):
                         segments.append(size + 1)
                     elif w < v:
                         segments.append(size)
-                comps = split(t, piece, w)
-                shapes = []
-                for c in comps:
-                    attach = deg[c[0]] - 1
-                    shapes.append((attach <= 2 and all(deg[v] <= 2 for v in c[1:]), attach))
-                cuts.append((w, comps, shapes))
-        entry = _member_memo[piece] = (segments, cuts)
+        entry = _member_memo[piece] = [segments, majors, deg, None]
     return entry
+
+
+def _cuts(t: Tree, piece: tuple[int, ...]):
+    """One (w, components, shapes) per major vertex w of the piece, in piece
+    order; built on the first call for the piece, which the searches make
+    only once its segment test has passed.
+
+    The components of piece - w come from split (attach vertex first), and
+    per component (is a path, degree of the attach vertex in it).  Of a
+    component's vertices only the attach vertex loses an edge, the one to w;
+    the join lands on a pendant vertex exactly when that degree is <= 1
+    (0 for a one-vertex component)."""
+    entry = _segments(t, piece)
+    if entry[3] is None:
+        deg = entry[2]
+        cuts = []
+        for w in entry[1]:
+            comps = split(t, piece, w)
+            shapes = []
+            for c in comps:
+                attach = deg[c[0]] - 1
+                shapes.append((attach <= 2 and all(deg[v] <= 2 for v in c[1:]), attach))
+            cuts.append((w, comps, shapes))
+        entry[3] = cuts
+    return entry[3]
 
 
 def _defective(segments: list[int], M: int) -> int:
@@ -236,14 +253,14 @@ def _gamma(t: Tree, piece: tuple[int, ...], M: int, k: int):
     pendant in their components; at level 1 every component is a base path,
     above that exactly one component is a GAMMA(k-1) member and the rest are
     base paths."""
-    segments, cuts = _cuts(t, piece)
-    if len(cuts) != k:
+    segments, majors = _segments(t, piece)[:2]
+    if len(majors) != k:
         return None
     if k == 0:
         return () if _gamma0_path_size(len(piece), M) else None
     if _defective(segments, M):
         return None
-    for w, comps, shapes in cuts:
+    for w, comps, shapes in _cuts(t, piece):
         if any(attach > 1 for _, attach in shapes):
             continue
         base = [path and _gamma0_path_size(len(c), M) for c, (path, _) in zip(comps, shapes)]
@@ -281,8 +298,8 @@ def _gamma2(
     count minus two even though lambda is an eigenvalue of the whole tree.
     """
     M = lam.M
-    segments, cuts = _cuts(t, piece)
-    if len(cuts) != k:
+    segments, majors = _segments(t, piece)[:2]
+    if len(majors) != k:
         return None
     if k == 0:
         return () if _gamma2_0_path_size(len(piece), M, mode) else None
@@ -291,7 +308,7 @@ def _gamma2(
     if piece in verdicts:
         return verdicts[piece]
     chain = None
-    for w, comps, shapes in cuts:
+    for w, comps, shapes in _cuts(t, piece):
         g0 = [path and _gamma0_path_size(len(c), M) for c, (path, _) in zip(comps, shapes)]
         g20 = [
             path and _gamma2_0_path_size(len(c), M, mode) for c, (path, _) in zip(comps, shapes)
@@ -371,7 +388,7 @@ def classify(t: Tree, lam: LambdaSpec, mode: Gamma2Mode = BROAD) -> FamilyResult
     # peels it, so each level recurses once.
     verdicts: dict = {}
     piece = tuple(range(t.n))
-    k = len(_cuts(t, piece)[1])
+    k = len(_segments(t, piece)[1])
     chain = _gamma(t, piece, lam.M, k)
     if chain is not None:
         return FamilyResult(FamilyKind.GAMMA, k, chain)

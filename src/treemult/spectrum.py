@@ -2,7 +2,9 @@
 
 Two independent engines compute m(T, lambda):
 
-* char_poly + in-place synthetic division by the minimal polynomial of lambda;
+* char_poly, read off the tree's matching numbers, which a root-to-leaf
+  fold computes on integers packed into one bignum each, then in-place
+  synthetic division by the minimal polynomial of lambda;
 * a one-pass leaf-to-root diagonalization of A - lambda*I over the field
   of integer-polynomial residues modulo that minimal polynomial.
 
@@ -31,35 +33,39 @@ from treemult.poly import LambdaSpec, Polynomial, euler_phi, minimal_poly
 from treemult.tree import Tree, bfs_order
 
 
-def _convolve(a: list[int], b: list[int]) -> list[int]:
-    """Coefficients of the product of two integer polynomials."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
 @lru_cache(maxsize=256)
 def char_poly(t: Tree) -> Polynomial:
     """det(xI - A(T)), monic of degree n with integer coefficients.
 
-    Rooted at vertex 0, one child at a time: each vertex holds the
-    coefficients (P, Q) of its subtree so far and of that subtree minus the
-    vertex, from (x, 1), and a finished child (p, q) is folded in by
-    (P, Q) <- (P*p - Q*q, Q*p).  Any root gives the same determinant.
+    A forest has det(xI - A) = sum_k (-1)^k m_k x^(n - 2k), where m_k is
+    its number of k-edge matchings, so only the matching numbers are
+    computed.  Rooted at vertex 0, one child at a time: each vertex holds the
+    matching polynomials sum_k m_k y^k (P, Q) of its subtree so far and of
+    that subtree minus the vertex, both from 1, and a finished child (p, q)
+    is folded in by (P, Q) <- (P*p + y*Q*q, Q*p): the vertex is either left
+    unmatched or matched to the child.  Any root gives the same numbers.
     Iterative, so long paths stay clear of the recursion limit.
+
+    The polynomials are packed into one integer each at y = 2^B, B = n,
+    so the fold is a few bignum products.  Every value the fold forms is
+    the matching polynomial of a subforest of T, whose coefficients are
+    nonnegative and add up to its number of matchings; a matching is a
+    set of edges, so that is at most 2^(n - 1) < 2^B.  No digit then
+    carries into the next, and P of the root reads off B bits at a time.
     """
+    n = t.n
     order, parent = bfs_order(t, 0)
-    pairs = [([0, 1], [1]) for _ in range(t.n)]  # coefficient lists, ascending
+    P, Q = [1] * n, [1] * n
     for c in reversed(order[1:]):  # children before parents
-        (p, q), (p_c, q_c) = pairs[parent[c]], pairs[c]
-        p = _convolve(p, p_c)
-        for k, v in enumerate(_convolve(q, q_c)):
-            p[k] -= v
-        pairs[parent[c]] = (p, _convolve(q, p_c))
-    return Polynomial(pairs[0][0])
+        u = parent[c]
+        P[u], Q[u] = P[u] * P[c] + (Q[u] * Q[c] << n), Q[u] * P[c]
+    coeffs = [0] * (n + 1)
+    packed, mask = P[0], (1 << n) - 1
+    for k in range(n // 2 + 1):
+        m_k = packed & mask
+        coeffs[n - 2 * k] = -m_k if k % 2 else m_k
+        packed >>= n
+    return Polynomial(coeffs)
 
 
 def factor_multiplicity(p: Polynomial, mu: Polynomial) -> tuple[int, Polynomial]:

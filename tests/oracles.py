@@ -2,9 +2,10 @@
 
 Everything here is deliberately dumb: Prufer-sequence enumeration for tree
 counts, a scan per step for decoding random Prufer sequences, cofactor
-expansion for characteristic polynomials, greedy leaf matching for the
-nullity at zero, dense elimination for the nullity at any eigenvalue,
-deleting the major vertices for the lengths of legs and inner paths.
+expansion and the determinant recurrence on coefficient lists for
+characteristic polynomials, greedy leaf matching for the nullity at zero,
+dense elimination for the nullity at any eigenvalue, deleting the major
+vertices for the lengths of legs and inner paths.
 Slow, obvious, and algorithmically unrelated to what they check.
 """
 
@@ -14,7 +15,7 @@ from functools import lru_cache
 from itertools import product
 
 from treemult.poly import Polynomial
-from treemult.tree import Tree, canonical_code
+from treemult.tree import Tree, bfs_order, canonical_code
 
 
 def prufer_to_edges(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
@@ -153,6 +154,30 @@ def charpoly_by_cofactors(t: Tree) -> Polynomial:
     result = det(idx, idx)
     assert result.is_monic()
     return result
+
+
+def charpoly_by_convolution(t: Tree) -> Polynomial:
+    """det(xI - A) by the root-to-leaf determinant recurrence on coefficient
+    lists: each vertex holds (P, Q), the characteristic polynomials of its
+    subtree so far and of that subtree minus the vertex, from (x, 1); a
+    finished child (p, q) folds in as (P, Q) <- (P*p - Q*q, Q*p)."""
+
+    def convolve(a: list[int], b: list[int]) -> list[int]:
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+        return out
+
+    order, parent = bfs_order(t, 0)
+    pairs = [([0, 1], [1]) for _ in range(t.n)]  # coefficient lists, ascending
+    for c in reversed(order[1:]):  # children before parents
+        (p, q), (p_c, q_c) = pairs[parent[c]], pairs[c]
+        p = convolve(p, p_c)
+        for k, v in enumerate(convolve(q, q_c)):
+            p[k] -= v
+        pairs[parent[c]] = (p, convolve(q, p_c))
+    return Polynomial(pairs[0][0])
 
 
 def max_matching_tree(t: Tree) -> int:

@@ -268,6 +268,22 @@ class TestSegments:
                             res = classify(t, spec, mode)
                             assert (res.kind, res.k) == (family, k), (t.edges, str(spec))
 
+    def test_split_only_after_a_segment_test_passes(self, monkeypatch):
+        # two adjacent majors with two legs of one vertex each: at M = 3 all
+        # five segments are defective, so both tests fail and the tree is
+        # never split; at M = 2 only the inner one is, and GAMMA2's passes
+        t = Tree.from_edges(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
+        calls = []
+        real_split = families.split
+        monkeypatch.setattr(families, "split", lambda *a: calls.append(a) or real_split(*a))
+        families._member_memo.clear()
+        families._memo_tree = None
+        for mode in (BROAD, STRICT):
+            assert classify(t, LAMBDA_1, mode).tag == "NONE"
+        assert calls == []
+        classify(t, LAMBDA_0, BROAD)
+        assert [w for _, _, w in calls] == [0, 1]
+
     @pytest.mark.parametrize("mode", [BROAD, STRICT])
     def test_three_defective_segments_through_promoted_attach(self, mode):
         # clause (2), promoted shape: the GAMMA(0) path 12-0-1-...-6 joined

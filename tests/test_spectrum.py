@@ -8,7 +8,13 @@ import pytest
 
 import treemult.poly as poly_mod
 import treemult.spectrum as spectrum_mod
-from oracles import charpoly_by_cofactors, nullity_by_elimination, nullity_by_matching
+from oracles import (
+    charpoly_by_convolution,
+    charpoly_by_cofactors,
+    nullity_by_elimination,
+    nullity_by_matching,
+    random_tree_edges_by_scan,
+)
 from treemult.poly import (
     LambdaSpec,
     Polynomial,
@@ -89,6 +95,25 @@ class TestCharPoly:
 
     def test_spider_124_hand_expansion(self):
         assert char_poly(spider_tree(1, 2, 4)) == P(1, 0, -8, 0, 14, 0, -7, 0, 1)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_convolution_oracle_all_trees(self, n):
+        for t in enumerate_trees(n):
+            assert char_poly(t) == charpoly_by_convolution(t), t.edges
+
+    def test_convolution_oracle_random_trees(self):
+        rng = random.Random(16)
+        for _ in range(500):
+            n = rng.randint(1, 62)
+            t = Tree.from_edges(n, random_tree_edges_by_scan(n, rng))
+            assert char_poly(t) == charpoly_by_convolution(t), t.edges
+
+    def test_widest_digits(self):
+        # the path has the most matchings of any tree on its vertices, so its
+        # packed digits come closest to the bit width; the star the fewest
+        assert char_poly(path_tree(62)) == path_charpoly(62)
+        star = star_tree(61)
+        assert char_poly(star) == charpoly_by_convolution(star) == P(*[0] * 60, -61, 0, 1)
 
 
 class TestMultiplicity:
