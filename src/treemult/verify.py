@@ -15,7 +15,8 @@ The multiplicity loop peels each swept orbit's minimal polynomial off the
 characteristic polynomial as it counts it, so what is left holds exactly
 the eigenvalues no swept orbit carries, by the same division whose counts
 the rank engine checks.  When M_max >= n + 1 those are checked too: the
-squarefree decomposition of the leftover gives them level by level, and
+squarefree decomposition of the leftover gives them level by level (a
+leftover squarefree modulo a large prime is one level as it stands), and
 their counts go to the summary's `other_eigenvalues` block, not to records.
 """
 
