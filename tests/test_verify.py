@@ -11,26 +11,14 @@ import pytest
 
 from oracles import random_tree_edges_by_scan
 from suites import branch_equivalence, family_pendant_deletion, parter_vertex, path_simplicity
-import treemult.verify as verify_mod
 from treemult.cli import main
 from treemult.families import BROAD, STRICT
 from treemult.poly import Polynomial
-from treemult.spectrum import char_poly, factor_multiplicity
-from treemult.tree import (
-    emit_graph6,
-    enumerate_trees,
-    path_tree,
-    pendant_count,
-    spider_tree,
-    star_tree,
-)
+from treemult.tree import emit_graph6, path_tree, spider_tree, star_tree
 from treemult.verify import (
-    _SQUAREFREE_PRIME,
     SweepConfig,
     Tally,
     _check_other,
-    _orbit_table,
-    _squarefree_mod_prime,
     _random_tree_edges,
     _sweep_tree,
     engine_agreement_check,
@@ -334,38 +322,6 @@ class TestAudit:
         counted = {key: other[key] for key in ("violations", "strict_discrepancies")}
         assert counted == {key: int(key == verdict) for key in counted}
         assert other["levels"] == 1
-
-    @pytest.mark.parametrize(
-        "rest, p",
-        [
-            # squarefree over Q, but x^2 mod q: the test fails, so decompose
-            (Polynomial((-_SQUAREFREE_PRIME, 0, 1)), 2),
-            # (x^2 - 3)^2 (x^2 - 5): levels 1 and 2
-            (Polynomial((-3, 0, 1)) ** 2 * Polynomial((-5, 0, 1)), 4),
-        ],
-    )
-    def test_prime_test_falls_back(self, monkeypatch, rest, p):
-        assert not _squarefree_mod_prime(rest)
-        got = _check_other("?", rest, p)
-        assert got["violations"] == 1
-        monkeypatch.setattr(verify_mod, "_squarefree_mod_prime", lambda f: False)
-        assert got == _check_other("?", rest, p)
-
-    def test_prime_test_changes_no_small_tree(self, monkeypatch):
-        # each leftover as the sweep hands it over at M_max = n + 1, checked
-        # with the test mod q and with squarefree_decompose alone
-        cases = []
-        for n in range(1, 13):
-            orbits, _ = _orbit_table(n + 1)
-            for t in enumerate_trees(n):
-                rest = char_poly(t)
-                for mu, _ in orbits:
-                    _, rest = factor_multiplicity(rest, mu)
-                cases.append((emit_graph6(t), rest, pendant_count(t)))
-        assert sum(rest.degree > 0 and _squarefree_mod_prime(rest) for _, rest, _ in cases) > 0
-        got = [_check_other(*case) for case in cases]
-        monkeypatch.setattr(verify_mod, "_squarefree_mod_prime", lambda f: False)
-        assert got == [_check_other(*case) for case in cases]
 
     def test_paths_never_noted(self):
         for n in range(1, 12):
