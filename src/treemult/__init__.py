@@ -15,9 +15,7 @@ from treemult.poly import (
     Polynomial,
     cyclotomic,
     exact_div,
-    minimal_poly,
     palindromic_descend,
-    path_charpoly,
     squarefree_decompose,
 )
 from treemult.tree import (
@@ -39,8 +37,6 @@ from treemult.families import (
     Gamma2Mode,
     classify,
     generate,
-    is_gamma0,
-    is_gamma2_0,
 )
 from treemult.verify import SweepConfig, sweep
 

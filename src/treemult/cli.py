@@ -228,7 +228,7 @@ def _cmd_verify(args) -> int:
             f"{other['violations']} violations, "
             f"{other['strict_discrepancies']} strict discrepancies"
         )
-        print(f"records: {report.records_path}")
+        print(f"records: {report.config.output_path}")
         print(f"summary: {report.summary_path}")
     return 1 if other["violations"] else status
 

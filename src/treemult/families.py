@@ -52,7 +52,6 @@ from treemult.tree import (
     _rooted_code,
     canonical_code,
     induced,
-    is_path,
     major_vertices,
     path_tree,
     pendant_vertices,
@@ -128,16 +127,6 @@ def _gamma2_0_path_size(n: int, M: int, mode: Gamma2Mode) -> bool:
     if mode is Gamma2Mode.STRICT:
         return n % M == (M - 2) % M
     return (n + 1) % M != 0
-
-
-def is_gamma0(t: Tree, lam: LambdaSpec) -> bool:
-    """Paths with lambda as a (necessarily simple) eigenvalue."""
-    return is_path(t) and _gamma0_path_size(t.n, lam.M)
-
-
-def is_gamma2_0(t: Tree, lam: LambdaSpec, mode: Gamma2Mode = BROAD) -> bool:
-    """Base GAMMA2 paths under the requested reading."""
-    return is_path(t) and _gamma2_0_path_size(t.n, lam.M, mode)
 
 
 # -- recursive membership ------------------------------------------------------

@@ -2,9 +2,8 @@
 
 Provides the dense big-integer polynomial type used everywhere in this
 package, plus the number-theoretic constructions the multiplicity machinery
-needs: characteristic polynomials of paths, cyclotomic polynomials, minimal
-polynomials of 2*cos(i*pi/M), cached once per orbit of conjugates, and Yun
-squarefree decomposition.
+needs: cyclotomic polynomials, minimal polynomials of 2*cos(i*pi/M), cached
+once per orbit of conjugates, and Yun squarefree decomposition.
 
 All operations are pure and all values immutable, so everything here is safe
 to share across worker processes or threads without synchronization.
@@ -162,13 +161,6 @@ class Polynomial:
     def derivative(self) -> Polynomial:
         return Polynomial(k * c for k, c in enumerate(self.coeffs) if k)
 
-    def evaluate(self, x):
-        """Horner evaluation; works for int or float arguments."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def content(self) -> int:
         """gcd of the coefficients, signed so the primitive part has a
         positive leading coefficient; 0 for the zero polynomial."""
@@ -232,15 +224,6 @@ def exact_div(a: Polynomial, b: Polynomial) -> Polynomial:
     if not rem.is_zero():
         raise NonDivisibleError("nonzero remainder")
     return quo
-
-
-def divides(b: Polynomial, a: Polynomial) -> bool:
-    """True when b divides a exactly over the integers."""
-    try:
-        exact_div(a, b)
-    except NonDivisibleError:
-        return False
-    return True
 
 
 def _pseudo_rem(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -316,26 +299,7 @@ def squarefree_decompose(p: Polynomial) -> list[tuple[Polynomial, int]]:
     return parts
 
 
-# -- path characteristic polynomials and Chebyshev-form eigenvalues --------
-
-
-@lru_cache(maxsize=None)
-def path_charpoly(n: int) -> Polynomial:
-    """Characteristic polynomial of the path on n vertices.
-
-    Satisfies the two-term recurrence f(n) = x*f(n-1) - f(n-2) with
-    f(0) = 1 and f(1) = x; its roots are 2*cos(k*pi/(n+1)) for k = 1..n.
-    """
-    if n < 0:
-        raise ValueError("vertex count must be nonnegative")
-    if n == 0:
-        return ONE
-    if n == 1:
-        return X
-    prev, cur = ONE, X
-    for _ in range(n - 1):
-        prev, cur = cur, cur.shift(1) - prev
-    return cur
+# -- cyclotomic polynomials and Chebyshev-form eigenvalues ---------------
 
 
 def _at_power(p: Polynomial, e: int) -> Polynomial:
@@ -413,7 +377,9 @@ class LambdaSpec:
 
     @property
     def minimal_poly(self) -> Polynomial:
-        """Monic integer minimal polynomial of 2*cos(i*pi/M); cached per orbit."""
+        """Monic integer minimal polynomial of 2*cos(i*pi/M), cached per orbit:
+        irreducible over the rationals, of degree phi(2M)/2 for odd i and
+        phi(M)/2 for even i (phi the Euler totient)."""
         # i odd: 2cos(i*pi/M) = z + 1/z for z a primitive 2M-th root of unity.
         # i even (M odd): equal to 2cos(2*pi*(i/2)/M) with gcd(i/2, M) = 1, so z
         # is a primitive M-th root.  The cyclotomic index is >= 3 for every
@@ -431,15 +397,6 @@ class LambdaSpec:
 
     def __str__(self) -> str:
         return f"{self.i}/{self.M}"
-
-
-def minimal_poly(spec: LambdaSpec) -> Polynomial:
-    """Minimal polynomial of the eigenvalue described by spec.
-
-    Monic, irreducible over the rationals, of degree phi(2M)/2 for odd i and
-    phi(M)/2 for even i (phi the Euler totient).
-    """
-    return spec.minimal_poly
 
 
 def euler_phi(n: int) -> int:

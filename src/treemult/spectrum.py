@@ -29,7 +29,7 @@ import math
 from functools import lru_cache
 from itertools import groupby
 
-from treemult.poly import LambdaSpec, Polynomial, euler_phi, minimal_poly
+from treemult.poly import LambdaSpec, Polynomial, euler_phi
 from treemult.tree import Tree, bfs_order
 
 
@@ -95,7 +95,7 @@ def factor_multiplicity(p: Polynomial, mu: Polynomial) -> tuple[int, Polynomial]
 
 
 def multiplicity(t: Tree, spec: LambdaSpec) -> int:
-    """m(T, lambda): the largest k with minimal_poly(lambda)^k dividing the
+    """m(T, lambda): the largest k with spec.minimal_poly^k dividing the
     characteristic polynomial.
 
     The minimal polynomial has degree phi(2M) / 2 (for even i, M is odd and
@@ -103,7 +103,7 @@ def multiplicity(t: Tree, spec: LambdaSpec) -> int:
     a degree-n char_poly, so then m = 0 without building it."""
     if euler_phi(2 * spec.M) // 2 > t.n:
         return 0
-    return factor_multiplicity(char_poly(t), minimal_poly(spec))[0]
+    return factor_multiplicity(char_poly(t), spec.minimal_poly)[0]
 
 
 # -- tree engine over Z[x]/(mu) ----------------------------------------------

@@ -81,43 +81,10 @@ class Tree:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "edges": [[u, v] for u, v in self.edges]}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Tree":
-        try:
-            n = data["n"]
-            edges = [(u, v) for u, v in data["edges"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise NotATreeError(f"bad edge-list object: {exc}") from exc
-        # bool is an int subclass; floats and strings are not coerced
-        if any(type(x) is not int for x in (n, *(x for e in edges for x in e))):
-            raise NotATreeError("n and every vertex id must be JSON integers")
-        return cls.from_edges(n, edges)
-
 
 def path_tree(n: int) -> Tree:
     """The path 0 - 1 - ... - n-1."""
     return Tree.from_edges(n, [(k, k + 1) for k in range(n - 1)])
-
-
-def star_tree(leaves: int) -> Tree:
-    """Star with center 0 and the given number of leaves."""
-    return Tree.from_edges(leaves + 1, [(0, k) for k in range(1, leaves + 1)])
-
-
-def spider_tree(*legs: int) -> Tree:
-    """Spider: center 0 with pendant paths of the given lengths."""
-    edges = []
-    nxt = 1
-    for leg in legs:
-        prev = 0
-        for _ in range(leg):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
-    return Tree.from_edges(nxt, edges)
 
 
 # -- structural queries -----------------------------------------------------
@@ -439,4 +406,12 @@ def load_edge_json(text: str) -> Tree:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise NotATreeError(f"bad JSON: {exc}") from exc
-    return Tree.from_json_dict(data)
+    try:
+        n = data["n"]
+        edges = [(u, v) for u, v in data["edges"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise NotATreeError(f"bad edge-list object: {exc}") from exc
+    # bool is an int subclass; floats and strings are not coerced
+    if any(type(x) is not int for x in (n, *(x for e in edges for x in e))):
+        raise NotATreeError("n and every vertex id must be JSON integers")
+    return Tree.from_edges(n, edges)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 import os
 import random
 import time
@@ -249,7 +250,6 @@ class Tally:
 @dataclass(kw_only=True)
 class SweepReport(Tally):
     config: SweepConfig
-    records_path: str | None = None
     summary_path: str | None = None
     elapsed_seconds: float = 0.0
     # the check of the eigenvalues no swept orbit carries; it writes no
@@ -430,7 +430,6 @@ def sweep(config: SweepConfig) -> SweepReport:
             sink.close()
             if os.path.exists(tmp_path):  # aborted: drop the partial records
                 os.remove(tmp_path)
-    report.records_path = config.output_path
     report.elapsed_seconds = time.monotonic() - start
     if config.output_path:
         summary_path = config.output_path + ".summary.json"
@@ -496,7 +495,7 @@ def _agreement_worker(args) -> dict | None:
     n = rng.randint(1, n_max)
     t = Tree.from_edges(n, _random_tree_edges(n, rng))
     M = rng.randint(2, M_max)
-    spec = rng.choice(all_specs(M, M))
+    spec = LambdaSpec(rng.choice([i for i in range(1, M) if math.gcd(i, M) == 1]), M)
     mu = spec.minimal_poly
     m_div, _ = factor_multiplicity(char_poly(t), mu)
     m_rank = rank_nullity(t, mu)

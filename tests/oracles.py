@@ -7,6 +7,11 @@ characteristic polynomials, greedy leaf matching for the nullity at zero,
 dense elimination for the nullity at any eigenvalue, deleting the major
 vertices for the lengths of legs and inner paths.
 Slow, obvious, and algorithmically unrelated to what they check.
+
+Below them are the small builders and predicates that only tests use:
+stars and spiders, path characteristic polynomials, Horner evaluation, a
+divisibility test, the JSON edge-list form of a tree, and the base-family
+predicates over the classifier's own path-size tests.
 """
 
 from __future__ import annotations
@@ -14,8 +19,9 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from treemult.poly import Polynomial
-from treemult.tree import Tree, bfs_order, canonical_code
+from treemult.families import BROAD, Gamma2Mode, _gamma0_path_size, _gamma2_0_path_size
+from treemult.poly import ONE, X, LambdaSpec, NonDivisibleError, Polynomial, exact_div
+from treemult.tree import Tree, bfs_order, canonical_code, is_path
 
 
 def prufer_to_edges(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
@@ -242,3 +248,75 @@ def nullity_by_elimination(t: Tree, mu: Polynomial) -> int:
                     ]
             rank += 1
     return n - rank
+
+
+# -- builders and predicates that only tests use ------------------------------
+
+
+def star_tree(leaves: int) -> Tree:
+    """Star with center 0 and the given number of leaves."""
+    return Tree.from_edges(leaves + 1, [(0, k) for k in range(1, leaves + 1)])
+
+
+def spider_tree(*legs: int) -> Tree:
+    """Spider: center 0 with pendant paths of the given lengths."""
+    edges = []
+    nxt = 1
+    for leg in legs:
+        prev = 0
+        for _ in range(leg):
+            edges.append((prev, nxt))
+            prev = nxt
+            nxt += 1
+    return Tree.from_edges(nxt, edges)
+
+
+def to_json_dict(t: Tree) -> dict:
+    """The {"n": int, "edges": [[u, v], ...]} object that load_edge_json reads."""
+    return {"n": t.n, "edges": [[u, v] for u, v in t.edges]}
+
+
+@lru_cache(maxsize=None)
+def path_charpoly(n: int) -> Polynomial:
+    """Characteristic polynomial of the path on n vertices.
+
+    Satisfies the two-term recurrence f(n) = x*f(n-1) - f(n-2) with
+    f(0) = 1 and f(1) = x; its roots are 2*cos(k*pi/(n+1)) for k = 1..n.
+    """
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    if n == 0:
+        return ONE
+    if n == 1:
+        return X
+    prev, cur = ONE, X
+    for _ in range(n - 1):
+        prev, cur = cur, cur.shift(1) - prev
+    return cur
+
+
+def evaluate(p: Polynomial, x):
+    """Horner evaluation of p at x; works for int, Fraction or float x."""
+    acc = 0
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def divides(b: Polynomial, a: Polynomial) -> bool:
+    """True when b divides a exactly over the integers."""
+    try:
+        exact_div(a, b)
+    except NonDivisibleError:
+        return False
+    return True
+
+
+def is_gamma0(t: Tree, lam: LambdaSpec) -> bool:
+    """Paths with lambda as a (necessarily simple) eigenvalue."""
+    return is_path(t) and _gamma0_path_size(t.n, lam.M)
+
+
+def is_gamma2_0(t: Tree, lam: LambdaSpec, mode: Gamma2Mode = BROAD) -> bool:
+    """Base GAMMA2 paths under the requested reading."""
+    return is_path(t) and _gamma2_0_path_size(t.n, lam.M, mode)

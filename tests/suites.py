@@ -11,7 +11,8 @@ take one spec per conjugacy orbit with denominator at most M_max.
 from __future__ import annotations
 
 from treemult.families import FamilyKind, generate
-from treemult.poly import LambdaSpec, all_specs, path_charpoly, spec_orbits
+from oracles import path_charpoly
+from treemult.poly import LambdaSpec, all_specs, spec_orbits
 from treemult.spectrum import factor_multiplicity, multiplicity
 from treemult.tree import Tree, emit_graph6, enumerate_trees, induced, pendant_vertices, split
 

@@ -12,7 +12,14 @@ import os
 
 import pytest
 
-from oracles import charpoly_by_cofactors, count_free_trees_bruteforce
+from oracles import (
+    charpoly_by_cofactors,
+    count_free_trees_bruteforce,
+    evaluate,
+    path_charpoly,
+    spider_tree,
+    star_tree,
+)
 from suites import branch_equivalence, family_pendant_deletion, parter_vertex, path_simplicity
 from treemult.families import BROAD, STRICT, FamilyKind, classify, generate
 from treemult.poly import (
@@ -20,8 +27,6 @@ from treemult.poly import (
     Polynomial,
     all_specs,
     euler_phi,
-    minimal_poly,
-    path_charpoly,
 )
 from treemult.spectrum import char_poly, multiplicity, rank_nullity
 from treemult.tree import (
@@ -29,8 +34,6 @@ from treemult.tree import (
     emit_graph6,
     enumerate_trees,
     path_tree,
-    spider_tree,
-    star_tree,
 )
 from treemult.verify import (
     SweepConfig,
@@ -104,7 +107,7 @@ def test_criterion_4_strict_mode_fidelity_finding():
     assert char_poly(k13) == Polynomial((0, 0, -3, 0, 1))
     assert char_poly(s331) == Polynomial((0, 0, -8, 0, 14, 0, -7, 0, 1))
     for t, lam in ((k13, lam13), (s331, lam331)):
-        assert multiplicity(t, lam) == 1 == rank_nullity(t, minimal_poly(lam))
+        assert multiplicity(t, lam) == 1 == rank_nullity(t, lam.minimal_poly)
         assert classify(t, lam, STRICT).tag == "NONE"
         assert classify(t, lam, BROAD).tag == "GAMMA2(1)"
 
@@ -217,10 +220,10 @@ def test_criterion_8_polynomial_layer():
     degree_ok = True
     for spec in all_specs(30):
         expected = euler_phi(2 * spec.M) // 2 if spec.i % 2 else euler_phi(spec.M) // 2
-        if minimal_poly(spec).degree != max(expected, 1):
+        if spec.minimal_poly.degree != max(expected, 1):
             degree_ok = False
     numeric_ok = all(
-        abs(minimal_poly(s).evaluate(2.0 * math.cos(s.i * math.pi / s.M))) < 1e-9
+        abs(evaluate(s.minimal_poly, 2.0 * math.cos(s.i * math.pi / s.M))) < 1e-9
         for s in all_specs(30)
     )
     determinant_ok = all(

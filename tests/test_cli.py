@@ -7,9 +7,10 @@ import signal
 
 import pytest
 
+from oracles import star_tree, to_json_dict
 from treemult.cli import main
 from treemult.poly import all_specs
-from treemult.tree import emit_graph6, enumerate_trees, path_tree, star_tree
+from treemult.tree import emit_graph6, enumerate_trees, path_tree
 
 
 def run(capsys, *argv):
@@ -67,7 +68,7 @@ class TestMult:
 
     def test_json_tree_file(self, capsys, tmp_path):
         path = tmp_path / "tree.json"
-        path.write_text(json.dumps(star_tree(4).to_json_dict()))
+        path.write_text(json.dumps(to_json_dict(star_tree(4))))
         code, out, _ = run(capsys, "mult", "--json", str(path), "--lambda", "1/2")
         assert code == 0
         assert out.strip() == "m=3 p=4 gamma=1"

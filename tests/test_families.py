@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from oracles import defective_segments
+from oracles import defective_segments, is_gamma0, is_gamma2_0, spider_tree, star_tree
 from treemult import families
 from treemult.families import (
     BROAD,
@@ -14,8 +14,6 @@ from treemult.families import (
     FamilyResult,
     classify,
     generate,
-    is_gamma0,
-    is_gamma2_0,
     replay_witness,
 )
 from treemult.poly import LambdaSpec, all_specs, spec_orbits
@@ -29,8 +27,6 @@ from treemult.tree import (
     pack_graph6,
     path_tree,
     pendant_count,
-    spider_tree,
-    star_tree,
 )
 
 LAMBDA_0 = LambdaSpec(1, 2)

@@ -6,6 +6,7 @@ import signal
 
 import pytest
 
+from oracles import divides, evaluate, path_charpoly
 from treemult.poly import (
     ONE,
     X,
@@ -18,12 +19,9 @@ from treemult.poly import (
     ZeroPolynomialError,
     all_specs,
     cyclotomic,
-    divides,
     euler_phi,
     exact_div,
-    minimal_poly,
     palindromic_descend,
-    path_charpoly,
     poly_gcd,
     spec_orbits,
     squarefree_decompose,
@@ -75,8 +73,8 @@ class TestArithmetic:
             assert eval(repr(p)) == p
 
     def test_evaluate(self):
-        assert P(1, -2, 1).evaluate(5) == 16
-        assert P(0, 1).evaluate(0.5) == 0.5
+        assert evaluate(P(1, -2, 1), 5) == 16
+        assert evaluate(P(0, 1), 0.5) == 0.5
 
     def test_content_and_primitive(self):
         assert P(-4, -6).content() == -2
@@ -106,7 +104,7 @@ class TestPathCharpoly:
         assert p.is_monic() and p.degree == n
         for k in range(1, n + 1):
             x = Fraction(2.0 * math.cos(k * math.pi / (n + 1)))
-            assert abs(float(p.evaluate(x))) < 1e-6
+            assert abs(float(evaluate(p, x))) < 1e-6
 
     def test_parity_symmetry(self):
         for n in range(1, 25):
@@ -188,11 +186,11 @@ class TestPalindromicDescend:
 
 class TestMinimalPoly:
     def test_named_values(self):
-        assert minimal_poly(LambdaSpec(1, 2)) == X  # lambda = 0
-        assert minimal_poly(LambdaSpec(1, 3)) == P(-1, 1)  # lambda = 1
-        assert minimal_poly(LambdaSpec(2, 3)) == P(1, 1)  # lambda = -1
-        assert minimal_poly(LambdaSpec(1, 4)) == P(-2, 0, 1)  # lambda = sqrt(2)
-        assert minimal_poly(LambdaSpec(1, 6)) == P(-3, 0, 1)  # lambda = sqrt(3)
+        assert LambdaSpec(1, 2).minimal_poly == X  # lambda = 0
+        assert LambdaSpec(1, 3).minimal_poly == P(-1, 1)  # lambda = 1
+        assert LambdaSpec(2, 3).minimal_poly == P(1, 1)  # lambda = -1
+        assert LambdaSpec(1, 4).minimal_poly == P(-2, 0, 1)  # lambda = sqrt(2)
+        assert LambdaSpec(1, 6).minimal_poly == P(-3, 0, 1)  # lambda = sqrt(3)
 
     def test_invalid_specs(self):
         for i, M in [(2, 4), (0, 5), (5, 5), (6, 4), (3, 9)]:
@@ -210,19 +208,19 @@ class TestMinimalPoly:
     def test_degree_matches_totient_formula(self):
         for spec in all_specs(30):
             expected = euler_phi(2 * spec.M) // 2 if spec.i % 2 else euler_phi(spec.M) // 2
-            assert minimal_poly(spec).degree == max(expected, 1)
+            assert spec.minimal_poly.degree == max(expected, 1)
             # one form for both parities, which spectrum.multiplicity uses
-            assert minimal_poly(spec).degree == euler_phi(2 * spec.M) // 2
+            assert spec.minimal_poly.degree == euler_phi(2 * spec.M) // 2
 
     def test_root_numeric(self):
         for spec in all_specs(30):
             root = 2 * math.cos(spec.i * math.pi / spec.M)
-            assert abs(minimal_poly(spec).evaluate(root)) < 1e-9
+            assert abs(evaluate(spec.minimal_poly, root)) < 1e-9
 
     def test_divides_path_charpoly(self):
         # the path on M-1 vertices has every 2cos(i*pi/M) in its spectrum
         for spec in all_specs(30):
-            assert divides(minimal_poly(spec), path_charpoly(spec.M - 1))
+            assert divides(spec.minimal_poly, path_charpoly(spec.M - 1))
 
     def test_orbits_partition_specs(self):
         orbits = spec_orbits(15)

@@ -13,13 +13,15 @@ from oracles import (
     charpoly_by_cofactors,
     nullity_by_elimination,
     nullity_by_matching,
+    path_charpoly,
     random_tree_edges_by_scan,
+    spider_tree,
+    star_tree,
 )
 from treemult.poly import (
     LambdaSpec,
     Polynomial,
     all_specs,
-    path_charpoly,
     spec_orbits,
     squarefree_decompose,
 )
@@ -36,9 +38,7 @@ from treemult.tree import (
     enumerate_trees,
     induced,
     path_tree,
-    spider_tree,
     split,
-    star_tree,
 )
 from treemult.verify import SweepConfig, sweep
 

@@ -5,7 +5,14 @@ from itertools import product
 
 import pytest
 
-from oracles import all_labeled_trees, count_free_trees_bruteforce, prufer_to_edges
+from oracles import (
+    all_labeled_trees,
+    count_free_trees_bruteforce,
+    prufer_to_edges,
+    spider_tree,
+    star_tree,
+    to_json_dict,
+)
 from treemult.tree import (
     LimitExceededError,
     MalformedGraph6Error,
@@ -27,9 +34,7 @@ from treemult.tree import (
     pack_graph6,
     pendant_count,
     pendant_vertices,
-    spider_tree,
     split,
-    star_tree,
     tree_from_code,
 )
 from treemult.verify import _random_tree_edges
@@ -289,7 +294,7 @@ class TestTextFormats:
         import json
 
         t = spider_tree(2, 1, 1)
-        back = load_edge_json(json.dumps(t.to_json_dict()))
+        back = load_edge_json(json.dumps(to_json_dict(t)))
         assert back == t
 
     def test_json_rejects_garbage(self):

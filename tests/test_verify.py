@@ -9,12 +9,13 @@ import random
 
 import pytest
 
-from oracles import random_tree_edges_by_scan
+from oracles import random_tree_edges_by_scan, spider_tree, star_tree
 from suites import branch_equivalence, family_pendant_deletion, parter_vertex, path_simplicity
 from treemult.cli import main
 from treemult.families import BROAD, STRICT
-from treemult.poly import Polynomial
-from treemult.tree import emit_graph6, path_tree, spider_tree, star_tree
+from treemult.poly import Polynomial, spec_orbits, squarefree_decompose
+from treemult.spectrum import char_poly, factor_multiplicity
+from treemult.tree import Tree, emit_graph6, path_tree, pendant_count
 from treemult.verify import (
     SweepConfig,
     Tally,
@@ -327,6 +328,35 @@ class TestAudit:
         for n in range(1, 12):
             other = self.swept(path_tree(n), n + 1)[1]
             assert other["levels"] == other["violations"] == other["strict_discrepancies"] == 0
+
+    def test_first_level_two_tree(self):
+        # three K_{1,4}, each joined through one leaf to a new vertex 0: the
+        # smallest swept range with a leftover level k = 2 is n <= 16
+        edges = []
+        for s in range(3):
+            center = 1 + 5 * s
+            edges += [(0, center + 1)] + [(center, center + j) for j in range(1, 5)]
+        t = Tree.from_edges(16, edges)
+        g6 = emit_graph6(t)
+        assert g6 == "OhGc?C@?OAO??@??_?O?C" and pendant_count(t) == 9
+        # the leftover as the sweep leaves it: every swept orbit divided out
+        rest = char_poly(t)
+        for mu, _ in spec_orbits(17):
+            rest = factor_multiplicity(rest, mu)[1]
+        assert squarefree_decompose(rest) == [
+            (Polynomial((9, 0, -7, 0, 1)), 1),
+            (Polynomial((-4, 0, 1)), 2),
+        ]
+        other = self.swept(t, 17)[1]
+        assert other["levels"] == 2
+        assert other["violations"] == other["strict_discrepancies"] == 0
+        # with p = 4 the level-2 part breaks the bound and the level-1 part
+        # does not, so reading every level as 1 would miss the violation
+        other = _check_other(g6, rest, 4)
+        assert other["violations"] == 1 and other["strict_discrepancies"] == 0
+        assert [(e["level"], e["residue"]) for e in other["violation_examples"]] == [
+            (2, [-4, 0, 1])
+        ]
 
 
 class TestPoolSize:
