@@ -57,6 +57,46 @@ class TestConstruction:
         with pytest.raises(NotATreeError):
             Tree.from_edges(3, [(0, 1)])
 
+    # (n, edges, the same list as "u-v,..." text when its largest id is n - 1
+    # and else None, the message): the first error in edge order wins
+    ERRORS = {
+        "no-vertex": (0, [], None, "a tree needs at least one vertex"),
+        "too-few-edges": (3, [(0, 2)], "0-2", "1 edges on 3 vertices is not a tree"),
+        "too-many-edges": (
+            3, [(0, 1), (1, 2), (2, 0)], "0-1,1-2,2-0", "3 edges on 3 vertices is not a tree",
+        ),
+        "self-loop": (2, [(1, 1)], "1-1", "bad edge (1, 1)"),
+        "out-of-range": (3, [(0, 1), (1, 3)], None, "bad edge (1, 3)"),
+        "negative-id": (2, [(-1, 0)], None, "bad edge (-1, 0)"),
+        "repeat-reversed": (3, [(0, 2), (2, 0)], "0-2,2-0", "duplicate edge (2, 0)"),
+        "repeat-same-way": (4, [(0, 1), (2, 3), (0, 1)], "0-1,2-3,0-1", "duplicate edge (0, 1)"),
+        "repeat-then-self-loop": (4, [(0, 3), (3, 0), (1, 1)], "0-3,3-0,1-1", "duplicate edge (3, 0)"),
+        "repeat-then-out-of-range": (4, [(0, 1), (1, 0), (1, 7)], None, "duplicate edge (1, 0)"),
+        "self-loop-then-repeat": (4, [(1, 1), (0, 3), (3, 0)], "1-1,0-3,3-0", "bad edge (1, 1)"),
+        "disconnected": (
+            5, [(0, 1), (1, 2), (2, 0), (3, 4)], "0-1,1-2,2-0,3-4", "graph is not connected",
+        ),
+        "isolated-top-vertex": (4, [(0, 1), (1, 2), (2, 0)], None, "graph is not connected"),
+    }
+
+    @pytest.mark.parametrize("case", list(ERRORS))
+    def test_error_messages(self, case):
+        import json
+
+        n, edges, text, message = self.ERRORS[case]
+        with pytest.raises(NotATreeError) as direct:
+            Tree.from_edges(n, edges)
+        assert str(direct.value) == message
+        # the text form names no n, so an id above the largest is unreachable
+        # there; the JSON form names n and reaches every case
+        if text is not None:
+            with pytest.raises(NotATreeError) as parsed:
+                parse_edge_text(text)
+            assert str(parsed.value) == message
+        with pytest.raises(NotATreeError) as loaded:
+            load_edge_json(json.dumps({"n": n, "edges": edges}))
+        assert str(loaded.value) == message
+
     def test_adjacency_sorted_and_symmetric(self):
         t = Tree.from_edges(4, [(2, 0), (0, 1), (3, 0)])
         assert t.adj[0] == (1, 2, 3)
