@@ -229,7 +229,7 @@ def _cmd_verify(args) -> int:
             f"{other['strict_discrepancies']} strict discrepancies"
         )
         print(f"records: {report.config.output_path}")
-        print(f"summary: {report.summary_path}")
+        print(f"summary: {out}.summary.json")
     return 1 if other["violations"] else status
 
 

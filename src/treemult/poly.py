@@ -417,10 +417,10 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def all_specs(M_max: int, M_min: int = 2) -> list[LambdaSpec]:
-    """Every valid LambdaSpec with M_min <= M <= M_max, ordered by (M, i)."""
+def all_specs(M_max: int) -> list[LambdaSpec]:
+    """Every valid LambdaSpec with M <= M_max, ordered by (M, i)."""
     specs = []
-    for M in range(M_min, M_max + 1):
+    for M in range(2, M_max + 1):
         for i in range(1, M):
             if math.gcd(i, M) == 1:
                 specs.append(LambdaSpec(i, M))

@@ -126,8 +126,12 @@ def _mulmod(a: list[int], b: list[int], red: list[int]) -> list[int]:
 
 
 def _lowest(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    """num/den with the joint integer content of both divided out."""
+    """num/den with the joint integer content of both divided out; the
+    inputs themselves when it is 1, as it nearly always is (the pass never
+    changes a residue list in place, so states may share them)."""
     g = math.gcd(*num, *den)
+    if g == 1:
+        return num, den
     return [c // g for c in num], [c // g for c in den]
 
 
@@ -147,13 +151,14 @@ def _rooted_shapes(t: Tree) -> tuple[tuple[tuple[int, ...], ...], tuple[int | No
     kids: list[list[int]] = [[] for _ in range(t.n)]
     for u in order[1:]:
         kids[parent[u]].append(u)
-    size = [1] * t.n
+    half = t.n // 2
+    size = [1] * t.n + [0]  # the last slot takes the root's push (parent -1)
     shape: list[int | None] = [None] * t.n
-    for u in reversed(order):
-        size[u] += sum(size[w] for w in kids[u])
-        if size[u] <= t.n // 2:  # then so are its children's
+    for u in reversed(order):  # a vertex's size is whole once its turn comes
+        if size[u] <= half:  # then so are its children's
             key = tuple(sorted(shape[w] for w in kids[u]))
             shape[u] = _shape_ids.setdefault(key, len(_shape_ids))
+        size[parent[u]] += size[u]
     return tuple(map(tuple, kids)), tuple(shape)
 
 
@@ -164,9 +169,14 @@ def rank_nullity(t: Tree, mu: Polynomial) -> int:
 
     A vertex's value is -lambda minus the sum of 1/value over its live
     children (equal values summed at once), kept as residues (P, Q) with
-    value P/Q and their joint integer content divided out.  Zero-child rule: if z >= 1 children are zero, one
-    pivots against the vertex, z - 1 stay zero and add to the nullity, and
-    the vertex is cut from its parent; a zero root adds 1.  P == 0 is an
+    value P/Q and their joint integer content divided out.  The sum takes
+    products modulo mu; the -lambda step, (-x*Q - N)/Q for a sum N/Q, does
+    not: x*Q is Q shifted up one place with its top coefficient folded back
+    through x^d == red, O(d) instead of a full product.  One loop over a
+    vertex's children adds up their nullity, counts the zero ones and
+    collects the live ones.  Zero-child rule: if z >= 1 children are zero,
+    one pivots against the vertex, z - 1 stay zero and add to the nullity,
+    and the vertex is cut from its parent; a zero root adds 1.  P == 0 is an
     exact zero test because mu is irreducible: Q[x]/(mu) is a field, so each
     Q, a product of nonzero residues, is nonzero.
 
@@ -180,7 +190,8 @@ def rank_nullity(t: Tree, mu: Polynomial) -> int:
     wrong state shows as an engine mismatch instead of agreeing with itself.
     """
     d = mu.degree
-    red = [-c for c in mu.coeffs[:d]]
+    low = mu.coeffs[:d]
+    red = [-c for c in low]
     # a leaf's value -x; for linear mu = x + c, x is the integer -c
     leaf = ([0, -1] + [0] * (d - 2) if d > 1 else [mu.coeffs[0]], [1] + [0] * (d - 1))
     kids, shape = _rooted_shapes(t)
@@ -195,10 +206,17 @@ def rank_nullity(t: Tree, mu: Polynomial) -> int:
             if state[w] is None:
                 stack.append(w)
     for u in reversed(todo):  # children before parents
-        below = [state[w] for w in kids[u]]
-        nullity = sum(k for _, k in below)
-        live = [value for value, _ in below if value is not None]
-        zeros = sum(1 for p, _ in live if not any(p))
+        nullity = zeros = 0
+        live = []
+        for w in kids[u]:
+            value, k = state[w]
+            nullity += k
+            if value is None:
+                continue
+            if any(value[0]):
+                live.append(value)
+            else:
+                zeros += 1
         if zeros:
             state[u] = (None, nullity + zeros - 1)
         elif not live:
@@ -214,8 +232,12 @@ def rank_nullity(t: Tree, mu: Polynomial) -> int:
                     [a + c * b for a, b in zip(_mulmod(num, p, red), _mulmod(den, q, red))],
                     _mulmod(den, p, red),
                 )
-            x_den = _mulmod(leaf[0], den, red)
-            state[u] = (_lowest([a - b for a, b in zip(x_den, num)], den), nullity)
+            # x*den is den shifted up one place, its top coefficient folded
+            # back as top * red; negated, red's -1 cancels (zip drops the
+            # top place)
+            top = den[-1]
+            value = [top * c - a - b for c, a, b in zip(low, [0, *den], num)]
+            state[u] = (_lowest(value, den), nullity)
         if shape[u] is not None:
             table[shape[u]] = state[u]
     value, nullity = state[0]

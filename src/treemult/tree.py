@@ -50,29 +50,29 @@ class Tree:
             raise NotATreeError("a tree needs at least one vertex")
         if len(edges) != n - 1:
             raise NotATreeError(f"{len(edges)} edges on {n} vertices is not a tree")
-        neighbors: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n) or u == v:
-                raise NotATreeError(f"bad edge ({u}, {v})")
-            if v in neighbors[u]:
-                raise NotATreeError(f"duplicate edge ({u}, {v})")
-            neighbors[u].add(v)
-            neighbors[v].add(u)
-        # n-1 distinct edges + connectivity == acyclic and spanning
-        seen = [False] * n
-        stack = [0]
-        seen[0] = True
-        count = 1
-        while stack:
-            u = stack.pop()
-            for w in neighbors[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    stack.append(w)
-        if count != n:
-            raise NotATreeError("graph is not connected")
-        return cls(n, tuple(tuple(sorted(s)) for s in neighbors))
+        adj: list[list[int]] = [[] for _ in range(n)]
+        try:
+            for u, v in edges:
+                if not (0 <= u < n and 0 <= v < n) or u == v:
+                    break
+                adj[u].append(v)
+                adj[v].append(u)
+            else:
+                # n - 1 edges that reach every vertex from 0 are distinct and
+                # acyclic; a repeat would leave one of them short
+                order = [0]
+                seen = [False] * n
+                seen[0] = True
+                for u in order:
+                    for w in adj[u]:
+                        if not seen[w]:
+                            seen[w] = True
+                            order.append(w)
+                if len(order) == n:
+                    return cls(n, tuple(tuple(sorted(a)) for a in adj))
+        except (TypeError, ValueError):
+            pass  # not an int pair; the edges before it may hold the first fault
+        _raise_first_fault(n, edges)
 
     @property
     def edges(self) -> list[tuple[int, int]]:
@@ -80,6 +80,21 @@ class Tree:
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
+
+
+def _raise_first_fault(n: int, edges: Sequence[tuple[int, int]]) -> None:
+    """Raise the error for the first fault, in edge order, of n - 1 edges
+    that do not form a tree: a bad or repeated edge, else disconnection.
+    A pair that is not two ints raises what indexing or unpacking it does."""
+    neighbors: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n) or u == v:
+            raise NotATreeError(f"bad edge ({u}, {v})")
+        if v in neighbors[u]:
+            raise NotATreeError(f"duplicate edge ({u}, {v})")
+        neighbors[u].add(v)
+        neighbors[v].add(u)
+    raise NotATreeError("graph is not connected")
 
 
 def path_tree(n: int) -> Tree:

@@ -250,7 +250,6 @@ class Tally:
 @dataclass(kw_only=True)
 class SweepReport(Tally):
     config: SweepConfig
-    summary_path: str | None = None
     elapsed_seconds: float = 0.0
     # the check of the eigenvalues no swept orbit carries; it writes no
     # records, so `report` cannot recount it
@@ -439,7 +438,6 @@ def sweep(config: SweepConfig) -> SweepReport:
                 f.write("\n")
         except OSError as exc:
             raise IoFailureError(f"cannot write {summary_path}: {exc}") from exc
-        report.summary_path = summary_path
     return report
 
 

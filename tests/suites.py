@@ -10,9 +10,11 @@ take one spec per conjugacy orbit with denominator at most M_max.
 
 from __future__ import annotations
 
+import math
+
 from treemult.families import FamilyKind, generate
 from oracles import path_charpoly
-from treemult.poly import LambdaSpec, all_specs, spec_orbits
+from treemult.poly import LambdaSpec, spec_orbits
 from treemult.spectrum import factor_multiplicity, multiplicity
 from treemult.tree import Tree, emit_graph6, enumerate_trees, induced, pendant_vertices, split
 
@@ -133,9 +135,10 @@ def family_pendant_deletion(k_max: int, n_max: int, M_max: int) -> tuple[int, li
     checked = 0
     for M in range(2, M_max + 1):
         rep = LambdaSpec(1, M)
+        specs = [LambdaSpec(i, M) for i in range(1, M) if math.gcd(i, M) == 1]
         for k in range(0, k_max + 1):
             for t in generate(FamilyKind.GAMMA, k, rep, n_max):
-                for spec in all_specs(M, M):
+                for spec in specs:
                     m = multiplicity(t, spec)
                     checked += 1
                     if m < 1:

@@ -296,6 +296,24 @@ class TestRankEngine:
         for t, mu, expected in cases:
             assert rank_nullity(t, mu) == expected, (t.edges, mu)
 
+    def test_lambda_step_at_every_degree(self, cold_tables):
+        # every orbit with M <= 26 (minimal polynomials of degree 1 to 12;
+        # none has degree 7, since no phi(2M) is 14), so the -lambda step
+        # meets every way x^d reduces, on cold tables
+        orbits = [mu for mu, _ in spec_orbits(26)]
+        assert sorted({mu.degree for mu in orbits}) == [1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12]
+        rng = random.Random(2011)
+        trees = [path_tree(n) for n in range(1, 26)]
+        trees += [star_tree(k) for k in range(2, 25)]
+        trees += [spider_tree(*legs) for legs in ((1, 1, 2), (2, 2, 2), (3, 3, 1), (1, 2, 4, 8), (5, 5, 5, 5))]
+        for _ in range(20):
+            n = rng.randint(1, 25)
+            trees.append(Tree.from_edges(n, random_tree_edges_by_scan(n, rng)))
+        for t in trees:
+            for mu in orbits:
+                expected = factor_multiplicity(char_poly(t), mu)[0]
+                assert rank_nullity(t, mu) == expected, (t.edges, mu)
+
     def test_engines_agree_random_larger(self):
         from treemult.verify import engine_agreement_check
 

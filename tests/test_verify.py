@@ -133,7 +133,7 @@ class TestSweep:
     def test_summary_file(self, tmp_path):
         config = small_config(tmp_path, n_max=5, M_max=4)
         report = sweep(config)
-        summary = json.load(open(report.summary_path, encoding="utf-8"))
+        summary = json.load(open(config.output_path + ".summary.json", encoding="utf-8"))
         assert summary["records"] == report.record_count
         assert summary["bound"]["violations"] == 0
         assert summary["pendant_minus_two"]["broad"] == {"violations": 0}
@@ -143,8 +143,8 @@ class TestSweep:
 
     def test_summary_records_sha256(self, tmp_path):
         config = small_config(tmp_path, n_max=5, M_max=4)
-        report = sweep(config)
-        summary = json.load(open(report.summary_path, encoding="utf-8"))
+        sweep(config)
+        summary = json.load(open(config.output_path + ".summary.json", encoding="utf-8"))
         digest = hashlib.sha256(open(config.output_path, "rb").read()).hexdigest()
         assert summary["records_sha256"] == digest
         assert Tally.read(config.output_path).records_sha256 == digest
