@@ -232,9 +232,9 @@ def rank_nullity(t: Tree, mu: Polynomial) -> int:
                     [a + c * b for a, b in zip(_mulmod(num, p, red), _mulmod(den, q, red))],
                     _mulmod(den, p, red),
                 )
-            # x*den is den shifted up one place, its top coefficient folded
-            # back as top * red; negated, red's -1 cancels (zip drops the
-            # top place)
+            # x*den is den shifted up one place plus top * red, as x^d == red;
+            # red = -low, so -x*den is top * low minus the shift (zip drops
+            # the place shifted out)
             top = den[-1]
             value = [top * c - a - b for c, a, b in zip(low, [0, *den], num)]
             state[u] = (_lowest(value, den), nullity)

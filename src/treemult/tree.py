@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator, NoReturn, Sequence
 
 
 ENUMERATION_LIMIT = 20  # the largest n enumerate_trees accepts
@@ -82,7 +82,7 @@ class Tree:
         return len(self.adj[v])
 
 
-def _raise_first_fault(n: int, edges: Sequence[tuple[int, int]]) -> None:
+def _raise_first_fault(n: int, edges: Sequence[tuple[int, int]]) -> NoReturn:
     """Raise the error for the first fault, in edge order, of n - 1 edges
     that do not form a tree: a bad or repeated edge, else disconnection.
     A pair that is not two ints raises what indexing or unpacking it does."""
