@@ -121,10 +121,11 @@ class SweepConfig:
 class Tally:
     """Counts over sweep records: filled per tree by the sweep's workers
     (then merged) and by `Tally.read` from a record file, both through
-    `add`, so both report the same numbers."""
+    `add`, so both report the same numbers.  A sweep writes each tree's
+    records as one run, so a tree is counted where `tree` changes."""
 
-    trees: set = field(default_factory=set)
-    specs: set = field(default_factory=set)
+    tree: str | None = None  # of the last record added
+    tree_count: int = 0
     record_count: int = 0
     bound_violations: int = 0
     eq_top_violations: int = 0  # m = p - 1 equivalence
@@ -132,34 +133,35 @@ class Tally:
     strict_discrepancies: list = field(default_factory=list)
     records_sha256: str | None = None  # of the records' bytes, as a record file holds them
 
-    def add(self, rec: dict) -> None:
-        self.trees.add(rec["tree"])
-        self.specs.add(tuple(rec["lambda"]))
+    def add(self, tree: str, lam: list, fields: dict) -> None:
+        """Count one record: its tree, its lambda and the rest of its fields."""
+        if tree != self.tree:
+            self.tree = tree
+            self.tree_count += 1
         self.record_count += 1
-        if not rec["bound_ok"]:
+        if not fields["bound_ok"]:
             self.bound_violations += 1
-        if rec["thm13_status"] == VIOLATION:
+        if fields["thm13_status"] == VIOLATION:
             self.eq_top_violations += 1
-        for mode_value, status in rec["thm14_status"].items():
+        for mode_value, status in fields["thm14_status"].items():
             self.eq_second.setdefault(mode_value, 0)
             if status == VIOLATION:
                 self.eq_second[mode_value] += 1
                 if mode_value == STRICT.value:
                     self.strict_discrepancies.append(
                         {
-                            "tree": rec["tree"],
-                            "lambda": rec["lambda"],
-                            "m": rec["m"],
-                            "p": rec["p"],
-                            "classification": dict(rec["classification"]),
+                            "tree": tree,
+                            "lambda": lam,
+                            "m": fields["m"],
+                            "p": fields["p"],
+                            "classification": dict(fields["classification"]),
                         }
                     )
 
     def merge(self, other: "Tally") -> None:
-        """Fold in the counts of records tallied elsewhere, as if they had
-        been added here after the records already counted."""
-        self.trees |= other.trees
-        self.specs |= other.specs
+        """Fold in the counts of other trees' records, tallied elsewhere, as
+        if they had been added here after the records already counted."""
+        self.tree_count += other.tree_count
         self.record_count += other.record_count
         self.bound_violations += other.bound_violations
         self.eq_top_violations += other.eq_top_violations
@@ -169,23 +171,52 @@ class Tally:
 
     @classmethod
     def read(cls, path: str) -> "Tally":
-        """Tally an existing record file (the `report` CLI path)."""
+        """Tally an existing record file (the `report` CLI path).  As a sweep
+        writes them, trees come in increasing order, one run each, and each
+        run holds the first run's lambdas in the same order; a file that
+        breaks this raises MalformedRecordError at the first line that does."""
         tally = cls()
         digest = sha256()
+        specs: list = []  # the first run's lambdas
+        at = 0  # records so far in the current run
         try:
             with open(path, "rb") as f:
                 for lineno, line in enumerate(f, 1):
                     digest.update(line)
                     if not line.strip():
                         continue
+                    last = tally.tree
                     try:
-                        tally.add(json.loads(line.decode("utf-8")))
+                        rec = json.loads(line.decode("utf-8"))
+                        tally.add(rec["tree"], rec["lambda"], rec)
+                        ordered = last is None or last <= tally.tree
                     except (ValueError, KeyError, TypeError, AttributeError) as exc:
                         raise MalformedRecordError(
                             f"{path}:{lineno}: not a sweep record ({exc!r})"
                         ) from exc
+                    if tally.tree != last:  # a new run: the last one must be whole
+                        if not ordered:
+                            raise MalformedRecordError(
+                                f"{path}:{lineno}: tree {tally.tree} is out of order after {last}"
+                            )
+                        if at < len(specs):
+                            raise MalformedRecordError(
+                                f"{path}:{lineno}: tree {last} ends after {at} of {len(specs)} lambdas"
+                            )
+                        at = 0
+                    if tally.tree_count == 1:
+                        specs.append(rec["lambda"])
+                    elif at == len(specs) or rec["lambda"] != specs[at]:
+                        raise MalformedRecordError(
+                            f"{path}:{lineno}: tree {tally.tree} breaks the first tree's lambda order"
+                        )
+                    at += 1
         except OSError as exc:
             raise IoFailureError(f"cannot read {path}: {exc}") from exc
+        if at < len(specs):
+            raise MalformedRecordError(
+                f"{path}: tree {tally.tree} ends after {at} of {len(specs)} lambdas"
+            )
         tally.records_sha256 = digest.hexdigest()
         return tally
 
@@ -213,14 +244,6 @@ class Tally:
                 )
 
     @property
-    def tree_count(self) -> int:
-        return len(self.trees)
-
-    @property
-    def spec_count(self) -> int:
-        return len(self.specs)
-
-    @property
     def broad_violations(self) -> int:
         return (
             self.bound_violations
@@ -240,7 +263,7 @@ class Tally:
             "records": self.record_count,
             "records_sha256": self.records_sha256,
             "trees": self.tree_count,
-            "specs": self.spec_count,
+            "specs": self.record_count // self.tree_count if self.tree_count else 0,
             "bound": {"violations": self.bound_violations},
             "pendant_minus_one": {"violations": self.eq_top_violations},
             "pendant_minus_two": second,
@@ -337,7 +360,7 @@ def _sweep_tree(args) -> tuple[bytes, Tally, dict | None]:
     for spec, orbit in every_spec:
         tail, tail_text = tails[orbit]
         lines.append(f"{head}[{spec.i}, {spec.M}]{tail_text}")
-        tally.add({"tree": g6, "lambda": [spec.i, spec.M], **tail})
+        tally.add(g6, [spec.i, spec.M], tail)
     other = _check_other(g6, rest, p) if t.n + 1 <= M_max else None
     return "".join(lines).encode("utf-8"), tally, other
 

@@ -147,7 +147,7 @@ def test_criterion_5_engine_agreement(big_sweep):
     # the sweep recomputes every multiplicity with the tree engine and
     # aborts on any disagreement, so completing is the exhaustive half
     full_coverage = (
-        big_sweep.record_count == big_sweep.tree_count * big_sweep.spec_count
+        big_sweep.record_count == big_sweep.tree_count * len(all_specs(15))
     )
     mismatches = engine_agreement_check(
         10_000, n_max=25, M_max=26, seed=20240917, workers=WORKERS

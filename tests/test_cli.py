@@ -322,12 +322,61 @@ class TestVerifyAuditReport:
         else:
             assert code == 2 and out == ""
             assert err.startswith("error: ") and "Traceback" not in err
+            # a cut, appended or swapped line leaves a run short, which
+            # `read` finds before the summary is checked
             named = {
-                "swapped": "records_sha256",
                 "garbled-summary": "rec.jsonl.summary.json",
                 "bound": "bound=",
             }
-            assert named.get(damage, "records=") in err
+            assert named.get(damage, "ends after") in err
+
+    @pytest.mark.parametrize("summary", [True, False])
+    @pytest.mark.parametrize(
+        "damage, line, named",
+        [
+            ("out-of-order", 46, "out of order"),  # trees 4 and 5 swapped
+            ("repeated", 46, "out of order"),  # tree 3 again after tree 4
+            ("missing-inside", 41, "lambda order"),
+            ("missing-end", 45, "ends after 8 of 9"),
+            ("extra", 46, "lambda order"),
+            ("swapped", 39, "lambda order"),
+            ("missing-last", None, "ends after 8 of 9"),
+        ],
+    )
+    def test_report_checks_each_run(self, capsys, tmp_path, summary, damage, line, named):
+        # a sweep writes each tree's records as one run, trees in increasing
+        # order, every run with the same lambdas in the same order; `report`
+        # refuses a file that breaks this, with or without its summary
+        out_path = tmp_path / "rec.jsonl"
+        code, _, _ = run(
+            capsys, "verify", "--n-max", "5", "--m-max", "5", "--workers", "1",
+            "--out", str(out_path),
+        )
+        assert code == 0
+        lines = out_path.read_text().splitlines(keepends=True)
+        runs = [lines[k:k + 9] for k in range(0, len(lines), 9)]  # 8 trees, 9 lambdas
+        assert len(runs) == 8 and len({json.loads(r[0])["tree"] for r in runs}) == 8
+        if damage == "out-of-order":
+            runs[4], runs[5] = runs[5], runs[4]
+        elif damage == "repeated":
+            runs.insert(5, runs[3])
+        elif damage == "missing-inside":
+            del runs[4][4]
+        elif damage == "missing-end":
+            del runs[4][-1]
+        elif damage == "extra":
+            runs[4].append(runs[4][-1])
+        elif damage == "swapped":
+            runs[4][2], runs[4][3] = runs[4][3], runs[4][2]
+        elif damage == "missing-last":
+            del runs[-1][-1]
+        out_path.write_text("".join(sum(runs, [])))
+        if not summary:
+            (tmp_path / "rec.jsonl.summary.json").unlink()
+        code, out, err = run(capsys, "report", str(out_path))
+        assert code == 2 and out == "" and "Traceback" not in err
+        where = f"{out_path}:{line}: " if line else f"{out_path}: "
+        assert err.startswith(f"error: {where}") and named in err
 
     def test_verify_and_report_print_same_counts(self, capsys, tmp_path):
         out_path = tmp_path / "rec.jsonl"

@@ -5,21 +5,24 @@ import contextlib
 import hashlib
 import io
 import json
+import pickle
 import random
 
 import pytest
 
 from oracles import random_tree_edges_by_scan, spider_tree, star_tree
 from suites import branch_equivalence, family_pendant_deletion, parter_vertex, path_simplicity
+from treemult import families
 from treemult.cli import main
 from treemult.families import BROAD, STRICT
 from treemult.poly import Polynomial, spec_orbits, squarefree_decompose
 from treemult.spectrum import char_poly, factor_multiplicity
-from treemult.tree import Tree, emit_graph6, path_tree, pendant_count
+from treemult.tree import Tree, emit_graph6, pack_graph6, path_tree, pendant_count
 from treemult.verify import (
     SweepConfig,
     Tally,
     _check_other,
+    _ordered_tree_codes,
     _random_tree_edges,
     _sweep_tree,
     engine_agreement_check,
@@ -106,7 +109,21 @@ class TestSweep:
         encoded, tally, _ = _sweep_tree((g6, 4, (BROAD, STRICT)))
         records = [json.loads(line) for line in encoded.decode("utf-8").splitlines()]
         assert len(records) == tally.record_count > 0
-        assert {r["tree"] for r in records} == tally.trees == {g6}
+        assert {r["tree"] for r in records} == {g6} and tally.tree_count == 1
+
+    def test_per_tree_tally_does_not_grow_with_the_specs(self):
+        # a worker's Tally crosses the pool once per tree: it holds counts,
+        # not the tree's specs, so it pickles to the same size at any M_max
+        g6 = pack_graph6(path_tree(6))
+        sizes = {len(pickle.dumps(_sweep_tree((g6, M, (BROAD, STRICT)))[1])) for M in (3, 15)}
+        assert len(sizes) == 1
+
+    def test_tree_codes_strictly_increase(self):
+        # Tally.read requires this order of every record file a sweep writes:
+        # graph6's first byte is 63 + n, and each n's batch is sorted
+        codes = _ordered_tree_codes(SweepConfig(n_max=12, M_max=2))
+        assert len(codes) == 987
+        assert all(a < b for a, b in zip(codes, codes[1:]))
 
     def test_byte_identical_across_worker_counts(self, tmp_path):
         cfg1 = SweepConfig(
@@ -247,6 +264,35 @@ class TestSweep:
         complete = out.read_bytes()
         abort_at_six()
         assert out.read_bytes() == complete and not tmp.exists()
+
+
+class TestMutants:
+    """Broken copies of a family definition, each swept over n <= 10,
+    M <= 11 in both modes, with the counts that show it beside those of the
+    unbroken code."""
+
+    @staticmethod
+    def counts(report):
+        return report.bound_violations, report.eq_top_violations, report.eq_second
+
+    def test_unmutated(self):
+        report = sweep(small_config(n_max=10, M_max=11))
+        assert self.counts(report) == (0, 0, {"broad": 0, "strict": 30})
+
+    def test_carries_always_true(self, monkeypatch):
+        # drops the eigenvalue condition of GAMMA2 clause (1)
+        monkeypatch.setattr(families, "_carries", lambda t, lam: True)
+        report = sweep(small_config(n_max=10, M_max=11))
+        assert self.counts(report) == (0, 0, {"broad": 2, "strict": 32})
+
+    def test_strict_reading_made_broad(self, monkeypatch):
+        # only the pinned discrepancy count catches this one
+        broad_size = families._gamma2_0_path_size
+        monkeypatch.setattr(
+            families, "_gamma2_0_path_size", lambda n, M, mode: broad_size(n, M, BROAD)
+        )
+        report = sweep(small_config(n_max=10, M_max=11))
+        assert self.counts(report) == (0, 0, {"broad": 0, "strict": 0})
 
 
 class TestLemmaSuite:
