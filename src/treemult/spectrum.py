@@ -5,18 +5,21 @@ Two independent engines compute m(T, lambda):
 * char_poly, read off the tree's matching numbers, which a root-to-leaf
   fold computes on integers packed into one bignum each, then in-place
   synthetic division by the minimal polynomial of lambda;
-* a one-pass leaf-to-root diagonalization of A - lambda*I over the field
-  of integer-polynomial residues modulo that minimal polynomial.
+* a one-pass leaf-to-root diagonalization of A - lambda*I over a prime
+  field F_q, with lambda sent to z^i + z^(-i) for z a primitive 2M-th root
+  of unity in F_q.
 
-They share no code path beyond the minimal polynomial itself, so agreement
-between them is a meaningful cross-check, and the verification sweep asserts
-it on every pair it touches.
+They share nothing but the pair (i, M), so agreement between them is a
+meaningful cross-check, and the verification sweep asserts it on every pair
+it touches.  The check is one-sided: the tree engine's nullity is never
+below the true one, so an abort may also mean a prime bad for that tree
+(see rank_nullity).
 
 The tree engine reuses work across calls through two module-level tables:
-interned ids of rooted subtree shapes, and per minimal polynomial the state
-the leaf-to-root pass reaches on each shape.  Only subtrees of at most n // 2
-vertices are interned, so over trees of at most n_max vertices the shape
-table and each state table stay within the rooted trees on n_max // 2
+interned ids of rooted subtree shapes, and per (q, lambda's image) the
+state the leaf-to-root pass reaches on each shape.  Only subtrees of at most
+n // 2 vertices are interned, so over trees of at most n_max vertices the
+shape table and each state table stay within the rooted trees on n_max // 2
 vertices (37 for n_max = 12), however many trees are checked.  The division
 engine keeps no such table, only char_poly's memo of the last 256 trees,
 each computed from that tree alone: were an entry wrong, the engines would
@@ -25,9 +28,7 @@ disagree and the sweep abort, instead of both reading the same wrong entry.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
-from itertools import groupby
 
 from treemult.poly import LambdaSpec, Polynomial, euler_phi
 from treemult.tree import Tree, bfs_order
@@ -106,40 +107,46 @@ def multiplicity(t: Tree, spec: LambdaSpec) -> int:
     return factor_multiplicity(char_poly(t), spec.minimal_poly)[0]
 
 
-# -- tree engine over Z[x]/(mu) ----------------------------------------------
+# -- tree engine over F_q ------------------------------------------------------
 
 
-def _mulmod(a: list[int], b: list[int], red: list[int]) -> list[int]:
-    """a * b modulo the monic mu of degree d = len(red): x^d == sum red[j] x^j."""
-    d = len(red)
-    conv = [0] * (2 * d - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                conv[i + j] += ai * bj
-    for k in range(2 * d - 2, d - 1, -1):
-        top = conv[k]
-        if top:
-            for j, rj in enumerate(red):
-                conv[k - d + j] += top * rj
-    return conv[:d]
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on the prime bases 2..37, for odd n > 37: exact below
+    3.18 * 10^23 (Sorenson and Webster, 2017), far above any q used here."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
-def _lowest(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    """num/den with the joint integer content of both divided out; the
-    inputs themselves when it is 1, as it nearly always is (the pass never
-    changes a residue list in place, so states may share them)."""
-    g = math.gcd(*num, *den)
-    if g == 1:
-        return num, den
-    return [c // g for c in num], [c // g for c in den]
+@lru_cache(maxsize=None)
+def _field(M: int) -> tuple[int, int]:
+    """(q, z): q the least prime above 2^61 with q == 1 (mod 2M), so F_q
+    holds the 2M-th roots of unity, and z a primitive one among them."""
+    step = 2 * M
+    q = 2**61 // step * step + 1
+    while q <= 2**61 or not _is_prime(q):
+        q += step
+    roots = (pow(g, (q - 1) // step, q) for g in range(2, q))  # orders divide 2M
+    z = next(z for z in roots if all(pow(z, k, q) != 1 for k in range(1, step) if step % k == 0))
+    return q, z
 
 
 # Rooted subtree shapes, interned AHU-style (Aho, Hopcroft & Ullman, 1974):
 # the sorted shape ids of a vertex's children -> the vertex's shape id.
 _shape_ids: dict[tuple[int, ...], int] = {}
-# per minimal polynomial (its coefficients): shape id -> the subtree's state
-_states: dict[tuple[int, ...], dict[int, tuple]] = {}
+# per (q, r), a field and lambda's image in it: shape id -> the subtree's state
+_states: dict[tuple[int, int], dict[int, tuple]] = {}
 
 
 @lru_cache(maxsize=1)
@@ -162,41 +169,40 @@ def _rooted_shapes(t: Tree) -> tuple[tuple[tuple[int, ...], ...], tuple[int | No
     return tuple(map(tuple, kids)), tuple(shape)
 
 
-def rank_nullity(t: Tree, mu: Polynomial) -> int:
-    """Nullity of A(T) - lambda*I over Q[x]/(mu), lambda the residue of x,
-    by the leaf-to-root pass of Jacobs and Trevisan ("Locating the
-    eigenvalues of trees", 2011); shared by all specs conjugate under mu.
+def rank_nullity(t: Tree, spec: LambdaSpec) -> int:
+    """Nullity of A(T) - lambda*I over F_q, by the leaf-to-root pass of
+    Jacobs and Trevisan ("Locating the eigenvalues of trees", 2011), with
+    (q, z) = _field(M) and lambda sent to r = z^i + z^(-i).  Only (i, M) is
+    read: for even i at odd M, z^i is itself a primitive M-th root, so no
+    parity rule and no minimal polynomial enters.
 
-    A vertex's value is -lambda minus the sum of 1/value over its live
-    children (equal values summed at once), kept as residues (P, Q) with
-    value P/Q and their joint integer content divided out.  The sum takes
-    products modulo mu; the -lambda step, (-x*Q - N)/Q for a sum N/Q, does
-    not: x*Q is Q shifted up one place with its top coefficient folded back
-    through x^d == red, O(d) instead of a full product.  One loop over a
-    vertex's children adds up their nullity, counts the zero ones and
-    collects the live ones.  Zero-child rule: if z >= 1 children are zero,
-    one pivots against the vertex, z - 1 stay zero and add to the nullity,
-    and the vertex is cut from its parent; a zero root adds 1.  P == 0 is an
-    exact zero test because mu is irreducible: Q[x]/(mu) is a field, so each
-    Q, a product of nonzero residues, is nonzero.
+    A vertex's value is -r minus the sum of 1/value over its live children,
+    kept as p/c mod q so that no inverse is taken; c is a product of nonzero
+    p's, so p == 0 tests for zero exactly.  Zero-child rule: if j >= 1
+    children are zero, one pivots against the vertex, j - 1 stay zero and
+    add to the nullity, and the vertex is cut from its parent; a zero root
+    adds 1.
 
-    A subtree's state -- its value or cut, and the nullity it adds -- depends
-    only on its rooted shape and mu, so states of subtrees with at most
-    n // 2 vertices are kept in a per-mu table keyed by shape id and reused
-    by later calls, on this tree or any other; the pass descends only into
-    subtrees not in the table.  Rooted at a centroid, as sweep trees are,
-    that leaves a new tree little more than its root to compute.  No
-    char_poly is formed and the division engine keeps no such table, so a
-    wrong state shows as an engine mismatch instead of agreeing with itself.
+    The guarantee is one-sided.  lambda -> r extends to a ring map
+    Z[lambda] -> F_q, which can send a nonzero minor of A - lambda*I to 0
+    but never the reverse, so this nullity is at least the true m, and
+    equal unless q is bad for this tree and lambda.  An undercount by the
+    division engine is always caught, an overcount unless a bad q matches
+    it; on correct code a bad q shows as an engine mismatch that aborts the
+    sweep, never as a record, so a mismatch may mean a bad q as well as a
+    bug.  No second prime is tried.
+
+    A subtree's state -- its value or cut, and the nullity it adds --
+    depends only on its rooted shape and (q, r); states of subtrees with at
+    most n // 2 vertices go in a per-(q, r) table keyed by shape id, and the
+    pass descends only into subtrees not in it.  Rooted at a centroid, as
+    sweep trees are, that leaves a new tree little more than its root.
     """
-    d = mu.degree
-    low = mu.coeffs[:d]
-    red = [-c for c in low]
-    # a leaf's value -x; for linear mu = x + c, x is the integer -c
-    leaf = ([0, -1] + [0] * (d - 2) if d > 1 else [mu.coeffs[0]], [1] + [0] * (d - 1))
+    q, z = _field(spec.M)
+    r = (pow(z, spec.i, q) + pow(z, 2 * spec.M - spec.i, q)) % q
     kids, shape = _rooted_shapes(t)
-    table = _states.setdefault(mu.coeffs, {})
-    state: list[tuple | None] = [None] * t.n  # (value or None when cut, nullity)
+    table = _states.setdefault((q, r), {})
+    state: list[tuple | None] = [None] * t.n  # (p, c, nullity): value p/c, p None when cut
     todo, stack = [], [0]
     while stack:  # preorder over the vertices whose state is not stored
         u = stack.pop()
@@ -207,39 +213,16 @@ def rank_nullity(t: Tree, mu: Polynomial) -> int:
                 stack.append(w)
     for u in reversed(todo):  # children before parents
         nullity = zeros = 0
-        live = []
+        num, den = r, 1  # r plus the sum of 1/value over the live children
         for w in kids[u]:
-            value, k = state[w]
+            p, c, k = state[w]
             nullity += k
-            if value is None:
-                continue
-            if any(value[0]):
-                live.append(value)
-            else:
+            if p:
+                num, den = (num * p + c * den) % q, den * p % q  # plus c/p
+            elif p == 0:  # not a cut child, whose p is None
                 zeros += 1
-        if zeros:
-            state[u] = (None, nullity + zeros - 1)
-        elif not live:
-            state[u] = (leaf, nullity)
-        else:
-            # the sum of 1/value over the live children as num/den, c equal
-            # values q/p at a time; then value = -x - num/den
-            terms = [(p, q, len(list(run))) for (p, q), run in groupby(sorted(live))]
-            den, q, c = terms[0]
-            num = [c * a for a in q]
-            for p, q, c in terms[1:]:
-                num, den = _lowest(
-                    [a + c * b for a, b in zip(_mulmod(num, p, red), _mulmod(den, q, red))],
-                    _mulmod(den, p, red),
-                )
-            # x*den is den shifted up one place plus top * red, as x^d == red;
-            # red = -low, so -x*den is top * low minus the shift (zip drops
-            # the place shifted out)
-            top = den[-1]
-            value = [top * c - a - b for c, a, b in zip(low, [0, *den], num)]
-            state[u] = (_lowest(value, den), nullity)
+        state[u] = (None, 0, nullity + zeros - 1) if zeros else (-num % q, den, nullity)
         if shape[u] is not None:
             table[shape[u]] = state[u]
-    value, nullity = state[0]
-    return nullity + int(value is not None and not any(value[0]))
-
+    p, _, nullity = state[0]
+    return nullity + (p == 0)

@@ -172,13 +172,34 @@ class Tally:
     @classmethod
     def read(cls, path: str) -> "Tally":
         """Tally an existing record file (the `report` CLI path).  As a sweep
-        writes them, trees come in increasing order, one run each, and each
-        run holds the first run's lambdas in the same order; a file that
-        breaks this raises MalformedRecordError at the first line that does."""
+        writes them, trees come in increasing order, one run each, the first
+        holding every spec up to the M of its last lambda in (M, i) order and
+        each later one the same lambdas; a file that breaks this raises
+        MalformedRecordError at the first line that does, or at its end."""
         tally = cls()
         digest = sha256()
         specs: list = []  # the first run's lambdas
         at = 0  # records so far in the current run
+
+        def check_run_end(where: str, tree: str, first: bool) -> None:
+            """Raise unless the run of tree, which ends at where, is whole."""
+            if at < len(specs):
+                raise MalformedRecordError(
+                    f"{where}: tree {tree} ends after {at} of {len(specs)} lambdas"
+                )
+            if not first:
+                return
+            try:
+                M = specs[-1][1]
+                # all_specs(M) holds at least M - 1 specs: no larger M is built
+                whole = M <= len(specs) + 1 and specs == [[s.i, s.M] for s in all_specs(M)]
+            except (TypeError, IndexError, KeyError):  # a last lambda that is no [i, M]
+                whole = False
+            if not whole:
+                raise MalformedRecordError(
+                    f"{where}: tree {tree} does not hold every lambda up to its last M"
+                )
+
         try:
             with open(path, "rb") as f:
                 for lineno, line in enumerate(f, 1):
@@ -199,10 +220,7 @@ class Tally:
                             raise MalformedRecordError(
                                 f"{path}:{lineno}: tree {tally.tree} is out of order after {last}"
                             )
-                        if at < len(specs):
-                            raise MalformedRecordError(
-                                f"{path}:{lineno}: tree {last} ends after {at} of {len(specs)} lambdas"
-                            )
+                        check_run_end(f"{path}:{lineno}", last, tally.tree_count == 2)
                         at = 0
                     if tally.tree_count == 1:
                         specs.append(rec["lambda"])
@@ -213,10 +231,7 @@ class Tally:
                     at += 1
         except OSError as exc:
             raise IoFailureError(f"cannot read {path}: {exc}") from exc
-        if at < len(specs):
-            raise MalformedRecordError(
-                f"{path}: tree {tally.tree} ends after {at} of {len(specs)} lambdas"
-            )
+        check_run_end(path, tally.tree, tally.tree_count == 1)
         tally.records_sha256 = digest.hexdigest()
         return tally
 
@@ -328,7 +343,7 @@ def _sweep_tree(args) -> tuple[bytes, Tally, dict | None]:
     for mu, specs in orbits:
         rep = specs[0]
         m, rest = factor_multiplicity(rest, mu)
-        m_rank = rank_nullity(t, mu)
+        m_rank = rank_nullity(t, rep)
         if m != m_rank:
             mismatch = {"tree": g6, "lambda": [rep.i, rep.M], "division_engine": m, "rank_engine": m_rank}
             raise EngineMismatchError(json.dumps(mismatch))
@@ -517,9 +532,8 @@ def _agreement_worker(args) -> dict | None:
     t = Tree.from_edges(n, _random_tree_edges(n, rng))
     M = rng.randint(2, M_max)
     spec = LambdaSpec(rng.choice([i for i in range(1, M) if math.gcd(i, M) == 1]), M)
-    mu = spec.minimal_poly
-    m_div, _ = factor_multiplicity(char_poly(t), mu)
-    m_rank = rank_nullity(t, mu)
+    m_div, _ = factor_multiplicity(char_poly(t), spec.minimal_poly)
+    m_rank = rank_nullity(t, spec)
     if m_div != m_rank:
         return {
             "edges": t.edges,

@@ -341,12 +341,17 @@ class TestVerifyAuditReport:
             ("extra", 46, "lambda order"),
             ("swapped", 39, "lambda order"),
             ("missing-last", None, "ends after 8 of 9"),
+            ("missing-first", 9, "every lambda"),
+            ("missing-everywhere", 9, "every lambda"),
+            ("missing-lone", None, "every lambda"),  # the file holds one run
+            ("lone-garbled", None, "every lambda"),  # its last lambda is no [i, M]
         ],
     )
     def test_report_checks_each_run(self, capsys, tmp_path, summary, damage, line, named):
         # a sweep writes each tree's records as one run, trees in increasing
-        # order, every run with the same lambdas in the same order; `report`
-        # refuses a file that breaks this, with or without its summary
+        # order, every run with the same lambdas in the same order, the first
+        # with every lambda up to its last M; `report` refuses a file that
+        # breaks this, with or without its summary
         out_path = tmp_path / "rec.jsonl"
         code, _, _ = run(
             capsys, "verify", "--n-max", "5", "--m-max", "5", "--workers", "1",
@@ -370,6 +375,17 @@ class TestVerifyAuditReport:
             runs[4][2], runs[4][3] = runs[4][3], runs[4][2]
         elif damage == "missing-last":
             del runs[-1][-1]
+        elif damage == "missing-first":
+            del runs[0][4]
+        elif damage == "missing-everywhere":
+            for r in runs:
+                del r[4]
+        elif damage == "missing-lone":
+            runs = runs[:1]
+            del runs[0][4]
+        elif damage == "lone-garbled":
+            runs = runs[:1]
+            runs[0][-1] = json.dumps({**json.loads(runs[0][-1]), "lambda": "x"}) + "\n"
         out_path.write_text("".join(sum(runs, [])))
         if not summary:
             (tmp_path / "rec.jsonl.summary.json").unlink()

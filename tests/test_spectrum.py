@@ -202,7 +202,7 @@ class TestDivisionEngine:
             raise AssertionError("the division engine reached the tree engine")
 
         monkeypatch.setattr(spectrum_mod, "rank_nullity", unreachable)
-        monkeypatch.setattr(spectrum_mod, "_mulmod", unreachable)
+        monkeypatch.setattr(spectrum_mod, "_field", unreachable)
         spectrum_mod.char_poly.cache_clear()
         for n in range(1, 8):
             for t in enumerate_trees(n):
@@ -220,19 +220,19 @@ def relabel_as_root(t: Tree, v: int) -> Tree:
 
 class TestRankEngine:
     def test_p2_at_zero(self):
-        assert rank_nullity(path_tree(2), LAMBDA_0.minimal_poly) == 0
+        assert rank_nullity(path_tree(2), LAMBDA_0) == 0
 
     def test_star_at_zero(self):
         # rank of the K_{1,3} adjacency matrix is 2
-        assert rank_nullity(star_tree(3), LAMBDA_0.minimal_poly) == 2
+        assert rank_nullity(star_tree(3), LAMBDA_0) == 2
 
     def test_spider_matches_division_engine(self):
-        assert rank_nullity(spider_tree(3, 3, 1), LAMBDA_1.minimal_poly) == 1
+        assert rank_nullity(spider_tree(3, 3, 1), LAMBDA_1) == 1
 
     def test_single_vertex(self):
         one = Tree.from_edges(1, [])
-        assert rank_nullity(one, LAMBDA_0.minimal_poly) == 1
-        assert rank_nullity(one, LAMBDA_1.minimal_poly) == 0
+        assert rank_nullity(one, LAMBDA_0) == 1
+        assert rank_nullity(one, LAMBDA_1) == 0
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_engines_agree_exhaustive(self, n):
@@ -242,22 +242,22 @@ class TestRankEngine:
             for spec in specs:
                 mu = spec.minimal_poly
                 m = multiplicity(t, spec)
-                assert rank_nullity(t, mu) == m, (t.edges, spec)
+                assert rank_nullity(t, spec) == m, (t.edges, spec)
                 assert nullity_by_elimination(t, mu) == m, (t.edges, spec)
 
     def test_zero_matches_matching_oracle(self):
         for n in range(1, 11):
             for t in enumerate_trees(n):
-                assert rank_nullity(t, LAMBDA_0.minimal_poly) == nullity_by_matching(t)
+                assert rank_nullity(t, LAMBDA_0) == nullity_by_matching(t)
 
     def test_root_independence(self):
         orbits = spec_orbits(8)
         for n in range(2, 9):
             for t in enumerate_trees(n):
                 for mu, specs in orbits:
-                    reference = rank_nullity(t, mu)
+                    reference = rank_nullity(t, specs[0])
                     for v in range(1, t.n):
-                        assert rank_nullity(relabel_as_root(t, v), mu) == reference, (
+                        assert rank_nullity(relabel_as_root(t, v), specs[0]) == reference, (
                             t.edges, v, specs[0],
                         )
 
@@ -271,20 +271,20 @@ class TestRankEngine:
             (LambdaSpec(1, 2), 0),
             (LambdaSpec(1, 5), 0),
         ):
-            assert rank_nullity(p300, spec.minimal_poly) == expected, spec
-        assert rank_nullity(relabel_as_root(p300, 150), LambdaSpec(1, 7).minimal_poly) == 1
+            assert rank_nullity(p300, spec) == expected, spec
+        assert rank_nullity(relabel_as_root(p300, 150), LambdaSpec(1, 7)) == 1
         # K_{1,200}: 0 with multiplicity 199, the rest is +-sqrt(200)
         k1200 = star_tree(200)
-        assert rank_nullity(k1200, LAMBDA_0.minimal_poly) == 199
-        assert rank_nullity(relabel_as_root(k1200, 7), LAMBDA_0.minimal_poly) == 199
-        assert rank_nullity(k1200, LAMBDA_1.minimal_poly) == 0
+        assert rank_nullity(k1200, LAMBDA_0) == 199
+        assert rank_nullity(relabel_as_root(k1200, 7), LAMBDA_0) == 199
+        assert rank_nullity(k1200, LAMBDA_1) == 0
 
     def test_independent_of_division_engine(self, monkeypatch):
         cases = [
-            (t, mu, multiplicity(t, specs[0]))
+            (t, specs[0], multiplicity(t, specs[0]))
             for n in range(1, 8)
             for t in enumerate_trees(n)
-            for mu, specs in spec_orbits(8)
+            for _, specs in spec_orbits(8)
         ]
 
         def unreachable(*args, **kwargs):
@@ -293,15 +293,16 @@ class TestRankEngine:
         monkeypatch.setattr(spectrum_mod, "char_poly", unreachable)
         monkeypatch.setattr(poly_mod, "exact_div", unreachable)
         monkeypatch.setattr(poly_mod, "divmod_poly", unreachable)
-        for t, mu, expected in cases:
-            assert rank_nullity(t, mu) == expected, (t.edges, mu)
+        monkeypatch.setattr(poly_mod, "_minimal_poly", unreachable)
+        for t, spec, expected in cases:
+            assert rank_nullity(t, spec) == expected, (t.edges, spec)
 
     def test_lambda_step_at_every_degree(self, cold_tables):
         # every orbit with M <= 26 (minimal polynomials of degree 1 to 12;
-        # none has degree 7, since no phi(2M) is 14), so the -lambda step
-        # meets every way x^d reduces, on cold tables
-        orbits = [mu for mu, _ in spec_orbits(26)]
-        assert sorted({mu.degree for mu in orbits}) == [1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12]
+        # none has degree 7, since no phi(2M) is 14), each at its own field
+        # and root, on cold tables
+        orbits = spec_orbits(26)
+        assert sorted({mu.degree for mu, _ in orbits}) == [1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12]
         rng = random.Random(2011)
         trees = [path_tree(n) for n in range(1, 26)]
         trees += [star_tree(k) for k in range(2, 25)]
@@ -310,14 +311,56 @@ class TestRankEngine:
             n = rng.randint(1, 25)
             trees.append(Tree.from_edges(n, random_tree_edges_by_scan(n, rng)))
         for t in trees:
-            for mu in orbits:
+            for mu, specs in orbits:
                 expected = factor_multiplicity(char_poly(t), mu)[0]
-                assert rank_nullity(t, mu) == expected, (t.edges, mu)
+                assert rank_nullity(t, specs[0]) == expected, (t.edges, specs[0])
 
     def test_engines_agree_random_larger(self):
         from treemult.verify import engine_agreement_check
 
         assert engine_agreement_check(300, n_max=18, M_max=19, seed=42) == []
+
+    def test_field(self):
+        # each q is the least prime above 2^61 that is 1 mod 2M, and z has
+        # order exactly 2M in F_q
+        for M in range(2, 41):
+            q, z = spectrum_mod._field(M)
+            step = 2 * M
+            assert q > 2**61 and q % step == 1 and spectrum_mod._is_prime(q)
+            below = range(q - step, 2**61, -step)
+            assert not any(spectrum_mod._is_prime(c) for c in below), M
+            assert pow(z, M, q) == q - 1
+            assert all(pow(z, k, q) != 1 for k in range(1, step))
+
+    def test_is_prime(self):
+        sieve = [True] * 20000
+        for k in range(2, 142):
+            sieve[k * k :: k] = [False] * len(sieve[k * k :: k])
+        assert [n for n in range(39, 20000, 2) if spectrum_mod._is_prime(n)] == [
+            n for n in range(39, 20000, 2) if sieve[n]
+        ]
+        assert spectrum_mod._is_prime(2**61 - 1)
+        # a strong pseudoprime to every base up to 31, which 37 exposes
+        assert 149491 * 747451 * 34233211 == 3825123056546413051
+        assert not spectrum_mod._is_prime(3825123056546413051)
+
+    def test_bad_prime_aborts_without_records(self, cold_tables, monkeypatch, tmp_path):
+        # F_7 holds the 6th roots of unity and 3 is a primitive one, so at
+        # M = 3 lambda = 1 maps to 3 + 3^5 = 1 mod 7; K_{1,8} has
+        # det(I - A) = 1^7 * (1 - 8) = -7, so its nullity at 1 is 0 over Q
+        # and 1 over F_7.  The sweep aborts on it, or on an earlier tree, and
+        # keeps no record.
+        from treemult.verify import EngineMismatchError
+
+        field = spectrum_mod._field
+        monkeypatch.setattr(spectrum_mod, "_field", lambda M: (7, 3) if M == 3 else field(M))
+        cold_tables()
+        k18 = star_tree(8)
+        assert multiplicity(k18, LAMBDA_1) == 0 and rank_nullity(k18, LAMBDA_1) == 1
+        out = tmp_path / "records.jsonl"
+        with pytest.raises(EngineMismatchError):
+            sweep(SweepConfig(n_max=9, M_max=3, worker_count=1, output_path=str(out)))
+        assert not out.exists() and not (tmp_path / "records.jsonl.tmp").exists()
 
 
 def rooted_shape_id(t: Tree, r: int) -> int:
@@ -392,16 +435,16 @@ class TestSubtreeInterning:
             u for n in range(1, 10) for t in enumerate_trees(n) for u in (t, relabelled(t, rng))
         ]
         rng.shuffle(trees)
-        orbits = [mu for mu, _ in spec_orbits(12)]
+        reps = [specs[0] for _, specs in spec_orbits(12)]
         cold = []
         for t in trees:
             row = []
-            for mu in orbits:
+            for spec in reps:
                 cold_tables()
-                row.append(rank_nullity(t, mu))
+                row.append(rank_nullity(t, spec))
             cold.append(row)
         cold_tables()
-        warm = [[rank_nullity(t, mu) for mu in orbits] for t in trees]
+        warm = [[rank_nullity(t, spec) for spec in reps] for t in trees]
         assert warm == cold
 
 

@@ -3,6 +3,7 @@ engine agreement; the property suites of `suites.py` over small ranges."""
 
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import pickle
@@ -10,15 +11,17 @@ import random
 
 import pytest
 
+import treemult.verify as verify_mod
 from oracles import random_tree_edges_by_scan, spider_tree, star_tree
 from suites import branch_equivalence, family_pendant_deletion, parter_vertex, path_simplicity
-from treemult import families
+from treemult import families, poly, spectrum
 from treemult.cli import main
 from treemult.families import BROAD, STRICT
-from treemult.poly import Polynomial, spec_orbits, squarefree_decompose
+from treemult.poly import LambdaSpec, Polynomial, spec_orbits, squarefree_decompose
 from treemult.spectrum import char_poly, factor_multiplicity
 from treemult.tree import Tree, emit_graph6, pack_graph6, path_tree, pendant_count
 from treemult.verify import (
+    EngineMismatchError,
     SweepConfig,
     Tally,
     _check_other,
@@ -235,18 +238,12 @@ class TestSweep:
         }
 
     def test_engine_mismatch_aborts(self, monkeypatch):
-        import treemult.verify as verify_mod
-        from treemult.verify import EngineMismatchError
-
-        monkeypatch.setattr(verify_mod, "rank_nullity", lambda t, mu: 99)
+        monkeypatch.setattr(verify_mod, "rank_nullity", lambda t, spec: 99)
         with pytest.raises(EngineMismatchError):
             sweep(small_config(n_max=4, M_max=3))
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_aborted_sweep_leaves_no_partial_records(self, tmp_path, monkeypatch, workers):
-        import treemult.verify as verify_mod
-        from treemult.verify import EngineMismatchError
-
         out = tmp_path / "records.jsonl"
         tmp = tmp_path / "records.jsonl.tmp"
         rank = verify_mod.rank_nullity
@@ -254,7 +251,7 @@ class TestSweep:
         def abort_at_six():
             # disagree from n = 6 on, after the records of smaller trees are out
             with monkeypatch.context() as m:
-                m.setattr(verify_mod, "rank_nullity", lambda t, mu: rank(t, mu) + (t.n >= 6))
+                m.setattr(verify_mod, "rank_nullity", lambda t, spec: rank(t, spec) + (t.n >= 6))
                 with pytest.raises(EngineMismatchError):
                     sweep(small_config(tmp_path, workers=workers, n_max=7, M_max=4))
 
@@ -267,9 +264,10 @@ class TestSweep:
 
 
 class TestMutants:
-    """Broken copies of a family definition, each swept over n <= 10,
-    M <= 11 in both modes, with the counts that show it beside those of the
-    unbroken code."""
+    """Broken copies of a family definition, of the parity rule and of the
+    rank engine, each swept over n <= 10, M <= 11 in both modes, with the
+    counts or the abort that show it beside the counts of the unbroken
+    code."""
 
     @staticmethod
     def counts(report):
@@ -293,6 +291,48 @@ class TestMutants:
         )
         report = sweep(small_config(n_max=10, M_max=11))
         assert self.counts(report) == (0, 0, {"broad": 0, "strict": 0})
+
+    def test_parity_rule_dropped(self, monkeypatch):
+        # every spec takes the cyclotomic index 2M, so an even i at odd M is
+        # read as lambda's negative, M - i being odd; a tree is bipartite, so
+        # m is the same and the records stay the same.  The rank engine reads
+        # no minimal polynomial, and only the leftover check sees that the
+        # even-i orbit is never divided out.
+        def clear():
+            verify_mod._orbit_table.cache_clear()
+            poly._minimal_poly.cache_clear()
+
+        clear()
+        monkeypatch.setattr(
+            LambdaSpec, "minimal_poly", property(lambda spec: poly._minimal_poly(2 * spec.M))
+        )
+        try:
+            report = sweep(small_config(n_max=10, M_max=11))
+        finally:
+            clear()
+        assert report.records_sha256 == GOLDEN_SHA256
+        assert self.counts(report) == (0, 0, {"broad": 0, "strict": 30})
+        other = report.other_eigenvalues
+        assert (other["levels"], other["violations"]) == (186, 15)  # 164 and 0 unbroken
+
+    @pytest.mark.parametrize(
+        "line, mutant",
+        [
+            ("(None, 0, nullity + zeros - 1)", "(None, 0, nullity + zeros)"),
+            ("return nullity + (p == 0)", "return nullity"),
+        ],
+        ids=["zero-children-add-all", "zero-root-adds-nothing"],
+    )
+    def test_rank_engine_zero_child_rule(self, monkeypatch, line, mutant):
+        # an edited copy of rank_nullity, with tables of its own so that its
+        # wrong states stay out of the real engine's
+        source = inspect.getsource(spectrum.rank_nullity)
+        assert source.count(line) == 1
+        namespace = {**vars(spectrum), "_states": {}}
+        exec(source.replace(line, mutant), namespace)
+        monkeypatch.setattr(verify_mod, "rank_nullity", namespace["rank_nullity"])
+        with pytest.raises(EngineMismatchError):
+            sweep(small_config(n_max=10, M_max=11))
 
 
 class TestLemmaSuite:
@@ -407,8 +447,6 @@ class TestAudit:
 
 class TestPoolSize:
     def test_pool_never_larger_than_the_work(self, monkeypatch):
-        import treemult.verify as verify_mod
-
         sizes = []
 
         class RecordingPool:
