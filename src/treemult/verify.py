@@ -189,13 +189,13 @@ class Tally:
                 )
             if not first:
                 return
-            try:
-                M = specs[-1][1]
-                # all_specs(M) holds at least M - 1 specs: no larger M is built
-                whole = M <= len(specs) + 1 and specs == [[s.i, s.M] for s in all_specs(M)]
-            except (TypeError, IndexError, KeyError):  # a last lambda that is no [i, M]
-                whole = False
-            if not whole:
+            # all_specs(M) as [i, M] pairs for the least M with as many as the
+            # run, built M by M so that a damaged run costs no more than its length
+            every, M = [], 1
+            while len(every) < len(specs):
+                M += 1
+                every += [[i, M] for i in range(1, M) if math.gcd(i, M) == 1]
+            if specs != every:
                 raise MalformedRecordError(
                     f"{where}: tree {tree} does not hold every lambda up to its last M"
                 )
