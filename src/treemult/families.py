@@ -14,15 +14,21 @@ Base families are arithmetic conditions on paths:
 Level k >= 1 members are built by joining component trees at a new major
 vertex, with side conditions on whether the join lands on a pendant vertex
 of each component, plus an eigenvalue-carrying condition on the recursive
-GAMMA2 component.  Membership therefore depends on lambda only through its
-conjugacy orbit (denominator M and the parity of i), and only on the
-isomorphism class of the tree.  The classifier works in the classified
-tree's own vertex ids: each component, a piece, is a tuple of those ids, and
-the recursion that decides membership also returns the witness.  A piece's
-segments and how it splits at its major vertices depend on the tree alone,
-so each is computed at most once per tree and every eigenvalue and mode
-classified on that tree reuses it; the cache is emptied when another tree
-comes in, so it never holds more than one tree's pieces.
+GAMMA2 component.  Membership therefore depends on lambda only through M,
+and only on the isomorphism class of the tree.  The base families and the
+segment tests read M alone; the eigenvalue condition is a multiplicity on a
+tree, which conjugates share (they have one minimal polynomial), and at odd
+M the even-i orbit is the odd-i orbit negated (i -> M - i), while a tree is
+bipartite, so -lambda has lambda's multiplicity on every subtree.  So
+classify keeps each tree's verdicts per M (see there).
+
+The classifier works in the classified tree's own vertex ids: each
+component, a piece, is a tuple of those ids, and the recursion that decides
+membership also returns the witness.  A piece's segments and how it splits
+at its major vertices depend on the tree alone, so each is computed at most
+once per tree and every eigenvalue and mode classified on that tree reuses
+it; the cache is emptied when another tree comes in, so it never holds more
+than one tree's pieces.
 
 Both families join paths at major vertices, so the lengths of those paths
 already decide most trees.  A piece's segments are its legs (a pendant
@@ -34,9 +40,9 @@ _defective).  The segment sizes come from one walk over the piece, and
 the clause search, with the splits it needs, runs only on the pieces that
 pass: a piece is split the first time one of its segment tests passes, and
 never when all fail, as they do for most trees.  The search so finds the
-same witnesses and stops early on non-members.  Only the GAMMA2 search keeps
-verdicts (see classify): a piece that passes the GAMMA test is a member,
-which its first outer major peels.
+same witnesses and stops early on non-members.  Within one search only the
+GAMMA2 search keeps verdicts (see classify): a piece that passes the GAMMA
+test is a member, which its first outer major peels.
 """
 
 from __future__ import annotations
@@ -139,6 +145,9 @@ def _gamma2_0_path_size(n: int, M: int, mode: Gamma2Mode) -> bool:
 # pieces.  It is per process state, not for concurrent classification from
 # several threads.
 _member_memo: dict = {}
+# classify's results for the same tree, cleared with _member_memo: M -> a
+# GAMMA result, (M, mode) -> a GAMMA2 or NONE result (see classify)
+_verdict_memo: dict = {}
 _memo_tree: Tree | None = None
 
 
@@ -367,7 +376,24 @@ def classify(t: Tree, lam: LambdaSpec, mode: Gamma2Mode = BROAD) -> FamilyResult
     global _memo_tree
     if t != _memo_tree:
         _member_memo.clear()
+        _verdict_memo.clear()
         _memo_tree = t
+    # The result depends on lambda only through M (module docstring), so
+    # every orbit at one M reads the verdict the first one found.  A GAMMA
+    # result reads no mode and is kept under M; any other under (M, mode),
+    # but at M = 2 both readings of GAMMA2(0) are "n even", so the modes
+    # share one key there.  That keeps at most 2 verdicts per M.
+    M = lam.M
+    key = (M, mode if M > 2 else BROAD)
+    result = _verdict_memo.get(M) or _verdict_memo.get(key)
+    if result is not None:
+        return result
+    piece = tuple(range(t.n))
+    k = len(_segments(t, piece)[1])
+    chain = _gamma(t, piece, M, k)
+    if chain is not None:
+        result = _verdict_memo[M] = FamilyResult(FamilyKind.GAMMA, k, chain)
+        return result
     # piece -> GAMMA2 witness chain or None.  Lambda and the mode are fixed
     # within one call and a piece's level is its major count, so the key
     # needs nothing else; without it a GAMMA2 non-member with many major
@@ -375,16 +401,10 @@ def classify(t: Tree, lam: LambdaSpec, mode: Gamma2Mode = BROAD) -> FamilyResult
     # exponentially with the major count.  GAMMA needs no verdicts: a piece
     # that passes its segment test is a member, and its first outer major
     # peels it, so each level recurses once.
-    verdicts: dict = {}
-    piece = tuple(range(t.n))
-    k = len(_segments(t, piece)[1])
-    chain = _gamma(t, piece, lam.M, k)
-    if chain is not None:
-        return FamilyResult(FamilyKind.GAMMA, k, chain)
-    chain = _gamma2(t, piece, lam, k, mode, verdicts)
-    if chain is not None:
-        return FamilyResult(FamilyKind.GAMMA2, k, chain)
-    return NON_MEMBER
+    chain = _gamma2(t, piece, lam, k, mode, {})
+    result = NON_MEMBER if chain is None else FamilyResult(FamilyKind.GAMMA2, k, chain)
+    _verdict_memo[key] = result
+    return result
 
 
 _BASE_LABELS = ("gamma0", "gamma2_0")

@@ -11,6 +11,7 @@ dedup, canonical relabeling, and stable graph6 output.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, NoReturn, Sequence
@@ -385,9 +386,13 @@ def parse_graph6(text: str) -> Tree:
         raise MalformedGraph6Error("nonzero padding bits")
     if n == 0:
         raise NotATreeError("empty graph is not a tree")
-    edges = [
-        (u, v) for v in range(1, n) for u in range(v) if value >> (width - 1 - v * (v - 1) // 2 - u) & 1
-    ]
+    edges = []
+    while value:  # its set bits, lowest first: n - 1 of them for a tree
+        low = value & -value
+        value ^= low
+        k = width - low.bit_length()  # v(v-1)/2 + u
+        v = (math.isqrt(8 * k + 1) + 1) // 2
+        edges.append((k - v * (v - 1) // 2, v))
     return Tree.from_edges(n, edges)
 
 

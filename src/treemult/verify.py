@@ -72,8 +72,15 @@ from treemult.tree import (
 
 
 class EngineMismatchError(Exception):
-    """The two multiplicity engines disagreed; this is an implementation bug
-    and poisons any dataset, so the sweep aborts instead of recording it."""
+    """The two multiplicity engines disagreed, or the division engine gave
+    the two orbits of an odd M different counts; either is an
+    implementation bug and poisons any dataset, so the sweep aborts instead
+    of recording it.  The message is JSON naming the tree, and either the
+    lambda and each engine's count or both lambdas and both counts.
+
+    At odd M the even-i orbit is the odd-i orbit negated (i -> M - i), and
+    a tree is bipartite, so the two counts must agree; `classify` reuses one
+    verdict for both orbits on this ground."""
 
 
 class IoFailureError(Exception):
@@ -319,19 +326,42 @@ def _orbit_table(M_max: int) -> tuple[tuple, tuple[tuple[LambdaSpec, int], ...]]
     return orbits, tuple((spec, index[spec]) for spec in all_specs(M_max))
 
 
+@lru_cache(maxsize=1024)
+def _record_tail(p: int, gamma: int, m: int, eq_top: str, second: tuple, tags: tuple) -> tuple[dict, str]:
+    """Every field of a record after "tree" and "lambda", in record order,
+    and its text as it follows the lambda in the record line; second and
+    tags are (mode value, status or tag) pairs.  Few distinct tails occur
+    (216 in the n <= 14, M <= 15 sweep), so each is encoded once per
+    process; the dict is shared and must not be changed."""
+    tail = {
+        "p": p,
+        "gamma": gamma,
+        "m": m,
+        "bound_ok": m <= p - 1,
+        "thm13_status": eq_top,
+        "thm14_status": dict(second),
+        "classification": dict(tags),
+        "notes": "",
+    }
+    return tail, ", " + json.dumps(tail)[1:] + "\n"
+
+
 def _sweep_tree(args) -> tuple[bytes, Tally, dict | None]:
     """Per-tree worker: the tree's record lines in (M, i) order, encoded,
     with their Tally and the outcome of `_check_other` (None when it does
-    not apply).  Raises EngineMismatchError when the engines disagree.
+    not apply).  Raises EngineMismatchError when the engines disagree, or
+    when the two orbits of an odd M get different counts.
 
-    Conjugate eigenvalues share a minimal polynomial, and family membership
-    depends on lambda only through M, so multiplicities are computed once
-    per orbit and classifications once per (orbit, mode).  The records of
-    an orbit's specs then differ only in `lambda`, so each orbit's record
-    tail is JSON-encoded once.  Each orbit's mu^m is divided out of the characteristic polynomial
-    as m is counted; the orbits' minimal polynomials are distinct monic
-    irreducibles, so the counts do not change, and when n + 1 <= M_max what
-    is left is checked as well (`_check_other`).
+    Conjugate eigenvalues share a minimal polynomial, so multiplicities are
+    computed once per orbit.  Family membership depends on lambda only
+    through M, so `classify`, called once per (orbit, mode), searches once
+    per M and reading and returns its kept verdict for the rest.  The
+    records of an orbit's specs then differ only in `lambda`, and their
+    common tail comes encoded from `_record_tail`.  Each orbit's mu^m is
+    divided out of the characteristic polynomial as m is counted; the
+    orbits' minimal polynomials are distinct monic irreducibles, so the
+    counts do not change, and when n + 1 <= M_max what is left is checked
+    as well (`_check_other`).
     """
     g6, M_max, modes = args
     t = parse_graph6(g6)
@@ -339,6 +369,7 @@ def _sweep_tree(args) -> tuple[bytes, Tally, dict | None]:
     p = pendant_count(t)
     gamma = major_count(t)
     tails: list[tuple[dict, str]] = []  # per orbit: its record tail, encoded
+    first_at: dict[int, tuple[LambdaSpec, int]] = {}  # M -> its first orbit's rep and m
     orbits, every_spec = _orbit_table(M_max)
     for mu, specs in orbits:
         rep = specs[0]
@@ -347,28 +378,25 @@ def _sweep_tree(args) -> tuple[bytes, Tally, dict | None]:
         if m != m_rank:
             mismatch = {"tree": g6, "lambda": [rep.i, rep.M], "division_engine": m, "rank_engine": m_rank}
             raise EngineMismatchError(json.dumps(mismatch))
+        first, m_first = first_at.setdefault(rep.M, (rep, m))
+        if m != m_first:
+            mismatch = {
+                "tree": g6,
+                "lambdas": [[first.i, first.M], [rep.i, rep.M]],
+                "division_engine": [m_first, m],
+            }
+            raise EngineMismatchError(json.dumps(mismatch))
         results = [classify(t, rep, mode) for mode in modes]
         # GAMMA membership does not depend on the GAMMA2 reading
         eq_top = CONSISTENT if (m == p - 1) == results[0].is_gamma() else VIOLATION
-        second_status = {}
-        for mode, res in zip(modes, results):
-            if m == 0:
-                second_status[mode.value] = NOT_APPLICABLE
-            else:
-                ok = (m == p - 2) == res.is_gamma2()
-                second_status[mode.value] = CONSISTENT if ok else VIOLATION
-        # every field after "tree" and "lambda", in record order
-        tail = {
-            "p": p,
-            "gamma": gamma,
-            "m": m,
-            "bound_ok": m <= p - 1,
-            "thm13_status": eq_top,
-            "thm14_status": second_status,
-            "classification": {mode.value: res.tag for mode, res in zip(modes, results)},
-            "notes": "",
-        }
-        tails.append((tail, ", " + json.dumps(tail)[1:] + "\n"))
+        second = tuple(
+            (mode.value, CONSISTENT if (m == p - 2) == res.is_gamma2() else VIOLATION)
+            if m
+            else (mode.value, NOT_APPLICABLE)
+            for mode, res in zip(modes, results)
+        )
+        tags = tuple((mode.value, res.tag) for mode, res in zip(modes, results))
+        tails.append(_record_tail(p, gamma, m, eq_top, second, tags))
     head = '{"tree": ' + json.dumps(g6) + ', "lambda": '
     lines = []
     tally = Tally()

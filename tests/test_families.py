@@ -2,11 +2,12 @@
 
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
 from oracles import defective_segments, is_gamma0, is_gamma2_0, spider_tree, star_tree
-from treemult import families
+from treemult import families, verify
 from treemult.families import (
     BROAD,
     STRICT,
@@ -28,6 +29,7 @@ from treemult.tree import (
     path_tree,
     pendant_count,
 )
+from treemult.verify import SweepConfig, sweep
 
 LAMBDA_0 = LambdaSpec(1, 2)
 LAMBDA_1 = LambdaSpec(1, 3)
@@ -150,23 +152,44 @@ class TestClassify:
         assert 0 < peak <= 100
 
     def test_shared_cache_is_invisible(self):
-        # warm: one tree's orbits and modes in sequence over one cache, which
-        # holds the previous tree's entries when it starts; cold: every
-        # classify call starts from empty caches
+        # warm: one tree's specs and modes in sequence over the shared pieces
+        # and verdicts, which hold the previous tree's entries when it
+        # starts, in two orders; cold: every classify call starts from empty
+        # caches
         def reset():
             families._member_memo.clear()
+            families._verdict_memo.clear()
             families._memo_tree = None
 
-        reps = [specs[0] for _, specs in spec_orbits(8)]
-        for n in range(1, 10):
-            for t in enumerate_trees(n):
-                warm = [classify(t, spec, mode) for spec in reps for mode in (BROAD, STRICT)]
-                cold = []
-                for spec in reps:
-                    for mode in (BROAD, STRICT):
-                        reset()
-                        cold.append(classify(t, spec, mode))
-                assert [(r.tag, r.witness) for r in warm] == [(r.tag, r.witness) for r in cold]
+        def seen(res):
+            return res.tag, res.k, res.witness
+
+        specs = all_specs(11)
+        orders = [
+            [(spec, mode) for spec in specs for mode in (BROAD, STRICT)],
+            [(spec, mode) for spec in reversed(specs) for mode in (STRICT, BROAD)],
+        ]
+        trees = [t for n in range(1, 11) for t in enumerate_trees(n)]
+        cold = {}
+        for t in trees:
+            for spec, mode in orders[0]:
+                reset()
+                cold[t, spec, mode] = seen(classify(t, spec, mode))
+        for order in orders:
+            for t in trees:
+                for spec, mode in order:
+                    assert seen(classify(t, spec, mode)) == cold[t, spec, mode], (t.edges, str(spec))
+
+    def test_modes_share_the_verdict_at_m2(self):
+        for n in range(1, 63):
+            assert families._gamma2_0_path_size(n, 2, STRICT) == families._gamma2_0_path_size(n, 2, BROAD)
+
+    def test_verdicts_and_tails_stay_bounded_in_the_sweep(self):
+        sweep(SweepConfig(n_max=12, M_max=15, modes=(BROAD, STRICT), worker_count=1))
+        per_M = Counter(key if isinstance(key, int) else key[0] for key in families._verdict_memo)
+        assert per_M and max(per_M.values()) <= 2
+        cache = verify._record_tail.cache_info()
+        assert 0 < cache.currsize <= cache.maxsize
 
     @pytest.mark.parametrize(
         "connector, leg, middle, lam, mode, tag",

@@ -302,6 +302,24 @@ class TestGraph6:
         with pytest.raises(NotATreeError):
             parse_graph6(cycle)
 
+    def test_pack_round_trip_every_tree(self):
+        for n in range(1, 15):
+            for t in enumerate_trees(n):
+                assert parse_graph6(pack_graph6(t)) == t
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("Cr", "4 edges on 4 vertices is not a tree"),  # C4
+            ("Cw", "graph is not connected"),  # a triangle and a lone vertex
+            ("Dhc", "5 edges on 5 vertices is not a tree"),  # C5
+        ],
+    )
+    def test_cyclic_input_message(self, text, message):
+        with pytest.raises(NotATreeError) as info:
+            parse_graph6(text)
+        assert str(info.value) == message
+
     def test_malformed_rejected(self):
         with pytest.raises(MalformedGraph6Error):
             parse_graph6("")

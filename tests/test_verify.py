@@ -262,6 +262,28 @@ class TestSweep:
         abort_at_six()
         assert out.read_bytes() == complete and not tmp.exists()
 
+    def test_odd_m_orbits_must_agree(self, tmp_path, monkeypatch):
+        # both engines count one more on the (2, 3) orbit, so they agree, but
+        # that orbit is the (1, 3) orbit negated and a tree is bipartite
+        odd_i = LambdaSpec(2, 3)
+        divide, rank = verify_mod.factor_multiplicity, verify_mod.rank_nullity
+
+        def divide_plus(p, mu):
+            m, rest = divide(p, mu)
+            return m + (mu == odd_i.minimal_poly), rest
+
+        monkeypatch.setattr(verify_mod, "factor_multiplicity", divide_plus)
+        monkeypatch.setattr(verify_mod, "rank_nullity", lambda t, spec: rank(t, spec) + (spec == odd_i))
+        with pytest.raises(EngineMismatchError) as info:
+            sweep(small_config(tmp_path, n_max=6, M_max=3))
+        assert json.loads(str(info.value)) == {
+            "tree": "@",
+            "lambdas": [[1, 3], [2, 3]],
+            "division_engine": [0, 1],
+        }
+        assert not (tmp_path / "records.jsonl").exists()
+        assert not (tmp_path / "records.jsonl.tmp").exists()
+
 
 class TestMutants:
     """Broken copies of a family definition, of the parity rule and of the
