@@ -9,7 +9,8 @@ deliberately not accepted.
 Exit status: 0 on success with zero violations, 1 when a verification run
 found violations (with --m-max >= n-max + 1, `verify` also checks every
 eigenvalue outside the swept 2*cos(i*pi/M) and counts its violations), 2 on
-usage or input errors.
+usage or input errors, 3 when `verify` aborts because its two multiplicity
+engines disagree (an implementation bug; the sweep writes no record file).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from treemult.tree import (
     pendant_count,
 )
 from treemult.verify import (
+    EngineMismatchError,
     IoFailureError,
     SweepConfig,
     Tally,
@@ -195,7 +197,8 @@ def _default_out_path(name: str) -> str:
 
 def _print_counts(tally: Tally, fmt: str, summary: dict | None = None) -> int:
     """Print a tally's counts (in JSON, the whole summary when one is given)
-    and return the exit status: 1 when any broad-mode violation was seen."""
+    and return the exit status: 1 when any broad-mode violation was seen,
+    other-eigenvalue violations included."""
     counts = tally.counts()
     if fmt == "json":
         print(json.dumps(summary or counts, indent=2))
@@ -230,7 +233,7 @@ def _cmd_verify(args) -> int:
         )
         print(f"records: {report.config.output_path}")
         print(f"summary: {out}.summary.json")
-    return 1 if other["violations"] else status
+    return status
 
 
 def _cmd_report(args) -> int:
@@ -305,6 +308,9 @@ def main(argv: list[str] | None = None) -> int:
     except (TreeError, InvalidSpecError, IoFailureError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except EngineMismatchError as exc:
+        print(f"error: EngineMismatchError: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

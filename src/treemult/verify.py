@@ -8,15 +8,17 @@ under the configured base-family modes.  Emits one JSON record per
 (tree, eigenvalue) pair plus a JSON summary, with byte-identical record
 files for identical configs regardless of worker count.  The worker that
 sweeps a tree also encodes its records and tallies them; the parent
-process only writes each tree's bytes in enumeration order, hashes them
-and merges the tallies.
+process streams the tree codes to the workers, and only writes each tree's
+bytes in enumeration order, hashes them and folds in each tree's Tally
+with `Tally.merge`, the sweep's one fold of per-tree results.
 
 The multiplicity loop peels each swept orbit's minimal polynomial off the
 characteristic polynomial as it counts it, so what is left holds exactly
 the eigenvalues no swept orbit carries, by the same division whose counts
 the rank engine checks.  When M_max >= n + 1 those are checked too: the
 squarefree decomposition of the leftover gives them level by level, and
-their counts go to the summary's `other_eigenvalues` block, not to records.
+their counts go into the tree's Tally and from there to the summary's
+`other_eigenvalues` block, not to records.
 """
 
 from __future__ import annotations
@@ -27,8 +29,11 @@ import math
 import os
 import random
 import time
+from collections.abc import Iterator
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain, islice
 from multiprocessing import Pool
 
 try:
@@ -88,9 +93,10 @@ class IoFailureError(Exception):
 
 
 class MalformedRecordError(ValueError):
-    """A record file is not what a sweep wrote: a line is not a sweep record
-    (the message names path:line), its summary is not a sweep summary, or
-    the file's record count or digest differs from its summary's."""
+    """A record file is not what a sweep wrote: it holds no record, a line is
+    not a sweep record (the message names path:line), its summary is not a
+    sweep summary, or the file's record count or digest differs from its
+    summary's."""
 
 
 CONSISTENT = "CONSISTENT"
@@ -139,6 +145,11 @@ class Tally:
     eq_second: dict = field(default_factory=dict)  # mode -> violation count
     strict_discrepancies: list = field(default_factory=list)
     records_sha256: str | None = None  # of the records' bytes, as a record file holds them
+    # the summary's block: `_check_other`'s counts, which no record holds,
+    # so `read` leaves them at zero and `counts` leaves them out
+    other_eigenvalues: dict = field(default_factory=lambda: dict(
+        trees=0, levels=0, violations=0, strict_discrepancies=0, violation_examples=[]
+    ))
 
     def add(self, tree: str, lam: list, fields: dict) -> None:
         """Count one record: its tree, its lambda and the rest of its fields."""
@@ -166,8 +177,9 @@ class Tally:
                     )
 
     def merge(self, other: "Tally") -> None:
-        """Fold in the counts of other trees' records, tallied elsewhere, as
-        if they had been added here after the records already counted."""
+        """Fold in the counts of other trees, tallied elsewhere, as if they
+        had been counted here after the trees already counted, keeping the
+        first EXAMPLE_CAP other-eigenvalue violation examples."""
         self.tree_count += other.tree_count
         self.record_count += other.record_count
         self.bound_violations += other.bound_violations
@@ -175,6 +187,9 @@ class Tally:
         for mode_value, count in other.eq_second.items():
             self.eq_second[mode_value] = self.eq_second.get(mode_value, 0) + count
         self.strict_discrepancies += other.strict_discrepancies
+        for key, value in other.other_eigenvalues.items():
+            self.other_eigenvalues[key] += value
+        del self.other_eigenvalues["violation_examples"][EXAMPLE_CAP:]
 
     @classmethod
     def read(cls, path: str) -> "Tally":
@@ -182,7 +197,8 @@ class Tally:
         writes them, trees come in increasing order, one run each, the first
         holding every spec up to the M of its last lambda in (M, i) order and
         each later one the same lambdas; a file that breaks this raises
-        MalformedRecordError at the first line that does, or at its end."""
+        MalformedRecordError at the first line that does, or at its end, as
+        does a file with no record (every sweep writes at least one)."""
         tally = cls()
         digest = sha256()
         specs: list = []  # the first run's lambdas
@@ -238,6 +254,8 @@ class Tally:
                     at += 1
         except OSError as exc:
             raise IoFailureError(f"cannot read {path}: {exc}") from exc
+        if not tally.tree_count:
+            raise MalformedRecordError(f"{path}: holds no sweep record")
         check_run_end(path, tally.tree, tally.tree_count == 1)
         tally.records_sha256 = digest.hexdigest()
         return tally
@@ -267,10 +285,12 @@ class Tally:
 
     @property
     def broad_violations(self) -> int:
+        # an other-eigenvalue violation breaks the bound or an equivalence in both readings
         return (
             self.bound_violations
             + self.eq_top_violations
             + self.eq_second.get(BROAD.value, 0)
+            + self.other_eigenvalues["violations"]
         )
 
     def counts(self) -> dict:
@@ -296,9 +316,6 @@ class Tally:
 class SweepReport(Tally):
     config: SweepConfig
     elapsed_seconds: float = 0.0
-    # the check of the eigenvalues no swept orbit carries; it writes no
-    # records, so `report` cannot recount it
-    other_eigenvalues: dict = field(default_factory=lambda: _other_outcome(0))
 
     def summary_dict(self) -> dict:
         return {
@@ -346,11 +363,11 @@ def _record_tail(p: int, gamma: int, m: int, eq_top: str, second: tuple, tags: t
     return tail, ", " + json.dumps(tail)[1:] + "\n"
 
 
-def _sweep_tree(args) -> tuple[bytes, Tally, dict | None]:
+def _sweep_tree(args) -> tuple[bytes, Tally]:
     """Per-tree worker: the tree's record lines in (M, i) order, encoded,
-    with their Tally and the outcome of `_check_other` (None when it does
-    not apply).  Raises EngineMismatchError when the engines disagree, or
-    when the two orbits of an odd M get different counts.
+    and the tree's Tally, which counts them and, when n + 1 <= M_max, holds
+    the outcome of `_check_other`.  Raises EngineMismatchError when the
+    engines disagree, or when the two orbits of an odd M get different counts.
 
     Conjugate eigenvalues share a minimal polynomial, so multiplicities are
     computed once per orbit.  Family membership depends on lambda only
@@ -404,25 +421,17 @@ def _sweep_tree(args) -> tuple[bytes, Tally, dict | None]:
         tail, tail_text = tails[orbit]
         lines.append(f"{head}[{spec.i}, {spec.M}]{tail_text}")
         tally.add(g6, [spec.i, spec.M], tail)
-    other = _check_other(g6, rest, p) if t.n + 1 <= M_max else None
-    return "".join(lines).encode("utf-8"), tally, other
+    if t.n + 1 <= M_max:
+        _check_other(g6, rest, p, tally)
+    return "".join(lines).encode("utf-8"), tally
 
 
-def _other_outcome(trees: int) -> dict:
-    return {
-        "trees": trees,
-        "levels": 0,
-        "violations": 0,
-        "strict_discrepancies": 0,
-        "violation_examples": [],
-    }
-
-
-def _check_other(g6: str, rest: Polynomial, p: int) -> dict:
+def _check_other(g6: str, rest: Polynomial, p: int, tally: Tally) -> None:
     """Check the eigenvalues of a tree with n + 1 <= M_max that no swept
-    orbit carries: the roots of rest, its characteristic polynomial with
-    every swept orbit's mu^m divided out.  Each squarefree part of rest at
-    level k holds the eigenvalues of multiplicity exactly k.
+    orbit carries, the roots of rest, its characteristic polynomial with
+    every swept orbit's mu^m divided out; the counts go into the tree's
+    tally.  Each squarefree part of rest at level k holds the eigenvalues of
+    multiplicity exactly k.
 
     No path on at most n vertices has such an eigenvalue, so at it GAMMA
     and strict GAMMA2 are empty and broad GAMMA2 is the three-leg spiders.
@@ -430,11 +439,12 @@ def _check_other(g6: str, rest: Polynomial, p: int) -> dict:
     k <= p - 3; with p = 3 a level 1 is a broad GAMMA2 member the strict
     reading misses, a strict discrepancy.  Every other level is a violation.
     """
-    outcome = _other_outcome(1)
+    outcome = tally.other_eigenvalues
+    outcome["trees"] += 1
     # a level that counts has k >= max(1, p - 2) and adds at least k to the
     # leftover's degree, so a leftover of lower degree holds none
     if rest.degree < max(1, p - 2):
-        return outcome
+        return
     for g, k in squarefree_decompose(rest):
         outcome["levels"] += 1
         if k <= p - 3:
@@ -446,31 +456,30 @@ def _check_other(g6: str, rest: Polynomial, p: int) -> dict:
             outcome["violation_examples"].append(
                 {"tree": g6, "level": k, "p": p, "residue": list(g.coeffs)}
             )
-    return outcome
 
 
-def _ordered_tree_codes(config: SweepConfig) -> list[str]:
-    codes = []
+def _ordered_tree_codes(config: SweepConfig) -> Iterator[str]:
+    """Every tree's graph6 in increasing order, one sorted batch per n."""
     for n in range(config.n_min, config.n_max + 1):
         # enumerated trees are canonically labeled already
-        batch = [pack_graph6(t) for t in enumerate_trees(n)]
-        batch.sort()
-        codes.extend(batch)
-    return codes
+        yield from sorted(pack_graph6(t) for t in enumerate_trees(n))
 
 
 def sweep(config: SweepConfig) -> SweepReport:
     """Run the exhaustive sweep; see the module docstring.
 
-    Work is partitioned by tree and aggregated in enumeration order, so the
+    Work is partitioned by tree and folded in enumeration order, so the
     record file is deterministic for any worker count; `<out>.tmp` replaces
-    `<out>` only on success.  Raises EngineMismatchError if the engines differ.
+    `<out>` only on success.  The tree codes stream to the workers, and the
+    pool is never larger than the work.  Raises EngineMismatchError if the
+    engines differ.
     """
     start = time.monotonic()
-    report = SweepReport(
-        config=config, eq_second={mode.value: 0 for mode in config.modes}
-    )
-    payloads = [(g6, config.M_max, config.modes) for g6 in _ordered_tree_codes(config)]
+    report = SweepReport(config=config, eq_second={mode.value: 0 for mode in config.modes})
+    payloads = ((g6, config.M_max, config.modes) for g6 in _ordered_tree_codes(config))
+    peeked = list(islice(payloads, config.worker_count))
+    payloads = chain(peeked, payloads)
+    digest = sha256()
     sink = None
     tmp_path = f"{config.output_path}.tmp"
     try:
@@ -479,14 +488,17 @@ def sweep(config: SweepConfig) -> SweepReport:
                 sink = open(tmp_path, "wb")
             except OSError as exc:
                 raise IoFailureError(f"cannot open {tmp_path}: {exc}") from exc
-        workers = min(config.worker_count, len(payloads))
-        if workers == 1:
-            results = map(_sweep_tree, payloads)
-            _aggregate(results, report, sink)
-        else:
-            with Pool(workers) as pool:
-                results = pool.imap(_sweep_tree, payloads, chunksize=8)
-                _aggregate(results, report, sink)
+        with (Pool(len(peeked)) if len(peeked) > 1 else nullcontext()) as pool:
+            results = pool.imap(_sweep_tree, payloads, chunksize=8) if pool else map(_sweep_tree, payloads)
+            for encoded, tally in results:
+                report.merge(tally)
+                digest.update(encoded)  # the record file's digest, written or not
+                if sink is not None:
+                    try:
+                        sink.write(encoded)
+                    except OSError as exc:
+                        raise IoFailureError(str(exc)) from exc
+        report.records_sha256 = digest.hexdigest()
         if sink is not None:
             sink.close()
             os.replace(tmp_path, config.output_path)
@@ -505,27 +517,6 @@ def sweep(config: SweepConfig) -> SweepReport:
         except OSError as exc:
             raise IoFailureError(f"cannot write {summary_path}: {exc}") from exc
     return report
-
-
-def _aggregate(results, report: SweepReport, sink) -> None:
-    """Hash each tree's encoded records, and stream them to sink when there
-    is one, so the digest is the record file's whether or not it is written;
-    fold each tree's Tally and other-eigenvalue outcome into the report."""
-    digest = sha256()
-    block = report.other_eigenvalues
-    for encoded, tally, other in results:
-        if other is not None:
-            for key, value in other.items():
-                block[key] += value
-            del block["violation_examples"][EXAMPLE_CAP:]
-        report.merge(tally)
-        digest.update(encoded)
-        if sink is not None:
-            try:
-                sink.write(encoded)
-            except OSError as exc:
-                raise IoFailureError(str(exc)) from exc
-    report.records_sha256 = digest.hexdigest()
 
 
 # -- randomized engine agreement --------------------------------------------------

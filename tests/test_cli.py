@@ -280,6 +280,48 @@ class TestVerifyAuditReport:
         assert err.startswith(f"error: {path}:2: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("summary", [True, False])
+    @pytest.mark.parametrize("text", ["", "\n \n\n"], ids=["empty", "blank-lines"])
+    def test_report_file_without_records_exits_2(self, capsys, tmp_path, summary, text):
+        # every sweep writes at least one record (n >= 1, M_max >= 2), so a
+        # file with none is refused, even beside a summary of its counts
+        path = tmp_path / "rec.jsonl"
+        path.write_text(text)
+        if summary:
+            counts = {
+                "records": 0,
+                "records_sha256": hashlib.sha256(text.encode()).hexdigest(),
+                "trees": 0,
+                "specs": 0,
+                "bound": {"violations": 0},
+                "pendant_minus_one": {"violations": 0},
+                "pendant_minus_two": {},
+            }
+            (tmp_path / "rec.jsonl.summary.json").write_text(json.dumps(counts))
+        code, out, err = run(capsys, "report", str(path))
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert err.startswith(f"error: {path}: ") and "no sweep record" in err
+
+    def test_verify_engine_mismatch_exits_3(self, capsys, tmp_path, monkeypatch):
+        # a broken engine has a status of its own, apart from violations, and
+        # the aborted sweep leaves no record file, partial or whole
+        import treemult.verify as verify_mod
+
+        monkeypatch.setattr(verify_mod, "rank_nullity", lambda t, spec: 99)
+        out_path = tmp_path / "rec.jsonl"
+        code, out, err = run(
+            capsys, "verify", "--n-max", "4", "--m-max", "5", "--workers", "1",
+            "--out", str(out_path),
+        )
+        assert code == 3 and out == "" and "Traceback" not in err
+        prefix = "error: EngineMismatchError: "
+        assert err.startswith(prefix)
+        # the single vertex has 0 = 2cos(pi/2) as a simple eigenvalue
+        assert json.loads(err[len(prefix):]) == {
+            "tree": "@", "lambda": [1, 2], "division_engine": 1, "rank_engine": 99,
+        }
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "damage", ["none", "cut", "appended", "swapped", "garbled-summary", "bound"]
     )

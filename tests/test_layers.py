@@ -2,12 +2,17 @@
 the order tree/poly -> spectrum -> families -> verify -> cli, so no two
 modules import each other in a cycle.  `__init__` re-exports every layer
 and is exempt.  Also: the names the benchmark reaches into stay bound, the
-modules that decide verdicts use no floating point, and every public name
-in the package has a caller in the package."""
+modules that decide verdicts use no floating point, every public name in
+the package has a caller in the package, and a sweep loads no OpenSSL."""
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import treemult.families as families
 import treemult.spectrum as spectrum
@@ -141,3 +146,29 @@ def test_public_names_have_src_callers():
     referenced = set().union(*map(referenced_names, modules))
     assert sorted(defined - referenced - set(NO_SRC_CALLER)) == []
     assert set(NO_SRC_CALLER) <= defined  # an entry whose name is gone goes too
+
+
+# a fresh interpreter that runs a sweep through the CLI and the agreement
+# check, then prints which of the OpenSSL-backed modules it has loaded
+NO_OPENSSL = """
+import contextlib, io, sys
+import treemult.cli as cli
+from treemult.verify import engine_agreement_check
+with contextlib.redirect_stdout(io.StringIO()):
+    status = cli.main(["verify", "--n-max", "4", "--m-max", "5", "--workers", "1", "--out", sys.argv[1]])
+assert status == 0 and engine_agreement_check(5) == []
+print(sorted(name for name in ("hashlib", "_hashlib") if name in sys.modules))
+"""
+
+
+def test_sweep_loads_no_openssl(tmp_path):
+    # verify hashes records with the builtin digest: importing hashlib loads
+    # OpenSSL, about 3.5 MB more peak RSS in every process that imports verify
+    pytest.importorskip("_sha256")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", NO_OPENSSL, str(tmp_path / "rec.jsonl")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -109,7 +109,7 @@ class TestSweep:
         # graph6 may contain a backslash, which JSON escapes; no canonical
         # tree on up to 17 vertices has one, so sweep a labeled tree that does
         g6 = "E_\\?"
-        encoded, tally, _ = _sweep_tree((g6, 4, (BROAD, STRICT)))
+        encoded, tally = _sweep_tree((g6, 4, (BROAD, STRICT)))
         records = [json.loads(line) for line in encoded.decode("utf-8").splitlines()]
         assert len(records) == tally.record_count > 0
         assert {r["tree"] for r in records} == {g6} and tally.tree_count == 1
@@ -124,7 +124,7 @@ class TestSweep:
     def test_tree_codes_strictly_increase(self):
         # Tally.read requires this order of every record file a sweep writes:
         # graph6's first byte is 63 + n, and each n's batch is sorted
-        codes = _ordered_tree_codes(SweepConfig(n_max=12, M_max=2))
+        codes = list(_ordered_tree_codes(SweepConfig(n_max=12, M_max=2)))
         assert len(codes) == 987
         assert all(a < b for a, b in zip(codes, codes[1:]))
 
@@ -182,6 +182,19 @@ class TestSweep:
         assert merged.strict_discrepancies == read.strict_discrepancies
         assert len(merged.strict_discrepancies) > 1
         assert merged.records_sha256 == read.records_sha256
+
+    def test_merge_keeps_the_first_violation_examples(self):
+        # the other-eigenvalue block is folded by Tally.merge alone: every
+        # violation counts, and the first EXAMPLE_CAP examples are kept in
+        # merge order
+        merged = Tally()
+        for k in range(25):
+            tally = Tally()
+            _check_other(f"tree{k}", Polynomial((-3, 0, 1)), 2, tally)
+            merged.merge(tally)
+        block = merged.other_eigenvalues
+        assert (block["trees"], block["levels"], block["violations"]) == (25, 25, 25)
+        assert [e["tree"] for e in block["violation_examples"]] == [f"tree{k}" for k in range(20)]
 
     def test_summarize_records_roundtrip(self, tmp_path):
         config = small_config(tmp_path, n_max=6, M_max=5)
@@ -383,8 +396,15 @@ class TestAudit:
     @staticmethod
     def swept(t, M_max):
         """The tree's per-tree Tally and other-eigenvalue outcome."""
-        _, tally, other = _sweep_tree((emit_graph6(t), M_max, (BROAD, STRICT)))
-        return tally, other
+        _, tally = _sweep_tree((emit_graph6(t), M_max, (BROAD, STRICT)))
+        return tally, tally.other_eigenvalues
+
+    @staticmethod
+    def checked(g6, rest, p):
+        """`_check_other`'s outcome on one tree's leftover."""
+        tally = Tally()
+        _check_other(g6, rest, p, tally)
+        return tally.other_eigenvalues
 
     def test_small_range_flags_empty(self):
         block = sweep(small_config(n_max=8, M_max=9)).other_eigenvalues
@@ -427,7 +447,7 @@ class TestAudit:
     )
     def test_level_rule(self, p, level, verdict):
         # a leftover of x^2 - 3 at the given level
-        other = _check_other("?", Polynomial((-3, 0, 1)) ** level, p)
+        other = self.checked("?", Polynomial((-3, 0, 1)) ** level, p)
         counted = {key: other[key] for key in ("violations", "strict_discrepancies")}
         assert counted == {key: int(key == verdict) for key in counted}
         assert other["levels"] == 1
@@ -460,7 +480,7 @@ class TestAudit:
         assert other["violations"] == other["strict_discrepancies"] == 0
         # with p = 4 the level-2 part breaks the bound and the level-1 part
         # does not, so reading every level as 1 would miss the violation
-        other = _check_other(g6, rest, 4)
+        other = self.checked(g6, rest, 4)
         assert other["violations"] == 1 and other["strict_discrepancies"] == 0
         assert [(e["level"], e["residue"]) for e in other["violation_examples"]] == [
             (2, [-4, 0, 1])
@@ -469,7 +489,7 @@ class TestAudit:
 
 class TestPoolSize:
     def test_pool_never_larger_than_the_work(self, monkeypatch):
-        sizes = []
+        sizes, fed = [], []
 
         class RecordingPool:
             def __init__(self, processes):
@@ -482,9 +502,11 @@ class TestPoolSize:
                 return False
 
             def imap(self, fn, payloads, chunksize=1):
+                fed.append(payloads)
                 return map(fn, payloads)
 
-            imap_unordered = imap
+            def imap_unordered(self, fn, payloads, chunksize=1):
+                return map(fn, payloads)
 
         monkeypatch.setattr(verify_mod, "Pool", RecordingPool)
         assert sweep(small_config(workers=64, n_max=3, M_max=3)).tree_count == 3
@@ -492,6 +514,8 @@ class TestPoolSize:
         assert engine_agreement_check(5, n_max=6, M_max=7, workers=64) == []
         assert engine_agreement_check(0, workers=64) == []
         assert sizes == [3, 5]
+        # the sweep streams its trees to the pool: no list of every payload
+        assert len(fed) == 1 and iter(fed[0]) is fed[0]
 
 
 class TestEngineAgreement:
