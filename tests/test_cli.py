@@ -266,8 +266,80 @@ class TestVerifyAuditReport:
         assert code == 1
 
     def test_report_missing_file_exits_2(self, capsys, tmp_path):
-        code, _, err = run(capsys, "report", str(tmp_path / "nope.jsonl"))
-        assert code == 2 and "error" in err
+        path = tmp_path / "nope.jsonl"
+        code, _, err = run(capsys, "report", str(path))
+        assert code == 2 and err.startswith("error: ")
+        assert str(path) in err and "Traceback" not in err
+
+    def test_report_directory_exits_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "report", str(tmp_path))
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert err.startswith("error: ") and str(tmp_path) in err
+
+    def test_verify_unwritable_out_exits_2(self, capsys, tmp_path):
+        out_path = tmp_path / "missing" / "r.jsonl"
+        code, out, err = run(
+            capsys, "verify", "--n-max", "4", "--m-max", "3", "--workers", "1",
+            "--out", str(out_path),
+        )
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert err.startswith("error: ") and "r.jsonl.tmp" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_verify_write_error_keeps_earlier_files(self, capsys, tmp_path, monkeypatch):
+        # a write that fails after the first tree drops the partial records
+        # and leaves the record file and summary of an earlier run as they were
+        import builtins
+
+        import treemult.verify as verify_mod
+
+        out_path = tmp_path / "rec.jsonl"
+        argv = ["verify", "--n-max", "5", "--m-max", "3", "--workers", "1", "--out", str(out_path)]
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        summary_path = tmp_path / "rec.jsonl.summary.json"
+        before = out_path.read_bytes(), summary_path.read_bytes()
+
+        class FullDisk:
+            def __init__(self, f):
+                self.f, self.writes = f, 0
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 3:
+                    raise OSError(28, "No space left on device")
+                return self.f.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self.f, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+        def full_open(path, *args, **kwargs):
+            f = builtins.open(path, *args, **kwargs)
+            return FullDisk(f) if str(path).endswith(".tmp") else f
+
+        monkeypatch.setattr(verify_mod, "open", full_open, raising=False)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert err.startswith("error: ") and "No space left on device" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rec.jsonl", "rec.jsonl.summary.json"]
+        assert (out_path.read_bytes(), summary_path.read_bytes()) == before
+
+    def test_verify_unwritable_summary_exits_2(self, capsys, tmp_path):
+        out_path = tmp_path / "rec.jsonl"
+        (tmp_path / "rec.jsonl.summary.json").mkdir()
+        code, out, err = run(
+            capsys, "verify", "--n-max", "4", "--m-max", "3", "--workers", "1",
+            "--out", str(out_path),
+        )
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert err.startswith("error: ") and "rec.jsonl.summary.json" in err
+        assert out_path.exists()  # the records are whole; report can re-count them
 
     @pytest.mark.parametrize(
         "line", ['{"tree": "B_", "lambda": [1, 2]}', "[1,2,3]", "not json"]
