@@ -38,7 +38,6 @@ from treemult.tree import (
 )
 from treemult.verify import (
     EngineMismatchError,
-    IoFailureError,
     SweepConfig,
     Tally,
     sweep,
@@ -305,7 +304,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (TreeError, InvalidSpecError, IoFailureError, OSError, ValueError) as exc:
+    except (TreeError, InvalidSpecError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EngineMismatchError as exc:

@@ -88,10 +88,6 @@ class EngineMismatchError(Exception):
     verdict for both orbits on this ground."""
 
 
-class IoFailureError(Exception):
-    """Persistence of records or summary failed."""
-
-
 class MalformedRecordError(ValueError):
     """A record file is not what a sweep wrote: it holds no record, a line is
     not a sweep record (the message names path:line), its summary is not a
@@ -223,37 +219,34 @@ class Tally:
                     f"{where}: tree {tree} does not hold every lambda up to its last M"
                 )
 
-        try:
-            with open(path, "rb") as f:
-                for lineno, line in enumerate(f, 1):
-                    digest.update(line)
-                    if not line.strip():
-                        continue
-                    last = tally.tree
-                    try:
-                        rec = json.loads(line.decode("utf-8"))
-                        tally.add(rec["tree"], rec["lambda"], rec)
-                        ordered = last is None or last <= tally.tree
-                    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        with open(path, "rb") as f:
+            for lineno, line in enumerate(f, 1):
+                digest.update(line)
+                if not line.strip():
+                    continue
+                last = tally.tree
+                try:
+                    rec = json.loads(line.decode("utf-8"))
+                    tally.add(rec["tree"], rec["lambda"], rec)
+                    ordered = last is None or last <= tally.tree
+                except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                    raise MalformedRecordError(
+                        f"{path}:{lineno}: not a sweep record ({exc!r})"
+                    ) from exc
+                if tally.tree != last:  # a new run: the last one must be whole
+                    if not ordered:
                         raise MalformedRecordError(
-                            f"{path}:{lineno}: not a sweep record ({exc!r})"
-                        ) from exc
-                    if tally.tree != last:  # a new run: the last one must be whole
-                        if not ordered:
-                            raise MalformedRecordError(
-                                f"{path}:{lineno}: tree {tally.tree} is out of order after {last}"
-                            )
-                        check_run_end(f"{path}:{lineno}", last, tally.tree_count == 2)
-                        at = 0
-                    if tally.tree_count == 1:
-                        specs.append(rec["lambda"])
-                    elif at == len(specs) or rec["lambda"] != specs[at]:
-                        raise MalformedRecordError(
-                            f"{path}:{lineno}: tree {tally.tree} breaks the first tree's lambda order"
+                            f"{path}:{lineno}: tree {tally.tree} is out of order after {last}"
                         )
-                    at += 1
-        except OSError as exc:
-            raise IoFailureError(f"cannot read {path}: {exc}") from exc
+                    check_run_end(f"{path}:{lineno}", last, tally.tree_count == 2)
+                    at = 0
+                if tally.tree_count == 1:
+                    specs.append(rec["lambda"])
+                elif at == len(specs) or rec["lambda"] != specs[at]:
+                    raise MalformedRecordError(
+                        f"{path}:{lineno}: tree {tally.tree} breaks the first tree's lambda order"
+                    )
+                at += 1
         if not tally.tree_count:
             raise MalformedRecordError(f"{path}: holds no sweep record")
         check_run_end(path, tally.tree, tally.tree_count == 1)
@@ -270,8 +263,6 @@ class Tally:
         try:
             with open(summary_path, encoding="utf-8") as f:
                 summary = json.load(f)
-        except OSError as exc:
-            raise IoFailureError(f"cannot read {summary_path}: {exc}") from exc
         except ValueError as exc:
             raise MalformedRecordError(f"{summary_path} is not JSON ({exc})") from exc
         if not isinstance(summary, dict):
@@ -472,7 +463,7 @@ def sweep(config: SweepConfig) -> SweepReport:
     record file is deterministic for any worker count; `<out>.tmp` replaces
     `<out>` only on success.  The tree codes stream to the workers, and the
     pool is never larger than the work.  Raises EngineMismatchError if the
-    engines differ.
+    engines differ, and the OSError of a failed open or write as it comes.
     """
     start = time.monotonic()
     report = SweepReport(config=config, eq_second={mode.value: 0 for mode in config.modes})
@@ -480,42 +471,28 @@ def sweep(config: SweepConfig) -> SweepReport:
     peeked = list(islice(payloads, config.worker_count))
     payloads = chain(peeked, payloads)
     digest = sha256()
-    sink = None
     tmp_path = f"{config.output_path}.tmp"
+    sink = open(tmp_path, "wb") if config.output_path else None
     try:
-        if config.output_path:
-            try:
-                sink = open(tmp_path, "wb")
-            except OSError as exc:
-                raise IoFailureError(f"cannot open {tmp_path}: {exc}") from exc
-        with (Pool(len(peeked)) if len(peeked) > 1 else nullcontext()) as pool:
+        with sink or nullcontext(), (Pool(len(peeked)) if len(peeked) > 1 else nullcontext()) as pool:
             results = pool.imap(_sweep_tree, payloads, chunksize=8) if pool else map(_sweep_tree, payloads)
             for encoded, tally in results:
                 report.merge(tally)
                 digest.update(encoded)  # the record file's digest, written or not
-                if sink is not None:
-                    try:
-                        sink.write(encoded)
-                    except OSError as exc:
-                        raise IoFailureError(str(exc)) from exc
-        report.records_sha256 = digest.hexdigest()
-        if sink is not None:
-            sink.close()
+                if sink:
+                    sink.write(encoded)
+        if sink:
             os.replace(tmp_path, config.output_path)
-    finally:
-        if sink is not None:
-            sink.close()
-            if os.path.exists(tmp_path):  # aborted: drop the partial records
-                os.remove(tmp_path)
+    except BaseException:  # aborted, even by Ctrl-C: drop the partial records
+        if sink:
+            os.remove(tmp_path)
+        raise
+    report.records_sha256 = digest.hexdigest()
     report.elapsed_seconds = time.monotonic() - start
     if config.output_path:
-        summary_path = config.output_path + ".summary.json"
-        try:
-            with open(summary_path, "w", encoding="utf-8") as f:
-                json.dump(report.summary_dict(), f, indent=2, sort_keys=False)
-                f.write("\n")
-        except OSError as exc:
-            raise IoFailureError(f"cannot write {summary_path}: {exc}") from exc
+        with open(config.output_path + ".summary.json", "w", encoding="utf-8") as f:
+            json.dump(report.summary_dict(), f, indent=2, sort_keys=False)
+            f.write("\n")
     return report
 
 
