@@ -66,6 +66,7 @@ from treemult.spectrum import (
 from treemult.tree import (
     ENUMERATION_LIMIT,
     Tree,
+    TreeError,
     emit_graph6,  # unused here; perfbench/tracer.py wraps it on this module
     enumerate_trees,
     is_path,  # unused here; perfbench/tracer.py wraps it on this module
@@ -190,15 +191,18 @@ class Tally:
     @classmethod
     def read(cls, path: str) -> "Tally":
         """Tally an existing record file (the `report` CLI path).  As a sweep
-        writes them, trees come in increasing order, one run each, the first
-        holding every spec up to the M of its last lambda in (M, i) order and
-        each later one the same lambdas; a file that breaks this raises
-        MalformedRecordError at the first line that does, or at its end, as
-        does a file with no record (every sweep writes at least one)."""
+        writes them, trees come one run each, every tree of each size from
+        the first run's size to the last's in the sweep's order (that of
+        `_ordered_tree_codes`), the first run holding every spec up to the M
+        of its last lambda in (M, i) order and each later one the same
+        lambdas; a file that breaks this raises MalformedRecordError at the
+        first line that does, or at its end, as does a file with no record
+        (every sweep writes at least one)."""
         tally = cls()
         digest = sha256()
         specs: list = []  # the first run's lambdas
         at = 0  # records so far in the current run
+        n, codes, k = 0, [], 0  # the current run's size, its trees in order, runs of it so far
 
         def check_run_end(where: str, tree: str, first: bool) -> None:
             """Raise unless the run of tree, which ends at where, is whole."""
@@ -228,18 +232,21 @@ class Tally:
                 try:
                     rec = json.loads(line.decode("utf-8"))
                     tally.add(rec["tree"], rec["lambda"], rec)
-                    ordered = last is None or last <= tally.tree
-                except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                    if tally.tree != last and k == len(codes):  # the first run's size, or the next
+                        n = n + 1 if n else parse_graph6(tally.tree).n
+                        codes, k = list(_ordered_tree_codes(SweepConfig(n_min=n, n_max=n))), 0
+                except (ValueError, KeyError, TypeError, AttributeError, TreeError) as exc:
                     raise MalformedRecordError(
                         f"{path}:{lineno}: not a sweep record ({exc!r})"
                     ) from exc
-                if tally.tree != last:  # a new run: the last one must be whole
-                    if not ordered:
-                        raise MalformedRecordError(
-                            f"{path}:{lineno}: tree {tally.tree} is out of order after {last}"
-                        )
+                if tally.tree != last:  # a new run: the last one must be whole and the next tree
                     check_run_end(f"{path}:{lineno}", last, tally.tree_count == 2)
-                    at = 0
+                    if tally.tree != codes[k]:
+                        raise MalformedRecordError(
+                            f"{path}:{lineno}: expected tree {codes[k]}, "
+                            f"the sweep's next, not {tally.tree}"
+                        )
+                    at, k = 0, k + 1
                 if tally.tree_count == 1:
                     specs.append(rec["lambda"])
                 elif at == len(specs) or rec["lambda"] != specs[at]:
@@ -250,6 +257,8 @@ class Tally:
         if not tally.tree_count:
             raise MalformedRecordError(f"{path}: holds no sweep record")
         check_run_end(path, tally.tree, tally.tree_count == 1)
+        if k < len(codes):
+            raise MalformedRecordError(f"{path}: ends before tree {codes[k]}, the rest of its size")
         tally.records_sha256 = digest.hexdigest()
         return tally
 

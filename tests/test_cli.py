@@ -249,7 +249,7 @@ class TestVerifyAuditReport:
         # exit-code contract: broad-mode violations in the record file flip
         # the status to 1 (no real sweep produces one, so build the line)
         rec = {
-            "tree": "B_",
+            "tree": "Bo",  # the one tree on 3 vertices
             "lambda": [1, 2],
             "p": 2,
             "gamma": 0,
@@ -448,8 +448,11 @@ class TestVerifyAuditReport:
     @pytest.mark.parametrize(
         "damage, line, named",
         [
-            ("out-of-order", 46, "out of order"),  # trees 4 and 5 swapped
-            ("repeated", 46, "out of order"),  # tree 3 again after tree 4
+            ("out-of-order", 37, "expected tree"),  # trees 4 and 5 swapped
+            ("repeated", 46, "expected tree"),  # tree 3 again after tree 4
+            ("tree-missing", 37, "expected tree"),  # tree 4 deleted
+            ("size-missing", 28, "expected tree"),  # both trees on 4 vertices deleted
+            ("last-tree-missing", None, "ends before tree"),
             ("missing-inside", 41, "lambda order"),
             ("missing-end", 45, "ends after 8 of 9"),
             ("extra", 46, "lambda order"),
@@ -462,10 +465,10 @@ class TestVerifyAuditReport:
         ],
     )
     def test_report_checks_each_run(self, capsys, tmp_path, summary, damage, line, named):
-        # a sweep writes each tree's records as one run, trees in increasing
-        # order, every run with the same lambdas in the same order, the first
-        # with every lambda up to its last M; `report` refuses a file that
-        # breaks this, with or without its summary
+        # a sweep writes each tree's records as one run, every tree of each
+        # size in the sweep's order, every run with the same lambdas in the
+        # same order, the first with every lambda up to its last M; `report`
+        # refuses a file that breaks this, with or without its summary
         out_path = tmp_path / "rec.jsonl"
         code, _, _ = run(
             capsys, "verify", "--n-max", "5", "--m-max", "5", "--workers", "1",
@@ -479,6 +482,12 @@ class TestVerifyAuditReport:
             runs[4], runs[5] = runs[5], runs[4]
         elif damage == "repeated":
             runs.insert(5, runs[3])
+        elif damage == "tree-missing":
+            del runs[4]
+        elif damage == "size-missing":
+            del runs[3:5]
+        elif damage == "last-tree-missing":
+            del runs[-1]
         elif damage == "missing-inside":
             del runs[4][4]
         elif damage == "missing-end":

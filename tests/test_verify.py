@@ -122,8 +122,9 @@ class TestSweep:
         assert len(sizes) == 1
 
     def test_tree_codes_strictly_increase(self):
-        # Tally.read requires this order of every record file a sweep writes:
-        # graph6's first byte is 63 + n, and each n's batch is sorted
+        # no tree comes twice in a sweep's order, which Tally.read requires of
+        # every record file: graph6's first byte is 63 + n, and each n's batch
+        # is sorted
         codes = list(_ordered_tree_codes(SweepConfig(n_max=12, M_max=2)))
         assert len(codes) == 987
         assert all(a < b for a, b in zip(codes, codes[1:]))
