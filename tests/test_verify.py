@@ -328,6 +328,19 @@ class TestMutants:
         report = sweep(small_config(n_max=10, M_max=11))
         assert self.counts(report) == (0, 0, {"broad": 0, "strict": 0})
 
+    def test_gamma0_path_admits_n_equal_M(self, monkeypatch):
+        # a path on M vertices read as a GAMMA(0) base, which it is not
+        gamma0_size = families._gamma0_path_size
+        monkeypatch.setattr(
+            families, "_gamma0_path_size", lambda n, M: n == M or gamma0_size(n, M)
+        )
+        # keep the mutant's verdicts out of the memo that later tests read
+        monkeypatch.setattr(families, "_memo_tree", None)
+        for memo in ("_member_memo", "_verdict_memo"):
+            monkeypatch.setattr(families, memo, {})
+        report = sweep(small_config(n_max=10, M_max=11))
+        assert self.counts(report) == (0, 31, {"broad": 39, "strict": 63})
+
     def test_parity_rule_dropped(self, monkeypatch):
         # every spec takes the cyclotomic index 2M, so an even i at odd M is
         # read as lambda's negative, M - i being odd; a tree is bipartite, so
