@@ -9,8 +9,9 @@ deliberately not accepted.
 Exit status: 0 on success with zero violations, 1 when a verification run
 found violations (with --m-max >= n-max + 1, `verify` also checks every
 eigenvalue outside the swept 2*cos(i*pi/M) and counts its violations), 2 on
-usage, input or I/O errors (an OSError prints as Python gives it), 3 when `verify` aborts because its two multiplicity
-engines disagree (an implementation bug; the sweep writes no record file).
+usage, input or I/O errors (an OSError prints as Python gives it), 3 when
+`verify` aborts because its two multiplicity engines disagree (an
+implementation bug; the sweep writes no record file).
 """
 
 from __future__ import annotations

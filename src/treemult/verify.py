@@ -202,7 +202,7 @@ class Tally:
         digest = sha256()
         specs: list = []  # the first run's lambdas
         at = 0  # records so far in the current run
-        n, codes, k = 0, [], 0  # the current run's size, its trees in order, runs of it so far
+        n, codes, k = 0, [], 0  # the current size, its trees in the sweep's order, runs so far
 
         def check_run_end(where: str, tree: str, first: bool) -> None:
             """Raise unless the run of tree, which ends at where, is whole."""
