@@ -18,6 +18,10 @@ from typing import Iterator, NoReturn, Sequence
 
 
 ENUMERATION_LIMIT = 20  # the largest n enumerate_trees accepts
+# how many trees enumerate_trees(n) yields, for n = 0..ENUMERATION_LIMIT (OEIS A000055)
+TREE_COUNTS = (
+    1, 1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741, 19320, 48629, 123867, 317955, 823065
+)
 GRAPH6_N_MAX = 62  # the graph6 short form, the only one emitted or parsed
 
 

@@ -65,8 +65,8 @@ from treemult.spectrum import (
 )
 from treemult.tree import (
     ENUMERATION_LIMIT,
+    TREE_COUNTS,
     Tree,
-    TreeError,
     emit_graph6,  # unused here; perfbench/tracer.py wraps it on this module
     enumerate_trees,
     is_path,  # unused here; perfbench/tracer.py wraps it on this module
@@ -197,12 +197,15 @@ class Tally:
         of its last lambda in (M, i) order and each later one the same
         lambdas; a file that breaks this raises MalformedRecordError at the
         first line that does, or at its end, as does a file with no record
-        (every sweep writes at least one)."""
+        (every sweep writes at least one).  A size is whole when it holds
+        TREE_COUNTS[n] codes on n vertices in increasing order, so the check
+        costs one pass and no enumeration; a code that is not one a sweep
+        writes is caught only by the summary's digest."""
         tally = cls()
         digest = sha256()
         specs: list = []  # the first run's lambdas
         at = 0  # records so far in the current run
-        n, codes, k = 0, [], 0  # the current size, its trees in the sweep's order, runs so far
+        n = k = whole = 0  # the current run's size, the runs of that size so far, and all of it
 
         def check_run_end(where: str, tree: str, first: bool) -> None:
             """Raise unless the run of tree, which ends at where, is whole."""
@@ -232,19 +235,21 @@ class Tally:
                 try:
                     rec = json.loads(line.decode("utf-8"))
                     tally.add(rec["tree"], rec["lambda"], rec)
-                    if tally.tree != last and k == len(codes):  # the first run's size, or the next
-                        n = n + 1 if n else parse_graph6(tally.tree).n
-                        codes, k = list(_ordered_tree_codes(SweepConfig(n_min=n, n_max=n))), 0
-                except (ValueError, KeyError, TypeError, AttributeError, TreeError) as exc:
+                    if tally.tree != last:  # graph6 begins with chr(63 + n)
+                        size, after = ord(tally.tree[0]) - 63, last is None or last < tally.tree
+                except (ValueError, KeyError, TypeError, AttributeError, IndexError) as exc:
                     raise MalformedRecordError(
                         f"{path}:{lineno}: not a sweep record ({exc!r})"
                     ) from exc
-                if tally.tree != last:  # a new run: the last one must be whole and the next tree
+                if tally.tree != last:  # a new run: the last one must be whole, this tree the next
                     check_run_end(f"{path}:{lineno}", last, tally.tree_count == 2)
-                    if tally.tree != codes[k]:
+                    if last is None or k == whole:  # the first run's size, or the next
+                        n, k = (size if last is None else n + 1), 0
+                        whole = TREE_COUNTS[n] if 0 < n <= ENUMERATION_LIMIT else 0
+                    if k == whole or size != n or k and not after:
                         raise MalformedRecordError(
-                            f"{path}:{lineno}: expected tree {codes[k]}, "
-                            f"the sweep's next, not {tally.tree}"
+                            f"{path}:{lineno}: expected tree {k + 1} of the {whole} on {n} "
+                            f"vertices in the sweep's order, not {tally.tree}"
                         )
                     at, k = 0, k + 1
                 if tally.tree_count == 1:
@@ -257,8 +262,8 @@ class Tally:
         if not tally.tree_count:
             raise MalformedRecordError(f"{path}: holds no sweep record")
         check_run_end(path, tally.tree, tally.tree_count == 1)
-        if k < len(codes):
-            raise MalformedRecordError(f"{path}: ends before tree {codes[k]}, the rest of its size")
+        if k < whole:
+            raise MalformedRecordError(f"{path}: ends after {k} of the {whole} trees on {n} vertices")
         tally.records_sha256 = digest.hexdigest()
         return tally
 

@@ -450,9 +450,9 @@ class TestVerifyAuditReport:
         [
             ("out-of-order", 37, "expected tree"),  # trees 4 and 5 swapped
             ("repeated", 46, "expected tree"),  # tree 3 again after tree 4
-            ("tree-missing", 37, "expected tree"),  # tree 4 deleted
-            ("size-missing", 28, "expected tree"),  # both trees on 4 vertices deleted
-            ("last-tree-missing", None, "ends before tree"),
+            ("tree-missing", 37, "expected tree 2 of the 2 on 4 vertices"),  # tree 4 deleted
+            ("size-missing", 28, "expected tree 1 of the 2 on 4 vertices"),  # trees 3 and 4 deleted
+            ("last-tree-missing", None, "ends after 2 of the 3 trees on 5 vertices"),
             ("missing-inside", 41, "lambda order"),
             ("missing-end", 45, "ends after 8 of 9"),
             ("extra", 46, "lambda order"),

@@ -14,6 +14,8 @@ from oracles import (
     to_json_dict,
 )
 from treemult.tree import (
+    ENUMERATION_LIMIT,
+    TREE_COUNTS,
     LimitExceededError,
     MalformedGraph6Error,
     NotATreeError,
@@ -212,6 +214,20 @@ class TestEnumeration:
     def test_counts_match_prufer_oracle(self, n):
         ours = sum(1 for _ in enumerate_trees(n))
         assert ours == count_free_trees_bruteforce(n)
+
+    def test_tree_counts(self):
+        # report takes a size as whole at TREE_COUNTS[n] trees: the table is
+        # what enumeration yields up to n = 14, and Otter's count of free
+        # trees from rooted ones (A000081) up to the enumeration limit
+        assert len(TREE_COUNTS) == ENUMERATION_LIMIT + 1
+        assert [sum(1 for _ in free_tree_codes(n)) for n in range(1, 15)] == list(TREE_COUNTS[1:15])
+        rooted = [0, 1]
+        for n in range(1, ENUMERATION_LIMIT):
+            weights = [sum(d * rooted[d] for d in range(1, k + 1) if k % d == 0) for k in range(n + 1)]
+            rooted.append(sum(weights[k] * rooted[n - k + 1] for k in range(1, n + 1)) // n)
+        for n in range(1, ENUMERATION_LIMIT + 1):
+            pairs = sum(rooted[k] * rooted[n - k] for k in range(1, n)) - (rooted[n // 2] if n % 2 == 0 else 0)
+            assert TREE_COUNTS[n] == rooted[n] - pairs // 2, n
 
     def test_no_isomorphic_duplicates(self):
         for n in range(1, 11):

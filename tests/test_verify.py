@@ -19,7 +19,7 @@ from treemult.cli import main
 from treemult.families import BROAD, STRICT
 from treemult.poly import LambdaSpec, Polynomial, spec_orbits, squarefree_decompose
 from treemult.spectrum import char_poly, factor_multiplicity
-from treemult.tree import Tree, emit_graph6, pack_graph6, path_tree, pendant_count
+from treemult.tree import TREE_COUNTS, Tree, emit_graph6, pack_graph6, path_tree, pendant_count
 from treemult.verify import (
     EngineMismatchError,
     SweepConfig,
@@ -122,11 +122,12 @@ class TestSweep:
         assert len(sizes) == 1
 
     def test_tree_codes_strictly_increase(self):
-        # no tree comes twice in a sweep's order, which Tally.read requires of
-        # every record file: graph6's first byte is 63 + n, and each n's batch
-        # is sorted
+        # Tally.read takes a size of a record file as whole once it holds
+        # TREE_COUNTS[n] increasing codes on n vertices, so a sweep's order
+        # must be that: graph6's first byte is 63 + n, and each n's batch is
+        # sorted
         codes = list(_ordered_tree_codes(SweepConfig(n_max=12, M_max=2)))
-        assert len(codes) == 987
+        assert len(codes) == sum(TREE_COUNTS[1:13]) == 987
         assert all(a < b for a, b in zip(codes, codes[1:]))
 
     def test_byte_identical_across_worker_counts(self, tmp_path):
