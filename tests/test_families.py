@@ -380,23 +380,31 @@ class TestGenerate:
                         assert k <= 1 and m == 0
 
     def test_closure_against_enumeration_small(self):
-        # set equality with the classifier over everything enumerable
-        for M in (2, 3, 4):
+        # set equality with the classifier over everything enumerable: for
+        # each M and reading, the trees classify puts in each family and
+        # level are exactly those generate builds.  generate reads no
+        # multiplicity and runs no segment test, so this checks the
+        # classifier's decision procedure from outside.  No tree on 12
+        # vertices has more than 5 major vertices.
+        codes = {t: canonical_code(t) for n in range(1, 13) for t in enumerate_trees(n)}
+        nonempty = 0
+        for M in range(2, 16):
             lam = LambdaSpec(1, M)
             for mode in (BROAD, STRICT):
+                classified: dict = {}
+                for t, code in codes.items():
+                    res = classify(t, lam, mode)
+                    if res.kind is not FamilyKind.NONE:
+                        classified.setdefault((res.kind, res.k), set()).add(code)
+                generated = {}
                 for family in (FamilyKind.GAMMA, FamilyKind.GAMMA2):
-                    for k in (0, 1, 2):
-                        generated = {
-                            canonical_code(t)
-                            for t in generate(family, k, lam, 9, mode)
-                        }
-                        classified = set()
-                        for n in range(1, 10):
-                            for t in enumerate_trees(n):
-                                res = classify(t, lam, mode)
-                                if res.kind is family and res.k == k:
-                                    classified.add(canonical_code(t))
-                        assert generated == classified, (family, k, M, mode)
+                    for k in range(6):
+                        members = {canonical_code(t) for t in generate(family, k, lam, 12, mode)}
+                        if members:
+                            generated[family, k] = members
+                assert generated == classified, (M, mode)
+                nonempty += len(generated)
+        assert nonempty == 93
 
     def test_golden_output_hash(self):
         # every member yielded for both families, k <= 3, every orbit with
