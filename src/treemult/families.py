@@ -22,34 +22,34 @@ M the even-i orbit is the odd-i orbit negated (i -> M - i), while a tree is
 bipartite, so -lambda has lambda's multiplicity on every subtree.  So
 classify keeps each tree's verdicts per M (see there).
 
-The classifier works in the classified tree's own vertex ids: each
-component, a piece, is a tuple of those ids, and the recursion that decides
-membership also returns the witness.  A piece's segments and how it splits
-at its major vertices depend on the tree alone, so each is computed at most
-once per tree and every eigenvalue and mode classified on that tree reuses
-it; the cache is emptied when another tree comes in, so it never holds more
-than one tree's pieces.
-
 Both families join paths at major vertices, so the lengths of those paths
-already decide most trees.  A piece's segments are its legs (a pendant
-vertex up to the nearest major vertex) and its inner paths between two
-majors; a segment is defective when M does not divide its length plus one.
-For k >= 1 a piece is in GAMMA(k) exactly when no segment is defective, and
-a GAMMA2(k) piece has 1 or 3 defective segments (the argument is at
-_defective).  The segment sizes come from one walk over the piece, and
-the clause search, with the splits it needs, runs only on the pieces that
-pass: a piece is split the first time one of its segment tests passes, and
-never when all fail, as they do for most trees.  The search so finds the
-same witnesses and stops early on non-members.  Within one search only the
-GAMMA2 search keeps verdicts (see classify): a piece that passes the GAMMA
-test is a member, which its first outer major peels.
+already decide most trees.  A piece (a connected part of the classified
+tree) has as segments its legs (a pendant vertex up to the nearest major
+vertex) and its inner paths between two majors; a segment is defective when
+M does not divide its length plus one.  For k >= 1 a piece is in GAMMA(k)
+exactly when no segment is defective, and a GAMMA2(k) piece has 1 or 3
+defective segments (the argument is at _defective).  So the GAMMA verdict
+is the count alone, taken once per tree and M, and the GAMMA2 clause search
+runs only on the pieces with 1 or 3.
+
+The search splits no vertex tuple.  Every clause that peels a level leaves
+one component that is not a base path, so its major w has a single inner
+path, and that component is the piece less w and its legs.  So every piece
+the search reaches is the tree less some peeled majors and their legs; it is
+named by the set of its majors (a bit mask), and its components at a major,
+their shapes, sizes and defect counts are read off the arms that one walk
+over the tree finds (_skeleton).  Verdicts are kept per tree and M and
+dropped when another tree comes in.  A member's witness, in the classified
+tree's own vertex ids, is built the first time it is read: the same clause
+logic picks each level's major in piece order, and the piece is split into
+vertex tuples there alone.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from treemult import spectrum
 from treemult.poly import LambdaSpec
@@ -93,18 +93,29 @@ class WitnessStep:
     components: tuple[tuple[tuple[int, ...], str], ...]
 
 
-@dataclass(frozen=True)
 class FamilyResult:
     """Outcome of classification.
 
     For members, k equals the number of major vertices of the classified
     tree, and the witness chain records one decomposition per level, outer
-    to inner; replaying the deletions reproduces the dispositions.
+    to inner; replaying the deletions reproduces the dispositions.  The
+    witness may be given as a function that builds the chain, which runs
+    the first time the witness is read; classify passes one, since the
+    sweep reads only the tag.
     """
 
-    kind: FamilyKind
-    k: int | None = None
-    witness: tuple[WitnessStep, ...] = ()
+    __slots__ = ("kind", "k", "_witness")
+
+    def __init__(self, kind: FamilyKind, k: int | None = None, witness=()):
+        self.kind = kind
+        self.k = k
+        self._witness = witness
+
+    @property
+    def witness(self) -> tuple[WitnessStep, ...]:
+        if callable(self._witness):
+            self._witness = self._witness()
+        return self._witness
 
     @property
     def tag(self) -> str:
@@ -137,16 +148,74 @@ def _gamma2_0_path_size(n: int, M: int, mode: Gamma2Mode) -> bool:
 
 # -- recursive membership ------------------------------------------------------
 
-# A piece is a connected tuple of vertex ids of the tree being classified.
-# memo: piece -> [segment sizes, majors, degrees, cuts or None] (see
-# _segments and _cuts).  None of it depends on lambda or the mode, so every
-# orbit and mode classified on one tree reads the same entries; classify
-# clears the memo when it gets a different tree, so it holds one tree's
-# pieces.  It is per process state, not for concurrent classification from
-# several threads.
+
+class _Skeleton(NamedTuple):
+    """A tree's segments (see _skeleton)."""
+
+    majors: list[int]  # the major vertices, in vertex order
+    bit: dict[int, int]  # major -> its bit in a piece mask
+    arms: dict[int, list[tuple[int, int, int | None]]]  # major -> (x, size, far) per neighbour x
+    sizes: list[int]  # every segment's size, an inner path counted once
+
+
+def _skeleton(t: Tree) -> _Skeleton:
+    """The tree's majors, each with one arm per neighbour, and its segment
+    sizes, from one walk.
+
+    A segment is a leg (a pendant vertex up to its nearest major vertex, the
+    major excluded) or an inner path between two majors; its size is L + 1,
+    where L is the leg's vertex count or the inner path's number of degree-2
+    vertices.  A major w's arm through its neighbour x is (x, size, far) for
+    the segment that x starts, far being the major at its other end, or None
+    for a leg.  A path has no segment."""
+    adj = t.adj
+    majors = [w for w in range(t.n) if len(adj[w]) >= 3]
+    arms: dict = {}
+    sizes = []
+    for w in majors:
+        arms[w] = []
+        for x in adj[w]:
+            prev, v, count = w, x, 1  # count: vertices from x to v
+            while len(adj[v]) == 2:
+                a, b = adj[v]
+                prev, v = v, (b if a == prev else a)
+                count += 1
+            if len(adj[v]) == 1:
+                arms[w].append((x, count + 1, None))
+                sizes.append(count + 1)
+            else:
+                arms[w].append((x, count, v))
+                if w < v:
+                    sizes.append(count)
+    return _Skeleton(majors, {w: 1 << idx for idx, w in enumerate(majors)}, arms, sizes)
+
+
+class _Reading:
+    """classify's state for one tree at one M, which every orbit and mode at
+    that M share: the tree's segments and defective segment count, and per
+    piece the GAMMA2 verdicts, keyed by mask and mode, and whether lambda is
+    an eigenvalue of it, keyed by mask.  Membership reads lambda only
+    through M (module docstring), so the first lambda at M serves them all."""
+
+    __slots__ = ("t", "sk", "lam", "M", "defects", "verdicts", "carries")
+
+    def __init__(self, t: Tree, sk: _Skeleton, lam: LambdaSpec):
+        self.t = t
+        self.sk = sk
+        self.lam = lam
+        self.M = lam.M
+        self.defects = _defective(sk.sizes, lam.M)
+        self.verdicts: dict = {}
+        self.carries: dict = {}
+
+
+# classify's state for the tree it last classified, _memo_tree: M -> its
+# _Reading at M.  classify clears it when it gets a different tree, so it
+# holds one tree's readings.  It is per process state, not for concurrent
+# classification from several threads.
 _member_memo: dict = {}
 # classify's results for the same tree, cleared with _member_memo: M -> a
-# GAMMA result, (M, mode) -> a GAMMA2 or NONE result (see classify)
+# GAMMA result, (M, strict) -> a GAMMA2 or NONE result (see classify)
 _verdict_memo: dict = {}
 _memo_tree: Tree | None = None
 
@@ -156,60 +225,20 @@ def _carries(t: Tree, lam: LambdaSpec) -> bool:
     return spectrum.multiplicity(t, lam) >= 1
 
 
-def _segments(t: Tree, piece: tuple[int, ...]) -> list:
-    """The piece's memo entry: its segment sizes, its major vertices in
-    piece order, its degrees, and its cuts once _cuts has built them.
-
-    A segment is a leg (a pendant vertex up to its nearest major vertex, the
-    major excluded) or an inner path between two majors, counted once; its
-    size is L + 1, where L is the leg's vertex count or the inner path's
-    number of degree-2 vertices, all in piece degrees.  A path has none."""
-    entry = _member_memo.get(piece)
-    if entry is None:
-        inside = set(piece)
-        deg = {v: len(inside.intersection(t.adj[v])) for v in piece}
-        segments, majors = [], []
-        for w in piece:
-            if deg[w] >= 3:
-                majors.append(w)
-                # walk each segment from w to its far end; an inner path is
-                # walked from both of its majors and kept from the smaller
-                for v in inside.intersection(t.adj[w]):
-                    prev, size = w, 1
-                    while deg[v] == 2:
-                        prev, v = v, next(u for u in t.adj[v] if u != prev and u in inside)
-                        size += 1
-                    if deg[v] == 1:
-                        segments.append(size + 1)
-                    elif w < v:
-                        segments.append(size)
-        entry = _member_memo[piece] = [segments, majors, deg, None]
-    return entry
-
-
-def _cuts(t: Tree, piece: tuple[int, ...]):
-    """One (w, components, shapes) per major vertex w of the piece, in piece
-    order; built on the first call for the piece, which the searches make
-    only once its segment test has passed.
-
-    The components of piece - w come from split (attach vertex first), and
-    per component (is a path, degree of the attach vertex in it).  Of a
-    component's vertices only the attach vertex loses an edge, the one to w;
-    the join lands on a pendant vertex exactly when that degree is <= 1
-    (0 for a one-vertex component)."""
-    entry = _segments(t, piece)
-    if entry[3] is None:
-        deg = entry[2]
-        cuts = []
-        for w in entry[1]:
-            comps = split(t, piece, w)
-            shapes = []
-            for c in comps:
-                attach = deg[c[0]] - 1
-                shapes.append((attach <= 2 and all(deg[v] <= 2 for v in c[1:]), attach))
-            cuts.append((w, comps, shapes))
-        entry[3] = cuts
-    return entry[3]
+def _piece_carries(r: _Reading, mask: int) -> bool:
+    """_carries on the piece made of the majors in mask and their arms."""
+    carries = r.carries.get(mask)
+    if carries is None:
+        bit = r.sk.bit
+        start = next(w for w in r.sk.majors if mask & bit[w])
+        piece, seen = [start], {start}
+        for v in piece:
+            for u in r.t.adj[v]:
+                if u not in seen and (u not in bit or mask & bit[u]):
+                    seen.add(u)
+                    piece.append(u)
+        carries = r.carries[mask] = _carries(induced(r.t, piece), r.lam)
+    return carries
 
 
 def _defective(segments: list[int], M: int) -> int:
@@ -238,45 +267,41 @@ def _defective(segments: list[int], M: int) -> int:
       into two parts whose sizes add up to the old size, a multiple of M,
       so the two parts are both defective or neither is.
     """
-    return sum(1 for size in segments if size % M)
+    return len([size for size in segments if size % M])
 
 
-def _step(w: int, clause: str, comps, labels, sub: tuple) -> tuple[WitnessStep, ...]:
-    return (WitnessStep(w, clause, tuple(zip(comps, labels))),) + sub
+def _gamma(k: int, size: int, defects: int, M: int) -> bool:
+    """Whether a piece with k major vertices, `size` vertices and `defects`
+    defective segments is in GAMMA(k): a GAMMA(0) path at k = 0, and above
+    that a piece with no defective segment (see _defective)."""
+    return _gamma0_path_size(size, M) if k == 0 else defects == 0
 
 
-def _gamma(t: Tree, piece: tuple[int, ...], M: int, k: int):
-    """Witness chain certifying the piece in GAMMA(k), outer step first, or
-    None.  At some major vertex w, all attach vertices of piece - w must be
-    pendant in their components; at level 1 every component is a base path,
-    above that exactly one component is a GAMMA(k-1) member and the rest are
-    base paths."""
-    segments, majors = _segments(t, piece)[:2]
-    if len(majors) != k:
-        return None
-    if k == 0:
-        return () if _gamma0_path_size(len(piece), M) else None
-    if _defective(segments, M):
-        return None
-    for w, comps, shapes in _cuts(t, piece):
-        if any(attach > 1 for _, attach in shapes):
-            continue
-        base = [path and _gamma0_path_size(len(c), M) for c, (path, _) in zip(comps, shapes)]
-        deep = [c for c, b in zip(comps, base) if not b]
-        if len(deep) != (1 if k > 1 else 0):
-            continue
-        sub = _gamma(t, deep[0], M, k - 1) if deep else ()
-        if sub is not None:
-            labels = ["gamma0" if b else f"gamma({k - 1})" for b in base]
-            return _step(w, "gamma", comps, labels, sub)
-    return None
+def _gamma2(r: _Reading, mode: Gamma2Mode, mask: int, k: int, defects: int) -> bool:
+    """Whether the piece made of the k >= 1 majors in mask and their arms,
+    with `defects` defective segments, is in GAMMA2(k): some major of it
+    matches a clause (see _gamma2_clause).  The verdict is kept per mask;
+    without it a GAMMA2 non-member with many major vertices is searched
+    once per order of peeling them, which grows exponentially with the
+    major count."""
+    if defects not in (1, 3):
+        return False
+    key = (mask, mode is STRICT)  # a bool hashes faster than the enum
+    verdict = r.verdicts.get(key)
+    if verdict is None:
+        sk = r.sk
+        verdict = r.verdicts[key] = any(
+            _gamma2_clause(r, mode, mask, k, defects, w) is not None
+            for w in sk.majors
+            if mask & sk.bit[w]
+        )
+    return verdict
 
 
-def _gamma2(
-    t: Tree, piece: tuple[int, ...], lam: LambdaSpec, k: int, mode: Gamma2Mode, verdicts: dict
-):
-    """Witness chain certifying the piece in GAMMA2(k), outer step first, or
-    None.  Major vertices w are tried in piece order.
+def _gamma2_clause(r: _Reading, mode: Gamma2Mode, mask: int, k: int, defects: int, w: int):
+    """The GAMMA2(k) clause the piece of mask matches at its major w, or
+    None; the one clause logic that both the verdict (_gamma2) and the
+    witness (_gamma2_chain) ask.
 
     Level 1 clauses: (a) exactly three components, all base GAMMA2 paths; or
     (b) exactly one base GAMMA2 path and the rest GAMMA(0) paths; pendant
@@ -294,72 +319,138 @@ def _gamma2(
     level-1 members that avoid lambda entirely (such as the 3-leaf star at
     lambda = 1) produce members whose multiplicity falls below the pendant
     count minus two even though lambda is an eigenvalue of the whole tree.
+
+    Each component of piece - w is read off one arm of w.  A leg, or an arm
+    to a major outside the mask (peeled earlier), is a path of size - 1
+    vertices joined at an end, so at a pendant vertex.  An arm into the
+    piece gives a component that is not a path, joined at the inner path's
+    first vertex, a pendant of it; or, when the inner path is empty, joined
+    at the far major itself, which is not pendant there.  Every clause
+    leaves one component at most that is not a base path joined at a
+    pendant vertex, so w matches none unless it has one arm into the piece
+    at most (exactly one at level k >= 2), and then that component is the
+    piece less w and its legs: the majors in mask less w's bit.
+
+    Returns (labels, one, sub): a label per arm of w, in arm order; the
+    index of the arm whose component is not a base path (None at level 1);
+    and a function from that component's vertex tuple to its witness chain.
     """
-    M = lam.M
-    segments, majors = _segments(t, piece)[:2]
-    if len(majors) != k:
+    sk, M = r.sk, r.M
+    arms = sk.arms[w]
+    g0, g20, legs = [], [], []  # per arm: base path flags; the legs' sizes
+    one = None
+    for idx, (x, size, far) in enumerate(arms):
+        if far is None or not mask & sk.bit[far]:
+            g0.append(_gamma0_path_size(size - 1, M))
+            g20.append(_gamma2_0_path_size(size - 1, M, mode))
+            legs.append(size)
+        elif one is None:
+            one = idx
+            g0.append(False)
+            g20.append(False)
+        else:
+            return None
+    labels = ["gamma2_0" if b else "gamma0" for b in g20]
+    if k == 1:
+        # the components are legs, and the two base sets are disjoint, so
+        # the split is a partition
+        if (len(arms) == 3 and all(g20)) or (sum(g20) == 1 and sum(g0) == len(arms) - 1):
+            return labels, None, None
         return None
-    if k == 0:
-        return () if _gamma2_0_path_size(len(piece), M, mode) else None
-    if _defective(segments, M) not in (1, 3):
+    t = r.t
+    sub_mask = mask & ~sk.bit[w]
+    sub_defects = defects - _defective(legs, M)
+    far = arms[one][2]
+    if arms[one][1] == 1:
+        # clause (2): the distinguished component carries the non-pendant
+        # join.  Its own major count is one less than k when the attach
+        # vertex is already major there, two less when the attach vertex
+        # has degree 2 and is promoted to major only by the join (the
+        # member count gamma(t) = k forces exactly these two shapes);
+        # either way the component is a GAMMA member of its own level,
+        # which is all the multiplicity accounting uses.  The component
+        # loses the empty inner path to w, and when its attach vertex drops
+        # to degree 2 the two segments through it become one (a path, at
+        # level 0).
+        through = [s for y, s, _ in sk.arms[far] if y != w]
+        level = k - 1 if len(through) >= 3 else k - 2
+        if not all(b for idx, b in enumerate(g0) if idx != one):
+            return None
+        comp_defects = sub_defects - _defective([1], M)
+        if level == k - 2:
+            comp_defects += _defective([sum(through)], M) - _defective(through, M)
+        if not _gamma(level, sum(through) - 1, comp_defects, M):
+            return None
+        labels[one] = f"gamma({level})|non-pendant"
+        return labels, one, lambda comp: _gamma_chain(t, comp, level)
+    if sum(g0) + sum(g20) != len(arms) - 1:
         return None
-    if piece in verdicts:
-        return verdicts[piece]
-    chain = None
-    for w, comps, shapes in _cuts(t, piece):
-        g0 = [path and _gamma0_path_size(len(c), M) for c, (path, _) in zip(comps, shapes)]
-        g20 = [
-            path and _gamma2_0_path_size(len(c), M, mode) for c, (path, _) in zip(comps, shapes)
-        ]
-        labels = ["gamma2_0" if b else "gamma0" for b in g20]
-        non_pendant = [idx for idx, (_, attach) in enumerate(shapes) if attach > 1]
-        if k == 1:
-            # components of a gamma(t)=1 tree are paths, and the two base
-            # sets are disjoint, so the split is a partition
-            if not non_pendant and (
-                (len(comps) == 3 and all(g20)) or (sum(g20) == 1 and sum(g0) == len(comps) - 1)
-            ):
-                chain = _step(w, "gamma2", comps, labels, ())
+    if not any(g20):
+        # clause (1)
+        if _gamma2(r, mode, sub_mask, k - 1, sub_defects) and _piece_carries(r, sub_mask):
+            labels[one] = f"gamma2({k - 1})"
+            return (
+                labels,
+                one,
+                lambda comp: _gamma2_chain(r, mode, comp, sub_mask, k - 1, sub_defects),
+            )
+    elif sum(g20) == 1:
+        # clause (3)
+        if _gamma(k - 1, 0, sub_defects, M):
+            labels[one] = f"gamma({k - 1})"
+            return labels, one, lambda comp: _gamma_chain(t, comp, k - 1)
+    return None
+
+
+# -- witness chains ---------------------------------------------------------------
+
+
+def _gamma2_chain(
+    r: _Reading, mode: Gamma2Mode, piece: tuple[int, ...], mask: int, k: int, defects: int
+) -> tuple[WitnessStep, ...]:
+    """The witness chain of a GAMMA2(k) member piece, outer step first: the
+    vertex tuple piece, whose majors are those in mask.  Its majors are
+    tried in piece order, and the piece is split only at the first whose
+    clause matches."""
+    sk = r.sk
+    for w in piece:
+        if w in sk.bit and mask & sk.bit[w]:
+            found = _gamma2_clause(r, mode, mask, k, defects, w)
+            if found is not None:
                 break
-            continue
-        if len(non_pendant) == 1:
-            # clause (2): the distinguished component carries the non-pendant
-            # join.  Its own major count is one less than k when the attach
-            # vertex is already major there, two less when the attach vertex
-            # has degree 2 and is promoted to major only by the join (the
-            # member count gamma(t) = k, checked at entry, forces exactly
-            # these two shapes); either way the component is a GAMMA member
-            # of its own level, which is all the multiplicity accounting uses.
-            one = non_pendant[0]
-            level = k - 1 if shapes[one][1] >= 3 else k - 2
-            if all(b for idx, b in enumerate(g0) if idx != one):
-                sub = _gamma(t, comps[one], M, level)
-                if sub is not None:
-                    labels[one] = f"gamma({level})|non-pendant"
-                    chain = _step(w, "gamma2", comps, labels, sub)
-                    break
-        if non_pendant:
-            continue
-        deep = [idx for idx, (path, _) in enumerate(shapes) if not path]
-        if len(deep) != 1 or sum(g0) + sum(g20) != len(comps) - 1:
-            continue
-        one = deep[0]
-        if not any(g20):
-            # clause (1)
-            sub = _gamma2(t, comps[one], lam, k - 1, mode, verdicts)
-            if sub is not None and _carries(induced(t, comps[one]), lam):
-                labels[one] = f"gamma2({k - 1})"
-                chain = _step(w, "gamma2", comps, labels, sub)
+    labels, one, sub = found
+    comps = split(r.t, piece, w)
+    label = {x: lab for (x, _, _), lab in zip(sk.arms[w], labels)}
+    step = WitnessStep(w, "gamma2", tuple((c, label[c[0]]) for c in comps))
+    if one is None:
+        return (step,)
+    deep = sk.arms[w][one][0]
+    return (step,) + sub(next(c for c in comps if c[0] == deep))
+
+
+def _gamma_chain(t: Tree, piece: tuple[int, ...], k: int) -> tuple[WitnessStep, ...]:
+    """The witness chain of a GAMMA(k) member piece, outer step first.
+
+    With no defective segment, a level k >= 2 piece peels at any major with
+    a single inner path and at no other (two inner paths leave two
+    components that are not paths), and at level 1 at its one major; the
+    legs are GAMMA(0) paths.  So each level splits the piece once, at the
+    first such major in piece order, which is the order of the induced
+    piece's vertex ids."""
+    chain = []
+    while k:
+        sk = _skeleton(induced(t, piece))
+        for local in sk.majors:
+            inner = {piece[x] for x, _, far in sk.arms[local] if far is not None}
+            if len(inner) == (k > 1):
                 break
-        elif sum(g20) == 1:
-            # clause (3)
-            sub = _gamma(t, comps[one], M, k - 1)
-            if sub is not None:
-                labels[one] = f"gamma({k - 1})"
-                chain = _step(w, "gamma2", comps, labels, sub)
-                break
-    verdicts[piece] = chain
-    return chain
+        w = piece[local]
+        comps = split(t, piece, w)
+        labels = [f"gamma({k - 1})" if c[0] in inner else "gamma0" for c in comps]
+        chain.append(WitnessStep(w, "gamma", tuple(zip(comps, labels))))
+        piece = next((c for c in comps if c[0] in inner), ())
+        k -= 1
+    return tuple(chain)
 
 
 # -- public classifier ----------------------------------------------------------
@@ -371,10 +462,11 @@ def classify(t: Tree, lam: LambdaSpec, mode: Gamma2Mode = BROAD) -> FamilyResult
     Returns GAMMA(k) when t belongs to the multiplicity-(p-1) family,
     GAMMA2(k) for the multiplicity-(p-2) family, NONE otherwise; k is always
     the number of major vertices.  The result carries a replayable witness
-    chain naming vertices of t itself.
+    chain naming vertices of t itself, built the first time it is read.
     """
     global _memo_tree
-    if t != _memo_tree:
+    # the sweep passes one Tree object for all of a tree's calls
+    if t is not _memo_tree and t != _memo_tree:
         _member_memo.clear()
         _verdict_memo.clear()
         _memo_tree = t
@@ -384,28 +476,36 @@ def classify(t: Tree, lam: LambdaSpec, mode: Gamma2Mode = BROAD) -> FamilyResult
     # but at M = 2 both readings of GAMMA2(0) are "n even", so the modes
     # share one key there.  That keeps at most 2 verdicts per M.
     M = lam.M
-    key = (M, mode if M > 2 else BROAD)
+    if M == 2:
+        mode = BROAD
+    key = (M, mode is STRICT)  # a bool hashes faster than the enum
     result = _verdict_memo.get(M) or _verdict_memo.get(key)
     if result is not None:
         return result
-    piece = tuple(range(t.n))
-    k = len(_segments(t, piece)[1])
-    chain = _gamma(t, piece, M, k)
-    if chain is not None:
-        result = _verdict_memo[M] = FamilyResult(FamilyKind.GAMMA, k, chain)
+    r = _member_memo.get(M)
+    if r is None:
+        # every reading of the tree shares the first one's segments
+        sk = next(iter(_member_memo.values())).sk if _member_memo else _skeleton(t)
+        r = _member_memo[M] = _Reading(t, sk, lam)
+    k = len(r.sk.majors)
+    if _gamma(k, t.n, r.defects, M):
+        result = _verdict_memo[M] = FamilyResult(
+            FamilyKind.GAMMA, k, lambda: _gamma_chain(t, tuple(range(t.n)), k)
+        )
         return result
-    # piece -> GAMMA2 witness chain or None.  Lambda and the mode are fixed
-    # within one call and a piece's level is its major count, so the key
-    # needs nothing else; without it a GAMMA2 non-member with many major
-    # vertices is searched once per order of deleting them, which grows
-    # exponentially with the major count.  GAMMA needs no verdicts: a piece
-    # that passes its segment test is a member, and its first outer major
-    # peels it, so each level recurses once.
-    chain = _gamma2(t, piece, lam, k, mode, {})
-    result = NON_MEMBER if chain is None else FamilyResult(FamilyKind.GAMMA2, k, chain)
+    mask = (1 << k) - 1
+    if k and _gamma2(r, mode, mask, k, r.defects):
+        result = FamilyResult(
+            FamilyKind.GAMMA2,
+            k,
+            lambda: _gamma2_chain(r, mode, tuple(range(t.n)), mask, k, r.defects),
+        )
+    elif not k and _gamma2_0_path_size(t.n, M, mode):
+        result = FamilyResult(FamilyKind.GAMMA2, 0)
+    else:
+        result = NON_MEMBER
     _verdict_memo[key] = result
     return result
-
 
 _BASE_LABELS = ("gamma0", "gamma2_0")
 

@@ -36,6 +36,24 @@ LAMBDA_1 = LambdaSpec(1, 3)
 LAMBDA_SQRT3 = LambdaSpec(1, 6)
 
 
+def major_chain(k, connector, leg, middle):
+    """k majors in a chain, consecutive ones joined through a path of
+    `connector` vertices, a leg of `leg` vertices on each (two on the end
+    ones), the middle one's leg of `middle` vertices."""
+    edges, n = [], k
+    for a in range(k - 1):
+        path = list(range(n, n + connector))
+        edges += list(zip([a] + path, path + [a + 1]))
+        n += connector
+    for w in range(k):
+        for _ in range(2 if w in (0, k - 1) else 1):
+            size = middle if w == k // 2 else leg
+            path = list(range(n, n + size))
+            edges += list(zip([w] + path, path))
+            n += size
+    return Tree.from_edges(n, edges)
+
+
 class TestBasePredicates:
     def test_gamma0_membership(self):
         # paths with M | n + 1
@@ -209,22 +227,8 @@ class TestClassify:
     def test_many_majors_stay_polynomial(
         self, monkeypatch, connector, leg, middle, lam, mode, tag
     ):
-        # k majors in a chain, consecutive ones joined through a path of
-        # `connector` vertices, a leg of `leg` vertices on each (two on the
-        # end ones), the middle one's leg of `middle` vertices
         k = 24
-        edges, n = [], k
-        for a in range(k - 1):
-            path = list(range(n, n + connector))
-            edges += list(zip([a] + path, path + [a + 1]))
-            n += connector
-        for w in range(k):
-            for _ in range(2 if w in (0, k - 1) else 1):
-                size = middle if w == k // 2 else leg
-                path = list(range(n, n + size))
-                edges += list(zip([w] + path, path))
-                n += size
-        t = Tree.from_edges(n, edges)
+        t = major_chain(k, connector, leg, middle)
         calls = {"_gamma": 0, "_gamma2": 0}
 
         def counted(name):
@@ -243,7 +247,32 @@ class TestClassify:
         assert res.tag == tag
         assert replay_witness(t, res)
         if res.is_gamma():
-            assert calls == {"_gamma": k, "_gamma2": 0}
+            # GAMMA is decided by the segment test alone
+            assert calls == {"_gamma": 1, "_gamma2": 0}
+
+    @pytest.mark.parametrize(
+        "connector, leg, middle, lam, tag",
+        [
+            pytest.param(1, 1, 1, LAMBDA_0, "GAMMA(24)", id="gamma-member"),
+            pytest.param(1, 1, 2, LAMBDA_0, "GAMMA2(24)", id="gamma2-member"),
+        ],
+    )
+    def test_member_witness_splits_once_per_level(
+        self, monkeypatch, connector, leg, middle, lam, tag
+    ):
+        # splitting every piece at each of its majors would make
+        # k(k+1)/2 = 300 splits on these chains
+        k = 24
+        t = major_chain(k, connector, leg, middle)
+        at = []
+        real_split = families.split
+        monkeypatch.setattr(families, "split", lambda *a: at.append(a[2]) or real_split(*a))
+        monkeypatch.setattr(families, "_memo_tree", None)  # no result kept from another test
+        res = classify(t, lam)
+        assert res.tag == tag and at == []
+        assert at == [step.vertex for step in res.witness]
+        assert len(at) <= k
+        assert replay_witness(t, res)
 
     def test_relabelling_keeps_tag_and_witness(self):
         rng = random.Random(20240)
@@ -287,10 +316,12 @@ class TestSegments:
                             res = classify(t, spec, mode)
                             assert (res.kind, res.k) == (family, k), (t.edges, str(spec))
 
-    def test_split_only_after_a_segment_test_passes(self, monkeypatch):
+    def test_split_only_to_build_a_witness(self, monkeypatch):
         # two adjacent majors with two legs of one vertex each: at M = 3 all
-        # five segments are defective, so both tests fail and the tree is
-        # never split; at M = 2 only the inner one is, and GAMMA2's passes
+        # five segments are defective, so both tests fail; at M = 2 only the
+        # inner one is, and the tree is GAMMA2(2).  Deciding either verdict
+        # splits nothing; reading the member's witness splits the tree at
+        # the one major its chain removes.
         t = Tree.from_edges(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
         calls = []
         real_split = families.split
@@ -299,9 +330,10 @@ class TestSegments:
         families._memo_tree = None
         for mode in (BROAD, STRICT):
             assert classify(t, LAMBDA_1, mode).tag == "NONE"
-        assert calls == []
-        classify(t, LAMBDA_0, BROAD)
-        assert [w for _, _, w in calls] == [0, 1]
+        res = classify(t, LAMBDA_0, BROAD)
+        assert res.tag == "GAMMA2(2)" and calls == []
+        assert [step.vertex for step in res.witness] == [0]
+        assert [w for _, _, w in calls] == [0]
 
     @pytest.mark.parametrize("mode", [BROAD, STRICT])
     def test_three_defective_segments_through_promoted_attach(self, mode):
