@@ -32,17 +32,17 @@ defective segments (the argument is at _defective).  So the GAMMA verdict
 is the count alone, taken once per tree and M, and the GAMMA2 clause search
 runs only on the pieces with 1 or 3.
 
-The search splits no vertex tuple.  Every clause that peels a level leaves
-one component that is not a base path, so its major w has a single inner
-path, and that component is the piece less w and its legs.  So every piece
-the search reaches is the tree less some peeled majors and their legs; it is
-named by the set of its majors (a bit mask), and its components at a major,
-their shapes, sizes and defect counts are read off the arms that one walk
-over the tree finds (_skeleton).  Verdicts are kept per tree and M and
-dropped when another tree comes in.  A member's witness, in the classified
-tree's own vertex ids, is built the first time it is read: the same clause
-logic picks each level's major in piece order, and the piece is split into
-vertex tuples there alone.
+The search splits no vertex tuple.  Every clause above level 1 leaves one
+component that is not a base path joined at a pendant vertex, so its major
+w has a single inner path, and that component is the piece less w and its
+legs.  So every piece the search reaches is the tree less some peeled
+majors and their legs; it is named by the set of its majors (a bit mask),
+and its components at a major, their shapes, sizes and defect counts are
+read off the arms that one walk over the tree finds (_skeleton).  Verdicts
+are kept per tree and M and dropped when another tree comes in.  A
+member's witness, in the classified tree's own vertex ids, is built the
+first time it is read: the same clause logic picks each level's major in
+piece order, and the piece is split into vertex tuples there alone.
 """
 
 from __future__ import annotations
