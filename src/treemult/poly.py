@@ -12,6 +12,7 @@ to share across worker processes or threads without synchronization.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Iterable
@@ -359,6 +360,9 @@ def _minimal_poly(n: int) -> Polynomial:
     return palindromic_descend(cyclotomic(n))
 
 
+_SPEC_TEXT = re.compile(r"([0-9]+)/([0-9]+)")
+
+
 @dataclass(frozen=True)
 class LambdaSpec:
     """An exact eigenvalue lambda = 2*cos(i*pi/M) encoded by the coprime
@@ -388,12 +392,13 @@ class LambdaSpec:
 
     @classmethod
     def from_string(cls, text: str) -> "LambdaSpec":
-        """Parse the "i/M" syntax used by the command line."""
-        try:
-            i_text, m_text = text.split("/")
-            return cls(int(i_text), int(m_text))
-        except (ValueError, TypeError) as exc:
-            raise InvalidSpecError(f"cannot parse eigenvalue spec {text!r}") from exc
+        """Parse the "i/M" syntax used by the command line: two runs of
+        ASCII digits and a slash, with surrounding whitespace allowed and
+        nothing else (no sign, underscore, inner space or other digits)."""
+        match = _SPEC_TEXT.fullmatch(text.strip())
+        if match is None:
+            raise InvalidSpecError(f"cannot parse eigenvalue spec {text!r}")
+        return cls(int(match[1]), int(match[2]))
 
     def __str__(self) -> str:
         return f"{self.i}/{self.M}"

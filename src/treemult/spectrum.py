@@ -80,19 +80,24 @@ def factor_multiplicity(p: Polynomial, mu: Polynomial) -> tuple[int, Polynomial]
     low = mu.coeffs[:d]
     a = list(p.coeffs)
     lo = count = 0  # a[lo:] is p / mu^count
-    rest = p
+    kept = None  # a[lo:] as the last whole round left it
     while len(a) - lo > d:
-        for k in range(len(a) - 1, lo + d - 1, -1):
-            top = a[k]
-            if top:
-                for j, c in enumerate(low, k - d):
-                    a[j] -= top * c
+        if d > 1:
+            for k in range(len(a) - 1, lo + d - 1, -1):
+                top = a[k]
+                if top:
+                    for j, c in enumerate(low, k - d):
+                        a[j] -= top * c
+        elif low[0]:  # by x + c: one product per coefficient; by x, none
+            c = low[0]
+            for k in range(len(a) - 1, lo, -1):
+                a[k - 1] -= a[k] * c
         if any(a[lo : lo + d]):
-            break  # a[lo:] no longer holds the quotient; rest still does
+            break  # a[lo:] no longer holds the quotient; kept still does
         lo += d
         count += 1
-        rest = Polynomial(a[lo:])
-    return count, rest
+        kept = a[lo:]
+    return count, Polynomial(kept) if count else p
 
 
 def multiplicity(t: Tree, spec: LambdaSpec) -> int:
@@ -163,7 +168,11 @@ def _rooted_shapes(t: Tree) -> tuple[tuple[tuple[int, ...], ...], tuple[int | No
     shape: list[int | None] = [None] * t.n
     for u in reversed(order):  # a vertex's size is whole once its turn comes
         if size[u] <= half:  # then so are its children's
-            key = tuple(sorted(shape[w] for w in kids[u]))
+            below = kids[u]
+            if len(below) > 1:
+                key = tuple(sorted([shape[w] for w in below]))
+            else:  # a leaf, or one child: nothing to sort
+                key = (shape[below[0]],) if below else ()
             shape[u] = _shape_ids.setdefault(key, len(_shape_ids))
         size[parent[u]] += size[u]
     return tuple(map(tuple, kids)), tuple(shape)

@@ -11,7 +11,6 @@ dedup, canonical relabeling, and stable graph6 output.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, NoReturn, Sequence
@@ -74,7 +73,9 @@ class Tree:
                             seen[w] = True
                             order.append(w)
                 if len(order) == n:
-                    return cls(n, tuple(tuple(sorted(a)) for a in adj))
+                    for a in adj:
+                        a.sort()
+                    return cls(n, tuple(map(tuple, adj)))
         except (TypeError, ValueError):
             pass  # not an int pair; the edges before it may hold the first fault
         _raise_first_fault(n, edges)
@@ -118,12 +119,12 @@ def pendant_count(t: Tree) -> int:
     """
     if t.n == 1:
         return 2
-    return sum(1 for v in range(t.n) if len(t.adj[v]) == 1)
+    return list(map(len, t.adj)).count(1)
 
 
 def major_count(t: Tree) -> int:
     """Number of vertices of degree at least 3."""
-    return sum(1 for v in range(t.n) if len(t.adj[v]) >= 3)
+    return sum(map((2).__lt__, map(len, t.adj)))
 
 
 def major_vertices(t: Tree) -> list[int]:
@@ -239,21 +240,24 @@ def tree_from_code(code) -> Tree:
     """Materialize a rooted code as a concretely labeled tree.
 
     Ids are assigned in preorder with children visited in code order, so
-    equal codes produce identical labeled trees.
+    equal codes produce identical labeled trees.  A vertex's first child
+    follows it and each later child follows the subtree before it, so every
+    child id is known from the sizes in the code, and a vertex's parent,
+    then its children, is already its sorted neighbor list: the tree is
+    built as is, with no validation round.
     """
-    edges: list[tuple[int, int]] = []
-    counter = [0]
-
-    def build(node, parent_id):
-        my_id = counter[0]
-        counter[0] += 1
-        if parent_id >= 0:
-            edges.append((parent_id, my_id))
-        for child in node[1]:
-            build(child, my_id)
-
-    build(code, -1)
-    return Tree.from_edges(counter[0], edges)
+    adj: list = [None] * code[0]
+    stack = [(code, 0, ())]  # a node, its id, and its parent's id as a tuple
+    while stack:
+        (_, kids), v, up = stack.pop()
+        ids = []
+        w = v + 1
+        for kid in kids:
+            stack.append((kid, w, (v,)))
+            ids.append(w)
+            w += kid[0]
+        adj[v] = up + tuple(ids)
+    return Tree(code[0], tuple(adj))
 
 
 def canonical_tree(t: Tree) -> Tree:
@@ -369,7 +373,7 @@ def parse_graph6(text: str) -> Tree:
         s = s[len(">>graph6<<") :]
     if not s:
         raise MalformedGraph6Error("empty graph6 string")
-    if any(not (63 <= ord(ch) <= 126) for ch in s):
+    if min(s) < "?" or max(s) > "~":
         raise MalformedGraph6Error("graph6 bytes must be in the range 63..126")
     if s[0] == "~":
         raise MalformedGraph6Error("graph6 long form (n > 62) not supported")
@@ -380,24 +384,30 @@ def parse_graph6(text: str) -> Tree:
         raise MalformedGraph6Error(
             f"expected {need} payload bytes for n = {n}, got {len(body)}"
         )
-    # the payload as the integer pack_graph6 writes: bit v(v-1)/2 + u,
-    # counted from the most significant, is the edge u < v
-    width = 6 * need
-    value = 0
-    for ch in body:
-        value = value << 6 | ord(ch) - 63
-    if value & ((1 << width - n * (n - 1) // 2) - 1):
+    # the payload's bits, most significant first, as pack_graph6 writes
+    # them: bit v(v-1)/2 + u is the edge u < v
+    bits = body.translate(_SIX_BITS)
+    pairs = _edge_pairs(n)
+    if "1" in bits[len(pairs) :]:
         raise MalformedGraph6Error("nonzero padding bits")
     if n == 0:
         raise NotATreeError("empty graph is not a tree")
     edges = []
-    while value:  # its set bits, lowest first: n - 1 of them for a tree
-        low = value & -value
-        value ^= low
-        k = width - low.bit_length()  # v(v-1)/2 + u
-        v = (math.isqrt(8 * k + 1) + 1) // 2
-        edges.append((k - v * (v - 1) // 2, v))
+    k = bits.rfind("1")
+    while k >= 0:  # the set bits, last first: n - 1 of them for a tree
+        edges.append(pairs[k])
+        k = bits.rfind("1", 0, k)
     return Tree.from_edges(n, edges)
+
+
+# graph6 byte -> its six payload bits as text
+_SIX_BITS = {c: format(c - 63, "06b") for c in range(63, 127)}
+
+
+@lru_cache(maxsize=None)
+def _edge_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The edge u < v < n that graph6 bit v(v-1)/2 + u stands for, by bit."""
+    return tuple((u, v) for v in range(n) for u in range(v))
 
 
 def parse_edge_text(text: str) -> Tree:

@@ -535,6 +535,14 @@ class TestErrors:
             main(["mult", "--edges", "0-1", "--lambda", "2/6"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("text", ["1_0/21", "\u0661/\u0662", "+1/2", "1 /2"])
+    def test_lambda_wants_ascii_digits(self, capsys, text):
+        # int() would read these as 10/21, 1/2, 1/2 and 1/2
+        with pytest.raises(SystemExit) as exc:
+            main(["mult", "--edges", "0-1", "--lambda", text])
+        assert exc.value.code == 2
+        assert "cannot parse eigenvalue spec" in capsys.readouterr().err
+
     def test_cyclic_input_exits_2(self, capsys):
         code, _, err = run(capsys, "mult", "--edges", "0-1,1-2,2-0", "--lambda", "1/2")
         assert code == 2

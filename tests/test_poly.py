@@ -204,6 +204,29 @@ class TestMinimalPoly:
     def test_from_string(self):
         spec = LambdaSpec.from_string("3/8")
         assert (spec.i, spec.M) == (3, 8)
+        assert LambdaSpec.from_string(" 3/8\n") == spec  # surrounding whitespace only
+        assert LambdaSpec.from_string("03/008") == spec
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1_0/21",  # int() reads 10/21
+            "\u0661/\u0662",  # Arabic-Indic digits: int() reads 1/2
+            "+1/2",
+            "1/+2",
+            "-1/2",
+            "1 /2",
+            "1/ 2",
+            "1/2/3",
+            "/2",
+            "1/",
+            "1.0/2",
+            "",
+        ],
+    )
+    def test_from_string_wants_ascii_digits(self, text):
+        with pytest.raises(InvalidSpecError):
+            LambdaSpec.from_string(text)
 
     def test_degree_matches_totient_formula(self):
         for spec in all_specs(30):

@@ -1,5 +1,6 @@
 """Tree structure, enumeration, and graph6 round trips."""
 
+import hashlib
 import random
 from itertools import product
 
@@ -20,6 +21,7 @@ from treemult.tree import (
     MalformedGraph6Error,
     NotATreeError,
     Tree,
+    _rooted_codes,
     canonical_code,
     canonical_tree,
     centroids,
@@ -252,6 +254,38 @@ class TestEnumeration:
             for t in enumerate_trees(n):
                 assert pack_graph6(t) == emit_graph6(t), t
 
+    def test_tree_from_code_is_a_valid_preorder_build(self):
+        # tree_from_code builds its Tree without from_edges's checks; it must
+        # give what from_edges gives on the preorder edges of the code
+        def preorder_edges(code):
+            edges, stack, count = [], [(code, -1)], 0
+            while stack:
+                (_, kids), parent = stack.pop()
+                if parent >= 0:
+                    edges.append((parent, count))
+                stack += [(kid, count) for kid in reversed(kids)]
+                count += 1
+            return code[0], edges
+
+        codes = [c for size in range(1, 13) for c in _rooted_codes(size)]
+        codes += [c for n in range(1, 15) for c in free_tree_codes(n)]
+        assert len(codes) == 7813 + sum(TREE_COUNTS[1:15])
+        for code in codes:
+            n, edges = preorder_edges(code)
+            t = tree_from_code(code)
+            assert t == Tree.from_edges(n, edges), code
+            assert all(type(a) is tuple for a in t.adj), code
+
+    def test_enumeration_is_pinned(self):
+        # every labeled tree the sweep starts from, n <= 16 (32,508 trees)
+        digest = hashlib.sha256()
+        for n in range(1, 17):
+            for t in enumerate_trees(n):
+                digest.update(repr(t.adj).encode())
+        assert digest.hexdigest() == (
+            "d8f7cef032446432c1efd726ac14426e089bd6467ad3ffefe74299f58dd4d213"
+        )
+
     def test_deterministic_order(self):
         first = [emit_graph6(t) for t in enumerate_trees(8)]
         second = [emit_graph6(t) for t in enumerate_trees(8)]
@@ -343,6 +377,13 @@ class TestGraph6:
             parse_graph6("D")  # truncated payload
         with pytest.raises(MalformedGraph6Error):
             parse_graph6("B\x1f")  # byte below 63
+        for text in ("B\x7f", "B\u0100", "\u0100"):  # above 126
+            with pytest.raises(MalformedGraph6Error):
+                parse_graph6(text)
+        # n = 6: 15 edge bits and 3 padding bits; bits 10..14 are u-5 for u < 5
+        assert parse_graph6("E?Bw") == Tree.from_edges(6, [(u, 5) for u in range(5)])
+        with pytest.raises(MalformedGraph6Error):
+            parse_graph6("E?Bx")  # the last padding bit set
         with pytest.raises(MalformedGraph6Error):
             parse_graph6("Bp")  # n = 3, payload 110001: nonzero padding
 
