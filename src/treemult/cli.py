@@ -141,7 +141,14 @@ def _cmd_charpoly(args) -> int:
 def _cmd_classify(args) -> int:
     lam = args.lam
     for t in _input_trees(args):
-        result = classify(t, lam, args.mode)
+        try:
+            result = classify(t, lam, args.mode)
+            steps = result.witness
+        except RecursionError:
+            raise ValueError(
+                f"classify recurses once per major vertex, and {major_count(t)} majors "
+                "exceed Python's recursion limit"
+            ) from None
         witness = [
             {
                 "vertex": step.vertex,
@@ -151,10 +158,10 @@ def _cmd_classify(args) -> int:
                     for vs, label in step.components
                 ],
             }
-            for step in result.witness
+            for step in steps
         ]
         human_lines = [result.tag]
-        for step in result.witness:
+        for step in steps:
             comps = ", ".join(
                 f"{label}{list(vs)}" for vs, label in step.components
             )

@@ -20,7 +20,8 @@ segment tests read M alone; the eigenvalue condition is a multiplicity on a
 tree, which conjugates share (they have one minimal polynomial), and at odd
 M the even-i orbit is the odd-i orbit negated (i -> M - i), while a tree is
 bipartite, so -lambda has lambda's multiplicity on every subtree.  So
-classify keeps each tree's verdicts per M (see there).
+classify keeps one reading of the tree per M, and its verdicts serve every
+orbit and mode at that M (see there).
 
 Both families join paths at major vertices, so the lengths of those paths
 already decide most trees.  A piece (a connected part of the classified
@@ -214,9 +215,6 @@ class _Reading:
 # holds one tree's readings.  It is per process state, not for concurrent
 # classification from several threads.
 _member_memo: dict = {}
-# classify's results for the same tree, cleared with _member_memo: M -> a
-# GAMMA result, (M, strict) -> a GAMMA2 or NONE result (see classify)
-_verdict_memo: dict = {}
 _memo_tree: Tree | None = None
 
 
@@ -468,20 +466,14 @@ def classify(t: Tree, lam: LambdaSpec, mode: Gamma2Mode = BROAD) -> FamilyResult
     # the sweep passes one Tree object for all of a tree's calls
     if t is not _memo_tree and t != _memo_tree:
         _member_memo.clear()
-        _verdict_memo.clear()
         _memo_tree = t
     # The result depends on lambda only through M (module docstring), so
-    # every orbit at one M reads the verdict the first one found.  A GAMMA
-    # result reads no mode and is kept under M; any other under (M, mode),
-    # but at M = 2 both readings of GAMMA2(0) are "n even", so the modes
-    # share one key there.  That keeps at most 2 verdicts per M.
+    # every orbit at one M decides from the reading the first one made, and
+    # its GAMMA2 verdicts serve the repeats.  At M = 2 both readings of
+    # GAMMA2(0) are "n even", so the modes share their verdicts there.
     M = lam.M
     if M == 2:
         mode = BROAD
-    key = (M, mode is STRICT)  # a bool hashes faster than the enum
-    result = _verdict_memo.get(M) or _verdict_memo.get(key)
-    if result is not None:
-        return result
     r = _member_memo.get(M)
     if r is None:
         # every reading of the tree shares the first one's segments
@@ -489,23 +481,18 @@ def classify(t: Tree, lam: LambdaSpec, mode: Gamma2Mode = BROAD) -> FamilyResult
         r = _member_memo[M] = _Reading(t, sk, lam)
     k = len(r.sk.majors)
     if _gamma(k, t.n, r.defects, M):
-        result = _verdict_memo[M] = FamilyResult(
-            FamilyKind.GAMMA, k, lambda: _gamma_chain(t, tuple(range(t.n)), k)
-        )
-        return result
+        return FamilyResult(FamilyKind.GAMMA, k, lambda: _gamma_chain(t, tuple(range(t.n)), k))
     mask = (1 << k) - 1
     if k and _gamma2(r, mode, mask, k, r.defects):
-        result = FamilyResult(
+        return FamilyResult(
             FamilyKind.GAMMA2,
             k,
             lambda: _gamma2_chain(r, mode, tuple(range(t.n)), mask, k, r.defects),
         )
-    elif not k and _gamma2_0_path_size(t.n, M, mode):
-        result = FamilyResult(FamilyKind.GAMMA2, 0)
-    else:
-        result = NON_MEMBER
-    _verdict_memo[key] = result
-    return result
+    if not k and _gamma2_0_path_size(t.n, M, mode):
+        return FamilyResult(FamilyKind.GAMMA2, 0)
+    return NON_MEMBER
+
 
 _BASE_LABELS = ("gamma0", "gamma2_0")
 

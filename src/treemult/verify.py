@@ -85,8 +85,8 @@ class EngineMismatchError(Exception):
     lambda and each engine's count or both lambdas and both counts.
 
     At odd M the even-i orbit is the odd-i orbit negated (i -> M - i), and
-    a tree is bipartite, so the two counts must agree; `classify` reuses one
-    verdict for both orbits on this ground."""
+    a tree is bipartite, so the two counts must agree; `classify` decides
+    both orbits from one reading of the tree on this ground."""
 
 
 class MalformedRecordError(ValueError):
@@ -562,11 +562,12 @@ def engine_agreement_check(
     workers: int = 1,
 ) -> list[dict]:
     """Compare the two multiplicity engines on random (tree, lambda) pairs;
-    returns the list of disagreements (empty on success)."""
+    returns the list of disagreements (empty on success), in seed order for
+    any worker count."""
     payloads = [(seed + k, n_max, M_max) for k in range(pairs)]
     workers = min(workers, len(payloads))
     if workers <= 1:
         results = map(_agreement_worker, payloads)
         return [r for r in results if r is not None]
     with Pool(workers) as pool:
-        return [r for r in pool.imap_unordered(_agreement_worker, payloads, chunksize=64) if r is not None]
+        return [r for r in pool.imap(_agreement_worker, payloads, chunksize=64) if r is not None]

@@ -9,9 +9,9 @@ vertices for the lengths of legs and inner paths.
 Slow, obvious, and algorithmically unrelated to what they check.
 
 Below them are the small builders and predicates that only tests use:
-stars and spiders, path characteristic polynomials, Horner evaluation, a
-divisibility test, the JSON edge-list form of a tree, and the base-family
-predicates over the classifier's own path-size tests.
+stars, spiders and chains of majors, path characteristic polynomials,
+Horner evaluation, a divisibility test, the JSON edge-list form of a tree,
+and the base-family predicates over the classifier's own path-size tests.
 """
 
 from __future__ import annotations
@@ -269,6 +269,24 @@ def spider_tree(*legs: int) -> Tree:
             prev = nxt
             nxt += 1
     return Tree.from_edges(nxt, edges)
+
+
+def major_chain(k, connector, leg, middle):
+    """k majors in a chain, consecutive ones joined through a path of
+    `connector` vertices, a leg of `leg` vertices on each (two on the end
+    ones), the middle one's leg of `middle` vertices."""
+    edges, n = [], k
+    for a in range(k - 1):
+        path = list(range(n, n + connector))
+        edges += list(zip([a] + path, path + [a + 1]))
+        n += connector
+    for w in range(k):
+        for _ in range(2 if w in (0, k - 1) else 1):
+            size = middle if w == k // 2 else leg
+            path = list(range(n, n + size))
+            edges += list(zip([w] + path, path))
+            n += size
+    return Tree.from_edges(n, edges)
 
 
 def to_json_dict(t: Tree) -> dict:

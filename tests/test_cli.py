@@ -7,7 +7,7 @@ import signal
 
 import pytest
 
-from oracles import star_tree, to_json_dict
+from oracles import major_chain, star_tree, to_json_dict
 from treemult.cli import main
 from treemult.poly import all_specs
 from treemult.tree import emit_graph6, enumerate_trees, path_tree
@@ -116,6 +116,24 @@ class TestClassify:
         assert data["result"] == "GAMMA(1)"
         assert data["witness"][0]["vertex"] == 0
         assert len(data["witness"][0]["components"]) == 4
+
+    @pytest.mark.parametrize(
+        "k, connector, leg, middle, lam, mode",
+        [
+            # a strict non-member whose GAMMA2 search tries every level
+            pytest.param(300, 2, 2, 3, "1/3", "strict", id="strict-non-member"),
+            # a GAMMA2 member, found one level deeper per major
+            pytest.param(600, 1, 1, 2, "1/2", "broad", id="gamma2-member"),
+        ],
+    )
+    def test_too_many_majors_exits_2(self, capsys, k, connector, leg, middle, lam, mode):
+        # the search recurses once per major vertex; past Python's recursion
+        # limit the command reports the major count instead of a traceback
+        t = major_chain(k, connector, leg, middle)
+        edges = ",".join(f"{u}-{v}" for u, v in t.edges)
+        code, out, err = run(capsys, "classify", "--edges", edges, "--lambda", lam, "--mode", mode)
+        assert code == 2
+        assert err.startswith("error: ") and f"{k} majors" in err and out == ""
 
     def test_golden_output_hash(self, capsys, monkeypatch):
         # tags and witnesses of every tree with n <= 10 at every M <= 8 in

@@ -2,11 +2,17 @@
 
 import hashlib
 import random
-from collections import Counter
 
 import pytest
 
-from oracles import defective_segments, is_gamma0, is_gamma2_0, spider_tree, star_tree
+from oracles import (
+    defective_segments,
+    is_gamma0,
+    is_gamma2_0,
+    major_chain,
+    spider_tree,
+    star_tree,
+)
 from treemult import families, verify
 from treemult.families import (
     BROAD,
@@ -34,24 +40,6 @@ from treemult.verify import SweepConfig, sweep
 LAMBDA_0 = LambdaSpec(1, 2)
 LAMBDA_1 = LambdaSpec(1, 3)
 LAMBDA_SQRT3 = LambdaSpec(1, 6)
-
-
-def major_chain(k, connector, leg, middle):
-    """k majors in a chain, consecutive ones joined through a path of
-    `connector` vertices, a leg of `leg` vertices on each (two on the end
-    ones), the middle one's leg of `middle` vertices."""
-    edges, n = [], k
-    for a in range(k - 1):
-        path = list(range(n, n + connector))
-        edges += list(zip([a] + path, path + [a + 1]))
-        n += connector
-    for w in range(k):
-        for _ in range(2 if w in (0, k - 1) else 1):
-            size = middle if w == k // 2 else leg
-            path = list(range(n, n + size))
-            edges += list(zip([w] + path, path))
-            n += size
-    return Tree.from_edges(n, edges)
 
 
 class TestBasePredicates:
@@ -176,7 +164,6 @@ class TestClassify:
         # caches
         def reset():
             families._member_memo.clear()
-            families._verdict_memo.clear()
             families._memo_tree = None
 
         def seen(res):
@@ -202,10 +189,43 @@ class TestClassify:
         for n in range(1, 63):
             assert families._gamma2_0_path_size(n, 2, STRICT) == families._gamma2_0_path_size(n, 2, BROAD)
 
+    @pytest.mark.parametrize(
+        "connector, leg, middle, first, second, tag",
+        [
+            # the odd-i and the even-i orbit of M = 3
+            pytest.param(
+                2, 2, 3, (LAMBDA_1, STRICT), (LambdaSpec(2, 3), STRICT), "NONE", id="other-orbit"
+            ),
+            # both readings of GAMMA2(0) are "n even" at M = 2
+            pytest.param(
+                1, 1, 2, (LAMBDA_0, BROAD), (LAMBDA_0, STRICT), "GAMMA2(24)", id="other-mode-at-m2"
+            ),
+        ],
+    )
+    def test_repeat_reads_the_readings_verdicts(
+        self, monkeypatch, connector, leg, middle, first, second, tag
+    ):
+        t = major_chain(24, connector, leg, middle)
+        monkeypatch.setattr(families, "_memo_tree", None)
+        calls = []
+        clause = families._gamma2_clause
+
+        def counted(*args):
+            calls.append(args)
+            return clause(*args)
+
+        monkeypatch.setattr(families, "_gamma2_clause", counted)
+        assert classify(t, *first).tag == tag
+        assert calls
+        calls.clear()
+        assert classify(t, *second).tag == tag
+        assert calls == []
+
     def test_verdicts_and_tails_stay_bounded_in_the_sweep(self):
         sweep(SweepConfig(n_max=12, M_max=15, modes=(BROAD, STRICT), worker_count=1))
-        per_M = Counter(key if isinstance(key, int) else key[0] for key in families._verdict_memo)
-        assert per_M and max(per_M.values()) <= 2
+        # one reading per M of the last tree swept
+        assert sorted(families._member_memo) == list(range(2, 16))
+        assert all(r.t is families._memo_tree for r in families._member_memo.values())
         cache = verify._record_tail.cache_info()
         assert 0 < cache.currsize <= cache.maxsize
 

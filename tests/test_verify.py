@@ -337,8 +337,7 @@ class TestMutants:
         )
         # keep the mutant's verdicts out of the memo that later tests read
         monkeypatch.setattr(families, "_memo_tree", None)
-        for memo in ("_member_memo", "_verdict_memo"):
-            monkeypatch.setattr(families, memo, {})
+        monkeypatch.setattr(families, "_member_memo", {})
         report = sweep(small_config(n_max=10, M_max=11))
         assert self.counts(report) == (0, 31, {"broad": 39, "strict": 63})
 
@@ -520,9 +519,6 @@ class TestPoolSize:
                 fed.append(payloads)
                 return map(fn, payloads)
 
-            def imap_unordered(self, fn, payloads, chunksize=1):
-                return map(fn, payloads)
-
         monkeypatch.setattr(verify_mod, "Pool", RecordingPool)
         assert sweep(small_config(workers=64, n_max=3, M_max=3)).tree_count == 3
         assert sweep(SweepConfig(n_max=1, M_max=3, worker_count=64)).tree_count == 1
@@ -530,7 +526,7 @@ class TestPoolSize:
         assert engine_agreement_check(0, workers=64) == []
         assert sizes == [3, 5]
         # the sweep streams its trees to the pool: no list of every payload
-        assert len(fed) == 1 and iter(fed[0]) is fed[0]
+        assert len(fed) == 2 and iter(fed[0]) is fed[0]
 
 
 class TestEngineAgreement:
@@ -550,3 +546,12 @@ class TestEngineAgreement:
 
     def test_random_pairs_parallel(self):
         assert engine_agreement_check(200, n_max=14, M_max=15, seed=11, workers=2) == []
+
+    def test_disagreements_in_seed_order_for_any_worker_count(self, monkeypatch):
+        # an engine off by one on every odd tree size; the pool's workers
+        # are forked with the patch
+        rank = verify_mod.rank_nullity
+        monkeypatch.setattr(verify_mod, "rank_nullity", lambda t, spec: rank(t, spec) + t.n % 2)
+        serial = engine_agreement_check(600, n_max=10, M_max=8, seed=3)
+        assert len(serial) > 100
+        assert engine_agreement_check(600, n_max=10, M_max=8, seed=3, workers=2) == serial
