@@ -9,7 +9,8 @@ deliberately not accepted.
 Exit status: 0 on success with zero violations, 1 when a verification run
 found violations (with --m-max >= n-max + 1, `verify` also checks every
 eigenvalue outside the swept 2*cos(i*pi/M) and counts its violations), 2 on
-usage, input or I/O errors (an OSError prints as Python gives it), 3 when
+usage, input or I/O errors (an OSError prints as Python gives it; a sweep
+worker that dies raises one, ChildProcessError), 3 when
 `verify` aborts because its two multiplicity engines disagree (an
 implementation bug; the sweep writes no record file).
 """

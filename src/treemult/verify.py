@@ -6,11 +6,13 @@ engines (aborting on any disagreement), the pendant bound, and the
 equivalences "m = p - 1 iff GAMMA member" and "m = p - 2 iff GAMMA2 member"
 under the configured base-family modes.  Emits one JSON record per
 (tree, eigenvalue) pair plus a JSON summary, with byte-identical record
-files for identical configs regardless of worker count.  The worker that
-sweeps a tree also encodes its records and tallies them; the parent
-process streams the tree codes to the workers, and only writes each tree's
-bytes in enumeration order, hashes them and folds in each tree's Tally
-with `Tally.merge`, the sweep's one fold of per-tree results.
+files for identical configs regardless of worker count.  The process
+that sweeps a tree also encodes its records and tallies them.  `_fan_out`
+deals the tree codes in chunks, round-robin, to the sweep's own process
+and to workers - 1 forked ones, and hands back each tree's bytes and Tally
+in enumeration order; the sweep's process writes the bytes, hashes them
+and folds in each Tally with `Tally.merge`, the sweep's one fold of
+per-tree results.
 
 The multiplicity loop peels each swept orbit's minimal polynomial off the
 characteristic polynomial as it counts it, so what is left holds exactly
@@ -29,12 +31,13 @@ import math
 import os
 import random
 import time
-from collections.abc import Iterator
-from contextlib import nullcontext
+from collections import deque
+from collections.abc import Callable, Iterable, Iterator
+from contextlib import closing, nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, islice
-from multiprocessing import Pool
+from itertools import chain, cycle, islice
+from multiprocessing import Pipe, get_context
 
 try:
     # CPython's builtin digest (named _sha256 up to 3.11): importing hashlib
@@ -47,6 +50,7 @@ except ImportError:
 from treemult.families import (
     BROAD,
     STRICT,
+    FamilyResult,
     Gamma2Mode,
     classify,
 )
@@ -349,20 +353,25 @@ def _orbit_table(M_max: int) -> tuple[tuple, tuple[tuple[LambdaSpec, int], ...]]
 
 
 @lru_cache(maxsize=1024)
-def _record_tail(p: int, gamma: int, m: int, eq_top: str, second: tuple, tags: tuple) -> tuple[dict, str]:
+def _record_tail(p: int, gamma: int, m: int, modes: tuple[Gamma2Mode, ...], verdicts: tuple) -> tuple[dict, str]:
     """Every field of a record after "tree" and "lambda", in record order,
-    and its text as it follows the lambda in the record line; second and
-    tags are (mode value, status or tag) pairs.  Few distinct tails occur
-    (216 in the n <= 14, M <= 15 sweep), so each is encoded once per
+    and its text as it follows the lambda in the record line; verdicts holds
+    classify's (kind, k) in each of modes.  Few distinct tails occur (216 in
+    the n <= 14, M <= 15 sweep), so each is derived and encoded once per
     process; the dict is shared and must not be changed."""
+    results = [FamilyResult(*verdict) for verdict in verdicts]
     tail = {
         "p": p,
         "gamma": gamma,
         "m": m,
         "bound_ok": m <= p - 1,
-        "thm13_status": eq_top,
-        "thm14_status": dict(second),
-        "classification": dict(tags),
+        # GAMMA membership does not depend on the GAMMA2 reading
+        "thm13_status": CONSISTENT if (m == p - 1) == results[0].is_gamma() else VIOLATION,
+        "thm14_status": {
+            mode.value: (CONSISTENT if (m == p - 2) == res.is_gamma2() else VIOLATION) if m else NOT_APPLICABLE
+            for mode, res in zip(modes, results)
+        },
+        "classification": {mode.value: res.tag for mode, res in zip(modes, results)},
         "notes": "",
     }
     return tail, ", " + json.dumps(tail)[1:] + "\n"
@@ -408,17 +417,8 @@ def _sweep_tree(args) -> tuple[bytes, Tally]:
                 "division_engine": [m_first, m],
             }
             raise EngineMismatchError(json.dumps(mismatch))
-        results = [classify(t, rep, mode) for mode in modes]
-        # GAMMA membership does not depend on the GAMMA2 reading
-        eq_top = CONSISTENT if (m == p - 1) == results[0].is_gamma() else VIOLATION
-        second = tuple(
-            (mode.value, CONSISTENT if (m == p - 2) == res.is_gamma2() else VIOLATION)
-            if m
-            else (mode.value, NOT_APPLICABLE)
-            for mode, res in zip(modes, results)
-        )
-        tags = tuple((mode.value, res.tag) for mode, res in zip(modes, results))
-        tails.append(_record_tail(p, gamma, m, eq_top, second, tags))
+        verdicts = tuple((res.kind, res.k) for res in [classify(t, rep, mode) for mode in modes])
+        tails.append(_record_tail(p, gamma, m, modes, verdicts))
     head = '{"tree": ' + json.dumps(g6) + ', "lambda": '
     lines = []
     tally = Tally()
@@ -470,26 +470,114 @@ def _ordered_tree_codes(config: SweepConfig) -> Iterator[str]:
         yield from sorted(pack_graph6(t) for t in enumerate_trees(n))
 
 
+CHUNK = 8  # consecutive payloads dealt to one process at a time
+AHEAD = 2  # chunks dealt to each forked worker beyond the one being read
+# forked, not spawned: a worker starts with every module, cache and patch of
+# the sweep's process, which starts no thread
+Process = get_context("fork").Process
+
+
+def _serve(fn: Callable, conn, parent_end) -> None:
+    """A forked worker of `_fan_out`: answer each chunk received on conn
+    with the list of fn's results, or with the exception fn raised, until
+    the parent's end closes."""
+    parent_end.close()  # inherited; closed so that the parent's exit ends recv
+    try:
+        while True:
+            chunk = conn.recv()
+            try:
+                answer = [fn(x) for x in chunk]
+            except Exception as exc:
+                answer = exc
+            conn.send(answer)
+    except (EOFError, KeyboardInterrupt):  # the parent is gone, or Ctrl-C reached the group
+        pass
+
+
+def _fan_out(fn: Callable, payloads: Iterable, workers: int) -> Iterator:
+    """Yield fn(x) for each x of payloads, in payload order, computed by
+    `workers` processes.  Chunk j of CHUNK consecutive payloads goes to
+    process j % workers: process 0 is this one, which computes its chunks
+    inline when their turn comes, and the others are forked here, one Pipe
+    each, and kept AHEAD chunks ahead.  Payloads are read as they are
+    dealt, and no more processes start than there are chunks, so at 1
+    worker, or with one chunk, nothing is forked.
+
+    An exception fn raises in a worker is raised here; a worker that dies
+    raises ChildProcessError naming it.  However the generator ends, every
+    forked worker is terminated and joined."""
+    payloads = iter(payloads)
+    chunks = iter(lambda: list(islice(payloads, CHUNK)), [])
+    first = list(islice(chunks, workers))
+    workers = max(1, len(first))
+    conns, procs = [None], [None]  # indexed by process; 0 is this one
+    pending = deque()  # (process, chunk) dealt and not yet yielded, in order
+
+    def lost(w: int) -> ChildProcessError:
+        procs[w].join(1)
+        return ChildProcessError(
+            f"worker {w} of {workers} (pid {procs[w].pid}) exited with status "
+            f"{procs[w].exitcode} before returning its results"
+        )
+
+    def results(w: int, chunk: list) -> Iterable:
+        """fn over a chunk dealt to process w."""
+        if not w:
+            return map(fn, chunk)
+        try:
+            answer = conns[w].recv()
+        except (EOFError, OSError):
+            raise lost(w) from None
+        if isinstance(answer, BaseException):
+            raise answer
+        return answer
+
+    try:
+        for _ in range(1, workers):
+            conn, child_end = Pipe()
+            proc = Process(target=_serve, args=(fn, child_end, conn), daemon=True)
+            proc.start()
+            child_end.close()
+            conns.append(conn)
+            procs.append(proc)
+        for w, chunk in zip(cycle(range(workers)), chain(first, chunks)):
+            if w:
+                try:
+                    conns[w].send(chunk)
+                except OSError:
+                    raise lost(w) from None
+            pending.append((w, chunk))
+            if len(pending) > AHEAD * workers:
+                yield from results(*pending.popleft())
+        while pending:
+            yield from results(*pending.popleft())
+    finally:
+        for proc in procs[1:]:
+            proc.terminate()
+        for proc in procs[1:]:
+            proc.join()
+        for conn in conns[1:]:
+            conn.close()
+
+
 def sweep(config: SweepConfig) -> SweepReport:
     """Run the exhaustive sweep; see the module docstring.
 
     Work is partitioned by tree and folded in enumeration order, so the
     record file is deterministic for any worker count; `<out>.tmp` replaces
-    `<out>` only on success.  The tree codes stream to the workers, and the
-    pool is never larger than the work.  Raises EngineMismatchError if the
-    engines differ, and the OSError of a failed open or write as it comes.
+    `<out>` only on success.  The tree codes are enumerated as `_fan_out`
+    deals them, and this process sweeps its share of them while it writes.
+    Raises EngineMismatchError if the engines differ, ChildProcessError if
+    a worker dies, and the OSError of a failed open or write as it comes.
     """
     start = time.monotonic()
     report = SweepReport(config=config, eq_second={mode.value: 0 for mode in config.modes})
     payloads = ((g6, config.M_max, config.modes) for g6 in _ordered_tree_codes(config))
-    peeked = list(islice(payloads, config.worker_count))
-    payloads = chain(peeked, payloads)
     digest = sha256()
     tmp_path = f"{config.output_path}.tmp"
     sink = open(tmp_path, "wb") if config.output_path else None
     try:
-        with sink or nullcontext(), (Pool(len(peeked)) if len(peeked) > 1 else nullcontext()) as pool:
-            results = pool.imap(_sweep_tree, payloads, chunksize=8) if pool else map(_sweep_tree, payloads)
+        with sink or nullcontext(), closing(_fan_out(_sweep_tree, payloads, config.worker_count)) as results:
             for encoded, tally in results:
                 report.merge(tally)
                 digest.update(encoded)  # the record file's digest, written or not
@@ -564,10 +652,5 @@ def engine_agreement_check(
     """Compare the two multiplicity engines on random (tree, lambda) pairs;
     returns the list of disagreements (empty on success), in seed order for
     any worker count."""
-    payloads = [(seed + k, n_max, M_max) for k in range(pairs)]
-    workers = min(workers, len(payloads))
-    if workers <= 1:
-        results = map(_agreement_worker, payloads)
-        return [r for r in results if r is not None]
-    with Pool(workers) as pool:
-        return [r for r in pool.imap(_agreement_worker, payloads, chunksize=64) if r is not None]
+    payloads = ((seed + k, n_max, M_max) for k in range(pairs))
+    return [r for r in _fan_out(_agreement_worker, payloads, workers) if r is not None]

@@ -6,8 +6,13 @@ import hashlib
 import inspect
 import io
 import json
+import multiprocessing
+import os
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -272,6 +277,7 @@ class TestSweep:
 
         abort_at_six()
         assert not out.exists() and not tmp.exists()
+        assert multiprocessing.active_children() == []
         sweep(small_config(tmp_path, workers=workers, n_max=5, M_max=4))
         complete = out.read_bytes()
         abort_at_six()
@@ -501,32 +507,93 @@ class TestAudit:
         ]
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """The worker processes `_fan_out` starts while the test runs."""
+    started = []
+
+    class CountedProcess(verify_mod.Process):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(verify_mod, "Process", CountedProcess)
+    return started
+
+
+# a fresh interpreter whose forked sweep workers die at their first tree;
+# it prints what the sweep raised and the children left after it
+DYING_WORKER = """
+import multiprocessing, os, sys
+import treemult.verify as verify
+from treemult.families import BROAD, STRICT
+
+parent, rank = os.getpid(), verify.rank_nullity
+
+def rank_or_die(t, spec):
+    if os.getpid() != parent:
+        os._exit(1)
+    return rank(t, spec)
+
+verify.rank_nullity = rank_or_die
+config = verify.SweepConfig(n_max=7, M_max=4, modes=(BROAD, STRICT), worker_count=2, output_path=sys.argv[1])
+try:
+    verify.sweep(config)
+except ChildProcessError as exc:
+    print(type(exc).__name__, exc)
+print(multiprocessing.active_children())
+"""
+
+
 class TestPoolSize:
-    def test_pool_never_larger_than_the_work(self, monkeypatch):
-        sizes, fed = [], []
+    def test_pool_never_larger_than_the_work(self, monkeypatch, forks):
+        # at 64 workers, one process per chunk of CHUNK payloads, the
+        # caller's own included, and the payloads are streamed, not listed
+        fed = []
+        fan_out = verify_mod._fan_out
 
-        class RecordingPool:
-            def __init__(self, processes):
-                sizes.append(processes)
+        def recording(fn, payloads, workers):
+            fed.append(payloads)
+            return fan_out(fn, payloads, workers)
 
-            def __enter__(self):
-                return self
+        monkeypatch.setattr(verify_mod, "_fan_out", recording)
+        calls = {
+            25: lambda: sweep(small_config(workers=64, n_max=7, M_max=3)).tree_count,
+            3: lambda: sweep(small_config(workers=64, n_max=3, M_max=3)).tree_count,
+            1: lambda: sweep(SweepConfig(n_max=1, M_max=3, worker_count=64)).tree_count,
+            20: lambda: 20 + len(engine_agreement_check(20, n_max=6, M_max=7, workers=64)),
+            0: lambda: len(engine_agreement_check(0, workers=64)),
+        }
+        for work, call in calls.items():
+            before = len(forks)
+            assert call() == work
+            chunks = -(-work // verify_mod.CHUNK)
+            assert len(forks) - before == max(chunks - 1, 0), work
+        assert len(forks) == 5  # 4 chunks of 25 trees, 3 of 20 pairs
+        assert len(fed) == len(calls) and all(iter(payloads) is payloads for payloads in fed)
 
-            def __exit__(self, *exc):
-                return False
+    def test_no_worker_outlives_its_call(self, forks):
+        assert sweep(small_config(workers=2, n_max=8, M_max=5)).tree_count == 48
+        assert engine_agreement_check(40, n_max=8, M_max=9, workers=2) == []
+        assert len(forks) == 2
+        assert not any(p.is_alive() for p in forks) and multiprocessing.active_children() == []
 
-            def imap(self, fn, payloads, chunksize=1):
-                fed.append(payloads)
-                return map(fn, payloads)
-
-        monkeypatch.setattr(verify_mod, "Pool", RecordingPool)
-        assert sweep(small_config(workers=64, n_max=3, M_max=3)).tree_count == 3
-        assert sweep(SweepConfig(n_max=1, M_max=3, worker_count=64)).tree_count == 1
-        assert engine_agreement_check(5, n_max=6, M_max=7, workers=64) == []
-        assert engine_agreement_check(0, workers=64) == []
-        assert sizes == [3, 5]
-        # the sweep streams its trees to the pool: no list of every payload
-        assert len(fed) == 2 and iter(fed[0]) is fed[0]
+    def test_dying_worker_aborts_the_sweep(self, tmp_path):
+        # a worker that dies without a word must abort the sweep, not hang it;
+        # run in a fresh interpreter so that a hang fails on the timeout
+        out = tmp_path / "records.jsonl"
+        package = Path(verify_mod.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(package), os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-c", DYING_WORKER, str(out)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        raised, children = done.stdout.splitlines()
+        assert raised.startswith("ChildProcessError worker 1 of 2 (pid ")
+        assert raised.endswith(") exited with status 1 before returning its results")
+        assert children == "[]"
+        assert not out.exists() and not (tmp_path / "records.jsonl.tmp").exists()
 
 
 class TestEngineAgreement:
