@@ -12,7 +12,8 @@ eigenvalue outside the swept 2*cos(i*pi/M) and counts its violations), 2 on
 usage, input or I/O errors (an OSError prints as Python gives it; a sweep
 worker that dies raises one, ChildProcessError), 3 when
 `verify` aborts because its two multiplicity engines disagree (an
-implementation bug; the sweep writes no record file).
+implementation bug; the sweep writes no record file), 130 on Ctrl-C, and
+141, silently, when stdout's reader closes it early.
 """
 
 from __future__ import annotations
@@ -309,16 +310,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # so that a reader gone before the last write shows here
+        return status
+    except BrokenPipeError:  # stdout's reader is gone, as with `| head`: end as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the exit's flush then holds
+        return 141  # 128 + SIGPIPE
     except (TreeError, InvalidSpecError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EngineMismatchError as exc:
         print(f"error: EngineMismatchError: {exc}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:  # the sweep has dropped its partial records and workers
+        print("error: interrupted", file=sys.stderr)
+        return 130  # 128 + SIGINT
 
 
 if __name__ == "__main__":

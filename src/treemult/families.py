@@ -194,20 +194,18 @@ def _skeleton(t: Tree) -> _Skeleton:
 class _Reading:
     """classify's state for one tree at one M, which every orbit and mode at
     that M share: the tree's segments and defective segment count, and per
-    piece the GAMMA2 verdicts, keyed by mask and mode, and whether lambda is
-    an eigenvalue of it, keyed by mask.  Membership reads lambda only
-    through M (module docstring), so the first lambda at M serves them all."""
+    piece the GAMMA2 verdicts, keyed by mask and mode.  Membership reads
+    lambda only through M (module docstring), so the first lambda at M
+    serves them all."""
 
-    __slots__ = ("t", "sk", "lam", "M", "defects", "verdicts", "carries")
+    __slots__ = ("t", "sk", "lam", "defects", "verdicts")
 
     def __init__(self, t: Tree, sk: _Skeleton, lam: LambdaSpec):
         self.t = t
         self.sk = sk
         self.lam = lam
-        self.M = lam.M
         self.defects = _defective(sk.sizes, lam.M)
         self.verdicts: dict = {}
-        self.carries: dict = {}
 
 
 # classify's state for the tree it last classified, _memo_tree: M -> its
@@ -224,19 +222,17 @@ def _carries(t: Tree, lam: LambdaSpec) -> bool:
 
 
 def _piece_carries(r: _Reading, mask: int) -> bool:
-    """_carries on the piece made of the majors in mask and their arms."""
-    carries = r.carries.get(mask)
-    if carries is None:
-        bit = r.sk.bit
-        start = next(w for w in r.sk.majors if mask & bit[w])
-        piece, seen = [start], {start}
-        for v in piece:
-            for u in r.t.adj[v]:
-                if u not in seen and (u not in bit or mask & bit[u]):
-                    seen.add(u)
-                    piece.append(u)
-        carries = r.carries[mask] = _carries(induced(r.t, piece), r.lam)
-    return carries
+    """_carries on the piece made of the majors in mask and their arms.
+    Not cached: pieces rarely repeat, and `char_poly`'s memo catches most."""
+    bit = r.sk.bit
+    start = next(w for w in r.sk.majors if mask & bit[w])
+    piece, seen = [start], {start}
+    for v in piece:
+        for u in r.t.adj[v]:
+            if u not in seen and (u not in bit or mask & bit[u]):
+                seen.add(u)
+                piece.append(u)
+    return _carries(induced(r.t, piece), r.lam)
 
 
 def _defective(segments: list[int], M: int) -> int:
@@ -333,7 +329,7 @@ def _gamma2_clause(r: _Reading, mode: Gamma2Mode, mask: int, k: int, defects: in
     index of the arm whose component is not a base path (None at level 1);
     and a function from that component's vertex tuple to its witness chain.
     """
-    sk, M = r.sk, r.M
+    sk, M = r.sk, r.lam.M
     arms = sk.arms[w]
     g0, g20, legs = [], [], []  # per arm: base path flags; the legs' sizes
     one = None

@@ -35,7 +35,7 @@ from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import closing, nullcontext
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, cycle, islice
 from multiprocessing import Pipe, get_context
 
@@ -377,11 +377,11 @@ def _record_tail(p: int, gamma: int, m: int, modes: tuple[Gamma2Mode, ...], verd
     return tail, ", " + json.dumps(tail)[1:] + "\n"
 
 
-def _sweep_tree(args) -> tuple[bytes, Tally]:
-    """Per-tree worker: the tree's record lines in (M, i) order, encoded,
-    and the tree's Tally, which counts them and, when n + 1 <= M_max, holds
-    the outcome of `_check_other`.  Raises EngineMismatchError when the
-    engines disagree, or when the two orbits of an odd M get different counts.
+def _sweep_tree(g6: str, M_max: int, modes: tuple[Gamma2Mode, ...]) -> tuple[bytes, Tally]:
+    """Per-tree worker: tree g6's record lines in (M, i) order, encoded, and
+    its Tally, which counts them and, when n + 1 <= M_max, holds the outcome
+    of `_check_other`.  Raises EngineMismatchError when the engines disagree,
+    or when the two orbits of an odd M get different counts.
 
     Conjugate eigenvalues share a minimal polynomial, so multiplicities are
     computed once per orbit.  Family membership depends on lambda only
@@ -394,7 +394,6 @@ def _sweep_tree(args) -> tuple[bytes, Tally]:
     counts do not change, and when n + 1 <= M_max what is left is checked
     as well (`_check_other`).
     """
-    g6, M_max, modes = args
     t = parse_graph6(g6)
     rest = char_poly(t)
     p = pendant_count(t)
@@ -436,7 +435,7 @@ def _check_other(g6: str, rest: Polynomial, p: int, tally: Tally) -> None:
     orbit carries, the roots of rest, its characteristic polynomial with
     every swept orbit's mu^m divided out; the counts go into the tree's
     tally.  Each squarefree part of rest at level k holds the eigenvalues of
-    multiplicity exactly k.
+    multiplicity exactly k, and each counts as one level.
 
     No path on at most n vertices has such an eigenvalue, so at it GAMMA
     and strict GAMMA2 are empty and broad GAMMA2 is the three-leg spiders.
@@ -446,10 +445,6 @@ def _check_other(g6: str, rest: Polynomial, p: int, tally: Tally) -> None:
     """
     outcome = tally.other_eigenvalues
     outcome["trees"] += 1
-    # a level that counts has k >= max(1, p - 2) and adds at least k to the
-    # leftover's degree, so a leftover of lower degree holds none
-    if rest.degree < max(1, p - 2):
-        return
     for g, k in squarefree_decompose(rest):
         outcome["levels"] += 1
         if k <= p - 3:
@@ -572,12 +567,13 @@ def sweep(config: SweepConfig) -> SweepReport:
     """
     start = time.monotonic()
     report = SweepReport(config=config, eq_second={mode.value: 0 for mode in config.modes})
-    payloads = ((g6, config.M_max, config.modes) for g6 in _ordered_tree_codes(config))
+    sweep_one = partial(_sweep_tree, M_max=config.M_max, modes=config.modes)
+    results = _fan_out(sweep_one, _ordered_tree_codes(config), config.worker_count)
     digest = sha256()
     tmp_path = f"{config.output_path}.tmp"
     sink = open(tmp_path, "wb") if config.output_path else None
     try:
-        with sink or nullcontext(), closing(_fan_out(_sweep_tree, payloads, config.worker_count)) as results:
+        with sink or nullcontext(), closing(results):
             for encoded, tally in results:
                 report.merge(tally)
                 digest.update(encoded)  # the record file's digest, written or not
@@ -623,8 +619,7 @@ def _random_tree_edges(n: int, rng: random.Random) -> list[tuple[int, int]]:
     return edges
 
 
-def _agreement_worker(args) -> dict | None:
-    seed, n_max, M_max = args
+def _agreement_worker(seed: int, n_max: int, M_max: int) -> dict | None:
     rng = random.Random(seed)
     n = rng.randint(1, n_max)
     t = Tree.from_edges(n, _random_tree_edges(n, rng))
@@ -652,5 +647,5 @@ def engine_agreement_check(
     """Compare the two multiplicity engines on random (tree, lambda) pairs;
     returns the list of disagreements (empty on success), in seed order for
     any worker count."""
-    payloads = ((seed + k, n_max, M_max) for k in range(pairs))
-    return [r for r in _fan_out(_agreement_worker, payloads, workers) if r is not None]
+    check_one = partial(_agreement_worker, n_max=n_max, M_max=M_max)
+    return [r for r in _fan_out(check_one, iter(range(seed, seed + pairs)), workers) if r]

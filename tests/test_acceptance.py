@@ -253,7 +253,7 @@ def test_criterion_10_every_eigenvalue(big_sweep):
     report(
         "criterion 10: every eigenvalue keeps the bound and both equivalences",
         (block["trees"], block["levels"], block["violations"], block["strict_discrepancies"])
-        == (5447, 4920, 0, 61),
+        == (5447, 5427, 0, 61),
         f"{block['trees']} trees, {block['levels']} levels, {block['violations']} violations, "
         f"{block['strict_discrepancies']} strict discrepancies",
     )

@@ -3,10 +3,16 @@
 import hashlib
 import io
 import json
+import os
 import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import treemult
 from oracles import major_chain, star_tree, to_json_dict
 from treemult.cli import main
 from treemult.poly import all_specs
@@ -654,3 +660,52 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+def cli_process(*argv):
+    """treemult argv in a fresh interpreter and a session (so a process
+    group) of its own, with pipes for stdout and stderr."""
+    package = Path(treemult.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(package), os.environ.get("PYTHONPATH", "")])}
+    return subprocess.Popen(
+        [sys.executable, "-m", "treemult.cli", *argv], env=env, start_new_session=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+
+
+class TestInterrupts:
+    def test_ctrl_c_exits_130_with_one_line(self, tmp_path):
+        out = tmp_path / "records.jsonl"
+        tmp = tmp_path / "records.jsonl.tmp"
+        proc = cli_process(
+            "verify", "--n-max", "14", "--m-max", "15", "--modes", "broad,strict",
+            "--workers", "2", "--out", str(out),
+        )
+        try:
+            # once records are written the worker is forked and sweeping
+            deadline = time.monotonic() + 60
+            while not (tmp.exists() and tmp.stat().st_size):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            os.killpg(proc.pid, signal.SIGINT)  # as Ctrl-C does: the whole group
+            stdout, stderr = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert (proc.returncode, stdout, stderr) == (130, "", "error: interrupted\n")
+        assert not tmp.exists() and not out.exists()
+        with pytest.raises(ProcessLookupError):  # no worker is left in the group
+            os.killpg(proc.pid, 0)
+
+    def test_closed_stdout_ends_quietly(self):
+        # n = 15's 155 KB of codes exceed a pipe's 64 KB buffer, so the
+        # command is still writing when its reader closes after one line
+        proc = cli_process("enumerate", "--n", "15")
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            proc.wait(timeout=60)
+        finally:
+            proc.kill()
+        assert first.startswith("N") and stderr == ""  # N: graph6 of 15 vertices
+        assert proc.returncode == 141

@@ -421,7 +421,7 @@ class TestSubtreeInterning:
         # leftover check reads no mode
         assert report.other_eigenvalues == {
             "trees": 987,
-            "levels": 863,
+            "levels": 969,
             "violations": 0,
             "strict_discrepancies": 35,
             "violation_examples": [],
