@@ -85,9 +85,7 @@ def _parse_modes(text: str) -> tuple[Gamma2Mode, ...]:
 
 
 def _input_trees(args) -> list[Tree]:
-    """Resolve the tree input source; stdin supplies one graph6 per line.
-    JSON output names each tree in graph6, so a tree above its short form
-    is refused here, before anything is computed."""
+    """Resolve the tree input source; stdin supplies one graph6 per line."""
     if args.graph6 is not None:
         trees = [parse_graph6(args.graph6)]
     elif args.edges is not None:
@@ -99,14 +97,15 @@ def _input_trees(args) -> list[Tree]:
         trees = [parse_graph6(line) for line in sys.stdin if line.strip()]
     if not trees:
         raise TreeError("no tree input: pass --graph6/--edges/--json or pipe graph6 lines")
-    if args.format == "json":
-        for t in trees:
-            if t.n > GRAPH6_N_MAX:
-                raise ValueError(
-                    f"--format json prints trees as graph6, which covers n <= {GRAPH6_N_MAX}; "
-                    f"got n = {t.n}"
-                )
     return trees
+
+
+def _tree_field(t: Tree) -> str | dict:
+    """The "tree" of a JSON output record: graph6 text up to GRAPH6_N_MAX
+    vertices, and above that the {"n", "edges"} object that --json reads."""
+    if t.n <= GRAPH6_N_MAX:
+        return emit_graph6(t)
+    return {"n": t.n, "edges": [[u, v] for u, v in t.edges]}
 
 
 def _emit(fmt: str, human: str, record) -> None:
@@ -124,7 +123,7 @@ def _cmd_mult(args) -> int:
         _emit(
             args.format,
             f"m={m} p={p} gamma={gamma}",
-            lambda: {"tree": emit_graph6(t), "lambda": str(lam), "m": m, "p": p, "gamma": gamma},
+            lambda: {"tree": _tree_field(t), "lambda": str(lam), "m": m, "p": p, "gamma": gamma},
         )
     return 0
 
@@ -135,7 +134,7 @@ def _cmd_charpoly(args) -> int:
         _emit(
             args.format,
             " ".join(str(c) for c in coeffs),
-            lambda: {"tree": emit_graph6(t), "coeffs": coeffs},
+            lambda: {"tree": _tree_field(t), "coeffs": coeffs},
         )
     return 0
 
@@ -172,7 +171,7 @@ def _cmd_classify(args) -> int:
             args.format,
             "\n".join(human_lines),
             lambda: {
-                "tree": emit_graph6(t),
+                "tree": _tree_field(t),
                 "lambda": str(lam),
                 "mode": args.mode.value,
                 "result": result.tag,

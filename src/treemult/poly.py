@@ -285,6 +285,8 @@ def squarefree_decompose(p: Polynomial) -> list[tuple[Polynomial, int]]:
     if pp.is_constant():
         return []
     g = poly_gcd(pp, pp.derivative())
+    if g.is_constant():  # squarefree: Yun's loop would take one step to say so
+        return [(pp, 1)]
     parts: list[tuple[Polynomial, int]] = []
     c = exact_div(pp, g)
     d = exact_div(pp.derivative(), g) - c.derivative()

@@ -7,12 +7,15 @@ equivalences "m = p - 1 iff GAMMA member" and "m = p - 2 iff GAMMA2 member"
 under the configured base-family modes.  Emits one JSON record per
 (tree, eigenvalue) pair plus a JSON summary, with byte-identical record
 files for identical configs regardless of worker count.  The process
-that sweeps a tree also encodes its records and tallies them.  `_fan_out`
-deals the tree codes in chunks, round-robin, to the sweep's own process
-and to workers - 1 forked ones, and hands back each tree's bytes and Tally
-in enumeration order; the sweep's process writes the bytes, hashes them
-and folds in each Tally with `Tally.merge`, the sweep's one fold of
-per-tree results.
+that sweeps a tree also encodes its records and tallies them, in one step
+when no record of the tree holds a violation.  `_fan_out` deals the tree
+codes in chunks on demand: workers - 1 forked processes are each kept
+AHEAD chunks ahead, and the sweep's own process sweeps the next chunk
+itself only while the one due next is still out, keeping at most
+AHEAD * workers finished chunks waiting their turn.  It hands back each
+tree's bytes and Tally in enumeration order; the sweep's process writes the
+bytes, hashes them and folds in each Tally with `Tally.merge`, the sweep's
+one fold of per-tree results.
 
 The multiplicity loop peels each swept orbit's minimal polynomial off the
 characteristic polynomial as it counts it, so what is left holds exactly
@@ -36,7 +39,7 @@ from collections.abc import Callable, Iterable, Iterator
 from contextlib import closing, nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import chain, cycle, islice
+from itertools import chain, count, islice
 from multiprocessing import Pipe, get_context
 
 try:
@@ -344,21 +347,26 @@ class SweepReport(Tally):
 
 
 @lru_cache(maxsize=None)
-def _orbit_table(M_max: int) -> tuple[tuple, tuple[tuple[LambdaSpec, int], ...]]:
+def _orbit_table(M_max: int) -> tuple[tuple, tuple[tuple[LambdaSpec, str, int], ...]]:
     """The orbits with M <= M_max, and each spec with M <= M_max in (M, i)
-    order with the index of its orbit; built once per process."""
+    order with its "[i, M]" text, as a record line holds it, and the index
+    of its orbit; built once per process."""
     orbits = tuple(spec_orbits(M_max))
     index = {spec: o for o, (_, specs) in enumerate(orbits) for spec in specs}
-    return orbits, tuple((spec, index[spec]) for spec in all_specs(M_max))
+    return orbits, tuple((spec, f"[{spec.i}, {spec.M}]", index[spec]) for spec in all_specs(M_max))
 
 
 @lru_cache(maxsize=1024)
-def _record_tail(p: int, gamma: int, m: int, modes: tuple[Gamma2Mode, ...], verdicts: tuple) -> tuple[dict, str]:
+def _record_tail(
+    p: int, gamma: int, m: int, modes: tuple[Gamma2Mode, ...], verdicts: tuple
+) -> tuple[dict, str, bool]:
     """Every field of a record after "tree" and "lambda", in record order,
-    and its text as it follows the lambda in the record line; verdicts holds
-    classify's (kind, k) in each of modes.  Few distinct tails occur (216 in
-    the n <= 14, M <= 15 sweep), so each is derived and encoded once per
-    process; the dict is shared and must not be changed."""
+    its text as it follows the lambda in the record line, and whether
+    `Tally.add` counts anything but the record itself in it (a broken bound
+    or a VIOLATION status); verdicts holds classify's (kind, k) in each of
+    modes.  Few distinct tails occur (216 in the n <= 14, M <= 15 sweep), so
+    each is derived and encoded once per process; the dict is shared and
+    must not be changed."""
     results = [FamilyResult(*verdict) for verdict in verdicts]
     tail = {
         "p": p,
@@ -374,7 +382,9 @@ def _record_tail(p: int, gamma: int, m: int, modes: tuple[Gamma2Mode, ...], verd
         "classification": {mode.value: res.tag for mode, res in zip(modes, results)},
         "notes": "",
     }
-    return tail, ", " + json.dumps(tail)[1:] + "\n"
+    statuses = (tail["thm13_status"], *tail["thm14_status"].values())
+    flagged = not tail["bound_ok"] or VIOLATION in statuses
+    return tail, ", " + json.dumps(tail)[1:] + "\n", flagged
 
 
 def _sweep_tree(g6: str, M_max: int, modes: tuple[Gamma2Mode, ...]) -> tuple[bytes, Tally]:
@@ -387,8 +397,11 @@ def _sweep_tree(g6: str, M_max: int, modes: tuple[Gamma2Mode, ...]) -> tuple[byt
     computed once per orbit.  Family membership depends on lambda only
     through M, so `classify`, called once per (orbit, mode), searches once
     per M and reading and returns its kept verdict for the rest.  The
-    records of an orbit's specs then differ only in `lambda`, and their
-    common tail comes encoded from `_record_tail`.  Each orbit's mu^m is
+    records of an orbit's specs then differ only in `lambda`, whose text
+    comes from `_orbit_table`, and their common tail comes encoded from
+    `_record_tail`.  When no tail holds a violation, the Tally is set in one
+    step to what `Tally.add` would count; otherwise it counts record by
+    record, which keeps the strict discrepancies in order.  Each orbit's mu^m is
     divided out of the characteristic polynomial as m is counted; the
     orbits' minimal polynomials are distinct monic irreducibles, so the
     counts do not change, and when n + 1 <= M_max what is left is checked
@@ -398,7 +411,7 @@ def _sweep_tree(g6: str, M_max: int, modes: tuple[Gamma2Mode, ...]) -> tuple[byt
     rest = char_poly(t)
     p = pendant_count(t)
     gamma = major_count(t)
-    tails: list[tuple[dict, str]] = []  # per orbit: its record tail, encoded
+    tails: list[tuple[dict, str, bool]] = []  # per orbit: its record tail, from _record_tail
     first_at: dict[int, tuple[LambdaSpec, int]] = {}  # M -> its first orbit's rep and m
     orbits, every_spec = _orbit_table(M_max)
     for mu, specs in orbits:
@@ -419,15 +432,18 @@ def _sweep_tree(g6: str, M_max: int, modes: tuple[Gamma2Mode, ...]) -> tuple[byt
         verdicts = tuple((res.kind, res.k) for res in [classify(t, rep, mode) for mode in modes])
         tails.append(_record_tail(p, gamma, m, modes, verdicts))
     head = '{"tree": ' + json.dumps(g6) + ', "lambda": '
-    lines = []
+    texts = [text for _, text, _ in tails]
+    encoded = "".join([head + lam + texts[orbit] for _, lam, orbit in every_spec]).encode("utf-8")
     tally = Tally()
-    for spec, orbit in every_spec:
-        tail, tail_text = tails[orbit]
-        lines.append(f"{head}[{spec.i}, {spec.M}]{tail_text}")
-        tally.add(g6, [spec.i, spec.M], tail)
+    if any(flagged for _, _, flagged in tails):
+        for spec, _, orbit in every_spec:
+            tally.add(g6, [spec.i, spec.M], tails[orbit][0])
+    else:  # what add would count: the tree, its records, and no violation in any mode
+        tally.tree, tally.tree_count, tally.record_count = g6, 1, len(every_spec)
+        tally.eq_second = dict.fromkeys([mode.value for mode in modes], 0)
     if t.n + 1 <= M_max:
         _check_other(g6, rest, p, tally)
-    return "".join(lines).encode("utf-8"), tally
+    return encoded, tally
 
 
 def _check_other(g6: str, rest: Polynomial, p: int, tally: Tally) -> None:
@@ -466,7 +482,7 @@ def _ordered_tree_codes(config: SweepConfig) -> Iterator[str]:
 
 
 CHUNK = 8  # consecutive payloads dealt to one process at a time
-AHEAD = 2  # chunks dealt to each forked worker beyond the one being read
+AHEAD = 2  # chunks each forked worker holds, the one it is computing included
 # forked, not spawned: a worker starts with every module, cache and patch of
 # the sweep's process, which starts no thread
 Process = get_context("fork").Process
@@ -491,22 +507,35 @@ def _serve(fn: Callable, conn, parent_end) -> None:
 
 def _fan_out(fn: Callable, payloads: Iterable, workers: int) -> Iterator:
     """Yield fn(x) for each x of payloads, in payload order, computed by
-    `workers` processes.  Chunk j of CHUNK consecutive payloads goes to
-    process j % workers: process 0 is this one, which computes its chunks
-    inline when their turn comes, and the others are forked here, one Pipe
-    each, and kept AHEAD chunks ahead.  Payloads are read as they are
-    dealt, and no more processes start than there are chunks, so at 1
-    worker, or with one chunk, nothing is forked.
+    `workers` processes: this one and workers - 1 forked here, one Pipe
+    each.  Payloads go out in chunks of CHUNK, read as they are dealt, and
+    no more processes start than there are chunks, so at 1 worker, or with
+    one chunk, nothing is forked and every chunk is computed here, in order.
 
-    An exception fn raises in a worker is raised here; a worker that dies
+    The deal follows demand.  Each forked worker holds AHEAD chunks and is
+    dealt the next undealt one as each of its answers is read.  This
+    process computes the next undealt chunk itself only while the head,
+    the chunk whose results are due next, has not come back
+    (`conn.poll()`), so it takes fewer chunks the more time the caller
+    spends on the results.  Chunks done before their turn wait in a buffer
+    keyed by chunk index; once it holds AHEAD * workers of them, this
+    process blocks on the head's answer instead of computing more.  With
+    more than one forked worker, an answer that is ready before its turn
+    is read into the buffer too, so that its worker is dealt the next chunk.
+
+    An exception fn raises, here or in a worker, is raised when its chunk's
+    turn comes, so the first in payload order wins; a worker that dies
     raises ChildProcessError naming it.  However the generator ends, every
     forked worker is terminated and joined."""
     payloads = iter(payloads)
     chunks = iter(lambda: list(islice(payloads, CHUNK)), [])
     first = list(islice(chunks, workers))
     workers = max(1, len(first))
+    chunks = enumerate(chain(first, chunks))
     conns, procs = [None], [None]  # indexed by process; 0 is this one
-    pending = deque()  # (process, chunk) dealt and not yet yielded, in order
+    held = [None]  # per forked worker: the indices of the chunks it holds, oldest first
+    done = {}  # chunk index -> its results, or the exception computing it raised
+    bound = AHEAD * workers  # chunks done before their turn, at most
 
     def lost(w: int) -> ChildProcessError:
         procs[w].join(1)
@@ -515,17 +544,24 @@ def _fan_out(fn: Callable, payloads: Iterable, workers: int) -> Iterator:
             f"{procs[w].exitcode} before returning its results"
         )
 
-    def results(w: int, chunk: list) -> Iterable:
-        """fn over a chunk dealt to process w."""
-        if not w:
-            return map(fn, chunk)
+    def deal(w: int) -> None:
+        """Send forked worker w the next undealt chunk, if one is left."""
+        for j, chunk in islice(chunks, 1):
+            try:
+                conns[w].send(chunk)
+            except OSError:
+                raise lost(w) from None
+            held[w].append(j)
+
+    def receive(w: int) -> None:
+        """Wait for the answer to the oldest chunk forked worker w holds,
+        then deal w the next."""
         try:
             answer = conns[w].recv()
         except (EOFError, OSError):
             raise lost(w) from None
-        if isinstance(answer, BaseException):
-            raise answer
-        return answer
+        done[held[w].popleft()] = answer
+        deal(w)
 
     try:
         for _ in range(1, workers):
@@ -535,17 +571,34 @@ def _fan_out(fn: Callable, payloads: Iterable, workers: int) -> Iterator:
             child_end.close()
             conns.append(conn)
             procs.append(proc)
-        for w, chunk in zip(cycle(range(workers)), chain(first, chunks)):
-            if w:
-                try:
-                    conns[w].send(chunk)
-                except OSError:
-                    raise lost(w) from None
-            pending.append((w, chunk))
-            if len(pending) > AHEAD * workers:
-                yield from results(*pending.popleft())
-        while pending:
-            yield from results(*pending.popleft())
+            held.append(deque())
+        for _ in range(AHEAD):
+            for w in range(1, workers):
+                deal(w)
+        for head in count():
+            while head not in done:
+                # the head's holder; None when no chunk from the head on is dealt
+                w = next((v for v in range(1, workers) if held[v] and held[v][0] == head), None)
+                if w is not None and (len(done) >= bound or conns[w].poll()):
+                    receive(w)
+                elif ready := next(
+                    (v for v in range(1, workers) if v != w and held[v] and conns[v].poll()), None
+                ):
+                    receive(ready)
+                elif dealt := next(chunks, None):
+                    j, chunk = dealt
+                    try:
+                        done[j] = list(map(fn, chunk))
+                    except Exception as exc:
+                        done[j] = exc
+                elif w is not None:
+                    receive(w)
+                else:
+                    return
+            results = done.pop(head)
+            if isinstance(results, BaseException):
+                raise results
+            yield from results
     finally:
         for proc in procs[1:]:
             proc.terminate()
@@ -561,7 +614,8 @@ def sweep(config: SweepConfig) -> SweepReport:
     Work is partitioned by tree and folded in enumeration order, so the
     record file is deterministic for any worker count; `<out>.tmp` replaces
     `<out>` only on success.  The tree codes are enumerated as `_fan_out`
-    deals them, and this process sweeps its share of them while it writes.
+    deals them, and this process sweeps trees while it waits for the
+    workers' results.
     Raises EngineMismatchError if the engines differ, ChildProcessError if
     a worker dies, and the OSError of a failed open or write as it comes.
     """

@@ -16,7 +16,7 @@ import treemult
 from oracles import major_chain, star_tree, to_json_dict
 from treemult.cli import main
 from treemult.poly import all_specs
-from treemult.tree import emit_graph6, enumerate_trees, path_tree
+from treemult.tree import emit_graph6, enumerate_trees, load_edge_json, path_tree
 
 
 def run(capsys, *argv):
@@ -620,32 +620,32 @@ class TestErrors:
         assert err.startswith("error: ") and "duplicate mode" in err and out == ""
         assert not (tmp_path / "r.jsonl").exists()
 
-    def test_json_output_above_graph6_range_exits_2(self, capsys):
-        # refused before m is computed or the tree canonically labeled
-        # (whose recursion would exceed the limit on P3000)
+    def test_json_output_far_above_graph6_range_skips_canonical_labeling(self, capsys):
+        # canonical labeling recurses once per vertex of a path, past the
+        # limit on P3000; a tree above n = 62 is printed as given instead
         code, out, err = run(
-            capsys, "mult", "--edges", path_edges(3000), "--lambda", "1/2", "--format", "json"
+            capsys, "classify", "--edges", path_edges(3000), "--lambda", "1/2", "--format", "json"
         )
-        assert code == 2
-        assert err.startswith("error: ") and out == ""
+        assert code == 0 and err == ""
+        assert json.loads(out)["tree"] == to_json_dict(path_tree(3000))
 
     @pytest.mark.parametrize("command", ["mult", "charpoly", "classify"])
-    def test_json_output_above_graph6_range_refused_before_computing(
-        self, capsys, monkeypatch, command
-    ):
-        import treemult.cli as cli_mod
-
-        def computed(*args):
-            raise AssertionError("computed before the refusal")
-
-        for name in ("multiplicity", "char_poly", "classify"):
-            monkeypatch.setattr(cli_mod, name, computed)
-        argv = [command, "--edges", path_edges(63), "--format", "json"]
-        if command != "charpoly":
-            argv += ["--lambda", "1/2"]
-        code, out, err = run(capsys, *argv)
-        assert code == 2
-        assert err.startswith("error: ") and "n = 63" in err and out == ""
+    def test_json_output_above_graph6_range_names_the_tree_by_its_edges(self, capsys, command):
+        # graph6's short form stops at n = 62; above it the record's tree is
+        # the edge-list object that --json reads back
+        path, chain = path_tree(63), major_chain(20, 3, 1, 1)  # chain: 20 majors, 99 vertices
+        for t, tag, steps in ((path, "GAMMA(0)", 0), (chain, "GAMMA(20)", 20)):
+            edges = ",".join(f"{u}-{v}" for u, v in t.edges)
+            argv = [command, "--edges", edges, "--format", "json"]
+            if command != "charpoly":
+                argv += ["--lambda", "1/2"]
+            code, out, err = run(capsys, *argv)
+            assert code == 0 and err == ""
+            record = json.loads(out)
+            assert record["tree"] == to_json_dict(t)
+            assert load_edge_json(json.dumps(record["tree"])) == t
+            if command == "classify":
+                assert (record["result"], len(record["witness"])) == (tag, steps)
 
     @pytest.mark.parametrize("n_max", ["63", "200", "1000"])
     def test_generate_above_graph6_range_exits_2(self, capsys, n_max):

@@ -258,6 +258,11 @@ class TestSquarefree:
     def test_squarefree_input(self):
         assert squarefree_decompose(P(0, -2, 0, 1)) == [(P(0, -2, 0, 1), 1)]
 
+    def test_squarefree_input_with_content_and_negative_leading(self):
+        # -6(x^2 - 3)(x + 1): level 1 holds the primitive part, leading positive
+        p = P(-3, -3, 1, 1) * -6
+        assert squarefree_decompose(p) == [(P(-3, -3, 1, 1), 1)]
+
     def test_spider_charpoly_example(self):
         # x^6 - 5x^4 + 5x^2 = x^2 * (x^4 - 5x^2 + 5); confirm by re-expansion
         p = P(0, 0, 5, 0, -5, 0, 1)

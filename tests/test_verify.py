@@ -178,9 +178,10 @@ class TestSweep:
         # the same digest when no file is written
         assert sweep(small_config(n_max=5, M_max=4)).records_sha256 == digest
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_merged_tallies_equal_reading_the_file(self, tmp_path, workers):
-        # the sweep folds per-tree tallies with Tally.merge; report reads
+        # the sweep folds per-tree tallies with Tally.merge, each set in one
+        # step when none of the tree's records has a violation; report reads
         # the file it wrote with Tally.add, record by record
         config = small_config(tmp_path, workers=workers, n_max=8, M_max=9)
         merged = sweep(config)
@@ -225,7 +226,7 @@ class TestSweep:
         with pytest.raises(ValueError):
             SweepConfig(n_max=25)
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_golden_record_hash(self, tmp_path, workers):
         out = tmp_path / "records.jsonl"
         with contextlib.redirect_stdout(io.StringIO()):
@@ -595,6 +596,64 @@ class TestPoolSize:
         assert raised.endswith(") exited with status 1 before returning its results")
         assert children == "[]"
         assert not out.exists() and not (tmp_path / "records.jsonl.tmp").exists()
+
+
+class TestFanOut:
+    """`_fan_out` with its forked worker held back: the worker blocks on its
+    first payload until this process releases it through a pipe."""
+
+    @pytest.fixture
+    def release(self):
+        r, w = os.pipe()
+        yield r, w
+        os.close(r)
+        os.close(w)
+
+    def test_stalled_worker_keeps_order_and_bounds_the_buffer(self, forks, release):
+        # this process computes chunks ahead while the head is out, and
+        # releases the worker once it has as many as it may buffer; it must
+        # then wait for the head instead of computing one more
+        r, w = release
+        parent, bound, inline = os.getpid(), verify_mod.AHEAD * 2, []
+
+        def square(x):
+            if os.getpid() != parent:
+                if x == 0:
+                    os.read(r, 1)
+            else:
+                inline.append(x)
+                if len(inline) == bound * verify_mod.CHUNK:
+                    os.write(w, b"go")
+            return x * x
+
+        payloads = range(40 * verify_mod.CHUNK)
+        results = verify_mod._fan_out(square, iter(payloads), 2)
+        first = next(results)
+        ahead = len(inline)
+        assert [first, *results] == [x * x for x in payloads]
+        assert ahead == bound * verify_mod.CHUNK
+        assert len(forks) == 1 and forks[0].exitcode is not None
+        assert multiprocessing.active_children() == []
+
+    def test_first_exception_in_payload_order_is_raised(self, forks, release):
+        # chunk 0 goes to the stalled worker and fails at payload 3; this
+        # process meanwhile fails chunk 2, its first, which must wait its turn
+        r, w = release
+        parent, late = os.getpid(), 2 * verify_mod.CHUNK + 1
+
+        def fail_twice(x):
+            if os.getpid() != parent and x == 0:
+                os.read(r, 1)
+            if x == late:
+                os.write(w, b"go")
+            if x in (3, late):
+                raise ValueError(x)
+            return x
+
+        with pytest.raises(ValueError) as info:
+            list(verify_mod._fan_out(fail_twice, iter(range(10 * verify_mod.CHUNK)), 2))
+        assert info.value.args == (3,)
+        assert len(forks) == 1 and multiprocessing.active_children() == []
 
 
 class TestEngineAgreement:
