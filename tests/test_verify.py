@@ -10,6 +10,7 @@ import multiprocessing
 import os
 import pickle
 import random
+import select
 import subprocess
 import sys
 from pathlib import Path
@@ -598,6 +599,12 @@ class TestPoolSize:
         assert not out.exists() and not (tmp_path / "records.jsonl.tmp").exists()
 
 
+def wait_for_release(r):
+    """Block until the pipe's read end r is readable, at most 60 s, so that
+    a fan-out that never releases the worker fails instead of hanging."""
+    select.select([r], [], [], 60)
+
+
 class TestFanOut:
     """`_fan_out` with its forked worker held back: the worker blocks on its
     first payload until this process releases it through a pipe."""
@@ -619,7 +626,7 @@ class TestFanOut:
         def square(x):
             if os.getpid() != parent:
                 if x == 0:
-                    os.read(r, 1)
+                    wait_for_release(r)
             else:
                 inline.append(x)
                 if len(inline) == bound * verify_mod.CHUNK:
@@ -643,7 +650,7 @@ class TestFanOut:
 
         def fail_twice(x):
             if os.getpid() != parent and x == 0:
-                os.read(r, 1)
+                wait_for_release(r)
             if x == late:
                 os.write(w, b"go")
             if x in (3, late):
