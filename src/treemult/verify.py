@@ -7,15 +7,14 @@ equivalences "m = p - 1 iff GAMMA member" and "m = p - 2 iff GAMMA2 member"
 under the configured base-family modes.  Emits one JSON record per
 (tree, eigenvalue) pair plus a JSON summary, with byte-identical record
 files for identical configs regardless of worker count.  The process
-that sweeps a tree also encodes its records and tallies them, in one step
-when no record of the tree holds a violation.  `_fan_out` deals the tree
-codes in chunks on demand: workers - 1 forked processes are each kept
-AHEAD chunks ahead, and the sweep's own process sweeps the next chunk
-itself only while the one due next is still out, keeping at most
-AHEAD * workers finished chunks waiting their turn.  It hands back each
-tree's bytes and Tally in enumeration order; the sweep's process writes the
-bytes, hashes them and folds in each Tally with `Tally.merge`, the sweep's
-one fold of per-tree results.
+that sweeps a tree also encodes its records and tallies them, with one
+`Tally.add` per M.  `_fan_out` deals the tree codes in chunks on demand:
+workers - 1 forked processes are each kept AHEAD chunks ahead, and the
+sweep's own process sweeps the next chunk itself only while the one due
+next is still out, keeping at most AHEAD * workers of its own chunks
+queued.  It hands back each tree's bytes and Tally in enumeration order;
+the sweep's process writes the bytes, hashes them and folds in each Tally
+with `Tally.merge`, the sweep's one fold of per-tree results.
 
 The multiplicity loop peels each swept orbit's minimal polynomial off the
 characteristic polynomial as it counts it, so what is left holds exactly
@@ -39,7 +38,7 @@ from collections.abc import Callable, Iterable, Iterator
 from contextlib import closing, nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import chain, count, islice
+from itertools import chain, islice
 from multiprocessing import Pipe, get_context
 
 try:
@@ -60,7 +59,6 @@ from treemult.families import (
 from treemult.poly import (
     LambdaSpec,
     Polynomial,
-    all_specs,
     exact_div,  # unused here; perfbench/tracer.py wraps it on this module
     spec_orbits,
     squarefree_decompose,
@@ -85,15 +83,16 @@ from treemult.tree import (
 
 
 class EngineMismatchError(Exception):
-    """The two multiplicity engines disagreed, or the division engine gave
-    the two orbits of an odd M different counts; either is an
-    implementation bug and poisons any dataset, so the sweep aborts instead
-    of recording it.  The message is JSON naming the tree, and either the
-    lambda and each engine's count or both lambdas and both counts.
+    """The two multiplicity engines disagreed, or the two orbits of an odd M
+    got different record tails; either is an implementation bug and poisons
+    any dataset, so the sweep aborts instead of recording it.  The message
+    is JSON naming the tree, and either the lambda and each engine's count
+    or both lambdas, both division-engine counts and both classifications.
 
     At odd M the even-i orbit is the odd-i orbit negated (i -> M - i), and
     a tree is bipartite, so the two counts must agree; `classify` decides
-    both orbits from one reading of the tree on this ground."""
+    both orbits from one reading of the tree on this ground, so their
+    verdicts must agree too, and every record at one M has the same tail."""
 
 
 class MalformedRecordError(ValueError):
@@ -155,30 +154,32 @@ class Tally:
         trees=0, levels=0, violations=0, strict_discrepancies=0, violation_examples=[]
     ))
 
-    def add(self, tree: str, lam: list, fields: dict) -> None:
-        """Count one record: its tree, its lambda and the rest of its fields."""
+    def add(self, tree: str, lams: list, fields: dict) -> None:
+        """Count one record per lambda of lams, in order, each of tree and
+        with the same other fields."""
         if tree != self.tree:
             self.tree = tree
             self.tree_count += 1
-        self.record_count += 1
+        self.record_count += len(lams)
         if not fields["bound_ok"]:
-            self.bound_violations += 1
+            self.bound_violations += len(lams)
         if fields["thm13_status"] == VIOLATION:
-            self.eq_top_violations += 1
+            self.eq_top_violations += len(lams)
         for mode_value, status in fields["thm14_status"].items():
             self.eq_second.setdefault(mode_value, 0)
             if status == VIOLATION:
-                self.eq_second[mode_value] += 1
+                self.eq_second[mode_value] += len(lams)
                 if mode_value == STRICT.value:
-                    self.strict_discrepancies.append(
+                    self.strict_discrepancies += [
                         {
                             "tree": tree,
-                            "lambda": lam,
+                            "lambda": list(lam),
                             "m": fields["m"],
                             "p": fields["p"],
                             "classification": dict(fields["classification"]),
                         }
-                    )
+                        for lam in lams
+                    ]
 
     def merge(self, other: "Tally") -> None:
         """Fold in the counts of other trees, tallied elsewhere, as if they
@@ -236,12 +237,10 @@ class Tally:
         with open(path, "rb") as f:
             for lineno, line in enumerate(f, 1):
                 digest.update(line)
-                if not line.strip():
-                    continue
                 last = tally.tree
                 try:
                     rec = json.loads(line.decode("utf-8"))
-                    tally.add(rec["tree"], rec["lambda"], rec)
+                    tally.add(rec["tree"], [rec["lambda"]], rec)
                     if tally.tree != last:  # graph6 begins with chr(63 + n)
                         size, after = ord(tally.tree[0]) - 63, last is None or last < tally.tree
                 except (ValueError, KeyError, TypeError, AttributeError, IndexError) as exc:
@@ -347,26 +346,30 @@ class SweepReport(Tally):
 
 
 @lru_cache(maxsize=None)
-def _orbit_table(M_max: int) -> tuple[tuple, tuple[tuple[LambdaSpec, str, int], ...]]:
-    """The orbits with M <= M_max, and each spec with M <= M_max in (M, i)
-    order with its "[i, M]" text, as a record line holds it, and the index
-    of its orbit; built once per process."""
-    orbits = tuple(spec_orbits(M_max))
-    index = {spec: o for o, (_, specs) in enumerate(orbits) for spec in specs}
-    return orbits, tuple((spec, f"[{spec.i}, {spec.M}]", index[spec]) for spec in all_specs(M_max))
+def _m_table(M_max: int) -> tuple[tuple[tuple, list, list], ...]:
+    """Per M <= M_max, in increasing order: its one or two orbits as (mu,
+    first spec), in the order of their first specs, and its specs' [i, M]
+    lists and "[i, M]" texts, as a record line holds them, in i order;
+    built once per process, and shared, so it must not be changed."""
+    by_M: dict[int, tuple[list, list]] = {}
+    for mu, specs in spec_orbits(M_max):
+        orbits, lams = by_M.setdefault(specs[0].M, ([], []))
+        orbits.append((mu, specs[0]))
+        lams += [[spec.i, spec.M] for spec in specs]
+    for _, lams in by_M.values():
+        lams.sort()  # the two orbits of an odd M interleave
+    return tuple((tuple(orbits), lams, [f"[{i}, {M}]" for i, M in lams]) for orbits, lams in by_M.values())
 
 
 @lru_cache(maxsize=1024)
 def _record_tail(
     p: int, gamma: int, m: int, modes: tuple[Gamma2Mode, ...], verdicts: tuple
-) -> tuple[dict, str, bool]:
+) -> tuple[dict, str]:
     """Every field of a record after "tree" and "lambda", in record order,
-    its text as it follows the lambda in the record line, and whether
-    `Tally.add` counts anything but the record itself in it (a broken bound
-    or a VIOLATION status); verdicts holds classify's (kind, k) in each of
-    modes.  Few distinct tails occur (216 in the n <= 14, M <= 15 sweep), so
-    each is derived and encoded once per process; the dict is shared and
-    must not be changed."""
+    and its text as it follows the lambda in the record line; verdicts holds
+    classify's (kind, k) in each of modes.  Few distinct tails occur (216 in
+    the n <= 14, M <= 15 sweep), so each is derived and encoded once per
+    process; the dict is shared and must not be changed."""
     results = [FamilyResult(*verdict) for verdict in verdicts]
     tail = {
         "p": p,
@@ -382,68 +385,60 @@ def _record_tail(
         "classification": {mode.value: res.tag for mode, res in zip(modes, results)},
         "notes": "",
     }
-    statuses = (tail["thm13_status"], *tail["thm14_status"].values())
-    flagged = not tail["bound_ok"] or VIOLATION in statuses
-    return tail, ", " + json.dumps(tail)[1:] + "\n", flagged
+    return tail, ", " + json.dumps(tail)[1:] + "\n"
 
 
 def _sweep_tree(g6: str, M_max: int, modes: tuple[Gamma2Mode, ...]) -> tuple[bytes, Tally]:
     """Per-tree worker: tree g6's record lines in (M, i) order, encoded, and
     its Tally, which counts them and, when n + 1 <= M_max, holds the outcome
     of `_check_other`.  Raises EngineMismatchError when the engines disagree,
-    or when the two orbits of an odd M get different counts.
+    or when the two orbits of an odd M get different record tails.
 
     Conjugate eigenvalues share a minimal polynomial, so multiplicities are
     computed once per orbit.  Family membership depends on lambda only
     through M, so `classify`, called once per (orbit, mode), searches once
-    per M and reading and returns its kept verdict for the rest.  The
-    records of an orbit's specs then differ only in `lambda`, whose text
-    comes from `_orbit_table`, and their common tail comes encoded from
-    `_record_tail`.  When no tail holds a violation, the Tally is set in one
-    step to what `Tally.add` would count; otherwise it counts record by
-    record, which keeps the strict discrepancies in order.  Each orbit's mu^m is
-    divided out of the characteristic polynomial as m is counted; the
-    orbits' minimal polynomials are distinct monic irreducibles, so the
-    counts do not change, and when n + 1 <= M_max what is left is checked
-    as well (`_check_other`).
+    per M and reading and returns its kept verdict for the rest.  Every
+    record at one M then has the same tail, which comes encoded from
+    `_record_tail`; the records differ only in `lambda`, whose text comes
+    from `_m_table`, and one `Tally.add` per M counts them, keeping the
+    strict discrepancies in (M, i) order.  Each orbit's mu^m is divided out
+    of the characteristic polynomial as m is counted; the orbits' minimal
+    polynomials are distinct monic irreducibles, so the counts do not
+    change, and when n + 1 <= M_max what is left is checked as well
+    (`_check_other`).
     """
     t = parse_graph6(g6)
     rest = char_poly(t)
     p = pendant_count(t)
     gamma = major_count(t)
-    tails: list[tuple[dict, str, bool]] = []  # per orbit: its record tail, from _record_tail
-    first_at: dict[int, tuple[LambdaSpec, int]] = {}  # M -> its first orbit's rep and m
-    orbits, every_spec = _orbit_table(M_max)
-    for mu, specs in orbits:
-        rep = specs[0]
-        m, rest = factor_multiplicity(rest, mu)
-        m_rank = rank_nullity(t, rep)
-        if m != m_rank:
-            mismatch = {"tree": g6, "lambda": [rep.i, rep.M], "division_engine": m, "rank_engine": m_rank}
-            raise EngineMismatchError(json.dumps(mismatch))
-        first, m_first = first_at.setdefault(rep.M, (rep, m))
-        if m != m_first:
-            mismatch = {
-                "tree": g6,
-                "lambdas": [[first.i, first.M], [rep.i, rep.M]],
-                "division_engine": [m_first, m],
-            }
-            raise EngineMismatchError(json.dumps(mismatch))
-        verdicts = tuple((res.kind, res.k) for res in [classify(t, rep, mode) for mode in modes])
-        tails.append(_record_tail(p, gamma, m, modes, verdicts))
     head = '{"tree": ' + json.dumps(g6) + ', "lambda": '
-    texts = [text for _, text, _ in tails]
-    encoded = "".join([head + lam + texts[orbit] for _, lam, orbit in every_spec]).encode("utf-8")
+    lines: list[str] = []
     tally = Tally()
-    if any(flagged for _, _, flagged in tails):
-        for spec, _, orbit in every_spec:
-            tally.add(g6, [spec.i, spec.M], tails[orbit][0])
-    else:  # what add would count: the tree, its records, and no violation in any mode
-        tally.tree, tally.tree_count, tally.record_count = g6, 1, len(every_spec)
-        tally.eq_second = dict.fromkeys([mode.value for mode in modes], 0)
+    for orbits, lams, texts in _m_table(M_max):
+        tails = []  # per orbit: its first spec, its m and its record tail
+        for mu, rep in orbits:
+            m, rest = factor_multiplicity(rest, mu)
+            m_rank = rank_nullity(t, rep)
+            if m != m_rank:
+                mismatch = {"tree": g6, "lambda": [rep.i, rep.M], "division_engine": m, "rank_engine": m_rank}
+                raise EngineMismatchError(json.dumps(mismatch))
+            verdicts = tuple((res.kind, res.k) for res in [classify(t, rep, mode) for mode in modes])
+            tails.append((rep, m, _record_tail(p, gamma, m, modes, verdicts)))
+        (first, m_first, (fields, text)), *others = tails
+        for rep, m, (other, other_text) in others:  # the even-i orbit of an odd M
+            if other_text != text:
+                mismatch = {
+                    "tree": g6,
+                    "lambdas": [[first.i, first.M], [rep.i, rep.M]],
+                    "division_engine": [m_first, m],
+                    "classification": [fields["classification"], other["classification"]],
+                }
+                raise EngineMismatchError(json.dumps(mismatch))
+        lines += [head + lam + text for lam in texts]
+        tally.add(g6, lams, fields)
     if t.n + 1 <= M_max:
         _check_other(g6, rest, p, tally)
-    return encoded, tally
+    return "".join(lines).encode("utf-8"), tally
 
 
 def _check_other(g6: str, rest: Polynomial, p: int, tally: Tally) -> None:
@@ -488,19 +483,21 @@ AHEAD = 2  # chunks each forked worker holds, the one it is computing included
 Process = get_context("fork").Process
 
 
+def _answer(fn: Callable, chunk: list) -> list | Exception:
+    """fn's results on the payloads of chunk, or the exception fn raised."""
+    try:
+        return list(map(fn, chunk))
+    except Exception as exc:
+        return exc
+
+
 def _serve(fn: Callable, conn, parent_end) -> None:
     """A forked worker of `_fan_out`: answer each chunk received on conn
-    with the list of fn's results, or with the exception fn raised, until
-    the parent's end closes."""
+    until the parent's end closes."""
     parent_end.close()  # inherited; closed so that the parent's exit ends recv
     try:
         while True:
-            chunk = conn.recv()
-            try:
-                answer = [fn(x) for x in chunk]
-            except Exception as exc:
-                answer = exc
-            conn.send(answer)
+            conn.send(_answer(fn, conn.recv()))
     except (EOFError, KeyboardInterrupt):  # the parent is gone, or Ctrl-C reached the group
         pass
 
@@ -512,16 +509,15 @@ def _fan_out(fn: Callable, payloads: Iterable, workers: int) -> Iterator:
     no more processes start than there are chunks, so at 1 worker, or with
     one chunk, nothing is forked and every chunk is computed here, in order.
 
-    The deal follows demand.  Each forked worker holds AHEAD chunks and is
+    The deal follows demand.  Every dealt chunk waits in one queue in
+    payload order, as the number of the forked worker computing it or as
+    the answer computed here.  Each forked worker holds AHEAD chunks and is
     dealt the next undealt one as each of its answers is read.  This
     process computes the next undealt chunk itself only while the head,
-    the chunk whose results are due next, has not come back
+    the chunk due next, is a worker's that has not answered
     (`conn.poll()`), so it takes fewer chunks the more time the caller
-    spends on the results.  Chunks done before their turn wait in a buffer
-    keyed by chunk index; once it holds AHEAD * workers of them, this
-    process blocks on the head's answer instead of computing more.  With
-    more than one forked worker, an answer that is ready before its turn
-    is read into the buffer too, so that its worker is dealt the next chunk.
+    spends on the results; once AHEAD * workers of its own chunks are
+    queued, it blocks on the head's answer instead of computing more.
 
     An exception fn raises, here or in a worker, is raised when its chunk's
     turn comes, so the first in payload order wins; a worker that dies
@@ -531,11 +527,11 @@ def _fan_out(fn: Callable, payloads: Iterable, workers: int) -> Iterator:
     chunks = iter(lambda: list(islice(payloads, CHUNK)), [])
     first = list(islice(chunks, workers))
     workers = max(1, len(first))
-    chunks = enumerate(chain(first, chunks))
+    chunks = chain(first, chunks)
     conns, procs = [None], [None]  # indexed by process; 0 is this one
-    held = [None]  # per forked worker: the indices of the chunks it holds, oldest first
-    done = {}  # chunk index -> its results, or the exception computing it raised
-    bound = AHEAD * workers  # chunks done before their turn, at most
+    queue = deque()  # per dealt chunk, in payload order: its worker, or its answer computed here
+    own = 0  # answers computed here in queue
+    bound = AHEAD * workers
 
     def lost(w: int) -> ChildProcessError:
         procs[w].join(1)
@@ -546,22 +542,12 @@ def _fan_out(fn: Callable, payloads: Iterable, workers: int) -> Iterator:
 
     def deal(w: int) -> None:
         """Send forked worker w the next undealt chunk, if one is left."""
-        for j, chunk in islice(chunks, 1):
+        for chunk in islice(chunks, 1):
             try:
                 conns[w].send(chunk)
             except OSError:
                 raise lost(w) from None
-            held[w].append(j)
-
-    def receive(w: int) -> None:
-        """Wait for the answer to the oldest chunk forked worker w holds,
-        then deal w the next."""
-        try:
-            answer = conns[w].recv()
-        except (EOFError, OSError):
-            raise lost(w) from None
-        done[held[w].popleft()] = answer
-        deal(w)
+            queue.append(w)
 
     try:
         for _ in range(1, workers):
@@ -571,34 +557,30 @@ def _fan_out(fn: Callable, payloads: Iterable, workers: int) -> Iterator:
             child_end.close()
             conns.append(conn)
             procs.append(proc)
-            held.append(deque())
         for _ in range(AHEAD):
             for w in range(1, workers):
                 deal(w)
-        for head in count():
-            while head not in done:
-                # the head's holder; None when no chunk from the head on is dealt
-                w = next((v for v in range(1, workers) if held[v] and held[v][0] == head), None)
-                if w is not None and (len(done) >= bound or conns[w].poll()):
-                    receive(w)
-                elif ready := next(
-                    (v for v in range(1, workers) if v != w and held[v] and conns[v].poll()), None
-                ):
-                    receive(ready)
-                elif dealt := next(chunks, None):
-                    j, chunk = dealt
-                    try:
-                        done[j] = list(map(fn, chunk))
-                    except Exception as exc:
-                        done[j] = exc
-                elif w is not None:
-                    receive(w)
-                else:
-                    return
-            results = done.pop(head)
-            if isinstance(results, BaseException):
-                raise results
-            yield from results
+        while True:
+            while own < bound and (not queue or isinstance(queue[0], int) and not conns[queue[0]].poll()):
+                chunk = next(chunks, None)
+                if chunk is None:
+                    break
+                queue.append(_answer(fn, chunk))
+                own += 1
+            if not queue:
+                return
+            head = queue.popleft()
+            if isinstance(head, int):
+                try:
+                    answer = conns[head].recv()
+                except (EOFError, OSError):
+                    raise lost(head) from None
+                deal(head)
+            else:
+                answer, own = head, own - 1
+            if isinstance(answer, BaseException):
+                raise answer
+            yield from answer
     finally:
         for proc in procs[1:]:
             proc.terminate()

@@ -370,17 +370,25 @@ class TestVerifyAuditReport:
     )
     def test_report_malformed_record_exits_2(self, capsys, tmp_path, line):
         path = tmp_path / "bad.jsonl"
-        path.write_text("\n" + line + "\n")
+        code, _, _ = run(capsys, "verify", "--n-max", "1", "--m-max", "2", "--out", str(path))
+        assert code == 0 and path.read_text().count("\n") == 1
+        with open(path, "a") as f:
+            f.write(line + "\n")
         code, _, err = run(capsys, "report", str(path))
         assert code == 2
         assert err.startswith(f"error: {path}:2: ")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("summary", [True, False])
-    @pytest.mark.parametrize("text", ["", "\n \n\n"], ids=["empty", "blank-lines"])
-    def test_report_file_without_records_exits_2(self, capsys, tmp_path, summary, text):
+    @pytest.mark.parametrize(
+        "text, line, named",
+        [("", "", "no sweep record"), ("\n \n\n", ":1", "not a sweep record")],
+        ids=["empty", "blank-lines"],
+    )
+    def test_report_file_without_records_exits_2(self, capsys, tmp_path, summary, text, line, named):
         # every sweep writes at least one record (n >= 1, M_max >= 2), so a
-        # file with none is refused, even beside a summary of its counts
+        # file with none is refused, even beside a summary of its counts; no
+        # sweep writes a blank line, so the first is refused as a record
         path = tmp_path / "rec.jsonl"
         path.write_text(text)
         if summary:
@@ -396,7 +404,7 @@ class TestVerifyAuditReport:
             (tmp_path / "rec.jsonl.summary.json").write_text(json.dumps(counts))
         code, out, err = run(capsys, "report", str(path))
         assert code == 2 and out == "" and "Traceback" not in err
-        assert err.startswith(f"error: {path}: ") and "no sweep record" in err
+        assert err.startswith(f"error: {path}{line}: ") and named in err
 
     def test_verify_engine_mismatch_exits_3(self, capsys, tmp_path, monkeypatch):
         # a broken engine has a status of its own, apart from violations, and
@@ -486,6 +494,7 @@ class TestVerifyAuditReport:
             ("missing-everywhere", 9, "every lambda"),
             ("missing-lone", None, "every lambda"),  # the file holds one run
             ("lone-garbled", None, "every lambda"),  # its last lambda is no [i, M]
+            ("blank", 21, "not a sweep record"),  # blank lines inside and at the end
         ],
     )
     def test_report_checks_each_run(self, capsys, tmp_path, summary, damage, line, named):
@@ -533,6 +542,9 @@ class TestVerifyAuditReport:
         elif damage == "lone-garbled":
             runs = runs[:1]
             runs[0][-1] = json.dumps({**json.loads(runs[0][-1]), "lambda": "x"}) + "\n"
+        elif damage == "blank":
+            runs[2].insert(2, "\n")
+            runs[-1].append("   \n")
         out_path.write_text("".join(sum(runs, [])))
         if not summary:
             (tmp_path / "rec.jsonl.summary.json").unlink()

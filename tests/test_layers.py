@@ -3,12 +3,14 @@ the order tree/poly -> spectrum -> families -> verify -> cli, so no two
 modules import each other in a cycle.  `__init__` re-exports every layer
 and is exempt.  Also: the names the benchmark reaches into stay bound, the
 modules that decide verdicts use no floating point, every public name in
-the package has a caller in the package, and a sweep loads no OpenSSL."""
+the package has a caller in the package, every imported name is used, and
+a sweep loads no OpenSSL."""
 
 import ast
 import importlib.util
 import os
 import subprocess
+import symtable
 import sys
 from pathlib import Path
 
@@ -146,6 +148,65 @@ def test_public_names_have_src_callers():
     referenced = set().union(*map(referenced_names, modules))
     assert sorted(defined - referenced - set(NO_SRC_CALLER)) == []
     assert set(NO_SRC_CALLER) <= defined  # an entry whose name is gone goes too
+
+
+# names a module imports without using them, and why each stays imported
+UNUSED_IMPORTS = {
+    "verify": {
+        name: "perfbench/tracer.py wraps it on verify to time its layer"
+        for name in ("emit_graph6", "exact_div", "is_path")
+    },
+}
+
+
+def global_reads(table: symtable.SymbolTable) -> set[str]:
+    """The module-level names read in table's scope or a scope nested in
+    it, as the compiler resolves them: a local of the same name shadows."""
+    found = {
+        s.get_name()
+        for s in table.get_symbols()
+        if s.is_referenced() and (table.get_type() == "module" or s.is_global())
+    }
+    return found.union(*map(global_reads, table.get_children()))
+
+
+def annotation_reads(module: ast.Module) -> set[str]:
+    """The names read in annotations, quoted ones included, which the
+    symbol table does not see under `from __future__ import annotations`."""
+    found = set()
+
+    def read(expr: ast.AST) -> None:
+        for part in ast.walk(expr):
+            if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                read(ast.parse(part.value, mode="eval"))
+            elif isinstance(part, ast.Name):
+                found.add(part.id)
+
+    for node in ast.walk(module):
+        for ann in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if ann:
+                read(ann)
+    return found
+
+
+def unused_imports(path: Path) -> set[str]:
+    """The names the imports of the module at path bind that it never
+    reads; `from __future__` binds none."""
+    source = path.read_text(encoding="utf-8")
+    table = symtable.symtable(source, str(path), "exec")
+    imported = {s.get_name() for s in table.get_symbols() if s.is_imported()} - {"annotations"}
+    return imported - global_reads(table) - annotation_reads(ast.parse(source))
+
+
+def test_src_imports_are_used():
+    # no linter runs on the package, so a leftover import is caught here;
+    # `__init__` re-exports every layer and is exempt
+    unused = {
+        p.stem: names
+        for p in sorted(PACKAGE.glob("*.py"))
+        if p.stem != "__init__" and (names := unused_imports(p))
+    }
+    assert unused == {stem: set(names) for stem, names in UNUSED_IMPORTS.items()}
 
 
 # a fresh interpreter that runs a sweep through the CLI and the agreement

@@ -303,16 +303,17 @@ class TestSweep:
             "tree": "@",
             "lambdas": [[1, 3], [2, 3]],
             "division_engine": [0, 1],
+            "classification": [{"broad": "GAMMA2(0)", "strict": "GAMMA2(0)"}] * 2,
         }
         assert not (tmp_path / "records.jsonl").exists()
         assert not (tmp_path / "records.jsonl.tmp").exists()
 
 
 class TestMutants:
-    """Broken copies of a family definition, of the parity rule and of the
-    rank engine, each swept over n <= 10, M <= 11 in both modes, with the
-    counts or the abort that show it beside the counts of the unbroken
-    code."""
+    """Broken copies of a family definition, of the parity rule, of
+    classify's one verdict per M and of the rank engine, each swept over
+    n <= 10, M <= 11 in both modes, with the counts or the abort that show
+    it beside the counts of the unbroken code."""
 
     @staticmethod
     def counts(report):
@@ -356,7 +357,7 @@ class TestMutants:
         # no minimal polynomial, and only the leftover check sees that the
         # even-i orbit is never divided out.
         def clear():
-            verify_mod._orbit_table.cache_clear()
+            verify_mod._m_table.cache_clear()
             poly._minimal_poly.cache_clear()
 
         clear()
@@ -371,6 +372,24 @@ class TestMutants:
         assert self.counts(report) == (0, 0, {"broad": 0, "strict": 30})
         other = report.other_eigenvalues
         assert (other["levels"], other["violations"]) == (206, 15)  # 188 and 0 unbroken
+
+    def test_odd_m_verdicts_split(self, monkeypatch):
+        # classify reads the tree once per M, so the two orbits of an odd M
+        # get the same verdict; a split one would leave the even-i records'
+        # classification unwritten, as every record at one M has one tail
+        classify = verify_mod.classify
+
+        def split(t, spec, mode):
+            odd_even = spec.M % 2 and spec.i % 2 == 0
+            return families.NON_MEMBER if odd_even else classify(t, spec, mode)
+
+        monkeypatch.setattr(verify_mod, "classify", split)
+        with pytest.raises(EngineMismatchError) as info:
+            sweep(small_config(n_max=10, M_max=11))
+        mismatch = json.loads(str(info.value))
+        first, second = mismatch["classification"]
+        assert first != second and set(second.values()) == {"NONE"}
+        assert mismatch["division_engine"][0] == mismatch["division_engine"][1]
 
     @pytest.mark.parametrize(
         "line, mutant",
@@ -616,12 +635,13 @@ class TestFanOut:
         os.close(r)
         os.close(w)
 
-    def test_stalled_worker_keeps_order_and_bounds_the_buffer(self, forks, release):
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_stalled_worker_keeps_order_and_bounds_the_buffer(self, forks, release, workers):
         # this process computes chunks ahead while the head is out, and
-        # releases the worker once it has as many as it may buffer; it must
-        # then wait for the head instead of computing one more
+        # releases the held worker once it has as many as it may queue; it
+        # must then wait for the head instead of computing one more
         r, w = release
-        parent, bound, inline = os.getpid(), verify_mod.AHEAD * 2, []
+        parent, bound, inline = os.getpid(), verify_mod.AHEAD * workers, []
 
         def square(x):
             if os.getpid() != parent:
@@ -634,12 +654,12 @@ class TestFanOut:
             return x * x
 
         payloads = range(40 * verify_mod.CHUNK)
-        results = verify_mod._fan_out(square, iter(payloads), 2)
+        results = verify_mod._fan_out(square, iter(payloads), workers)
         first = next(results)
         ahead = len(inline)
         assert [first, *results] == [x * x for x in payloads]
         assert ahead == bound * verify_mod.CHUNK
-        assert len(forks) == 1 and forks[0].exitcode is not None
+        assert len(forks) == workers - 1 and all(p.exitcode is not None for p in forks)
         assert multiprocessing.active_children() == []
 
     def test_first_exception_in_payload_order_is_raised(self, forks, release):
